@@ -1,14 +1,20 @@
 """Slice sampling of sub-level sets and byte-deterministic export."""
 
+import csv
+import hashlib
+import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from henonlab import DomainError, HenonMap, SliceSpec, annulus_radius, export_grid, sample_slice
-from henonlab.grid import (STATUS_NAMES, STATUS_K_CANDIDATE, STATUS_OMEGA_PRIME,
-                           STATUS_OUTSIDE, export_bytes)
+from henonlab.grid import (STATUS_BOUNDARY, STATUS_NAMES, STATUS_K_CANDIDATE,
+                           STATUS_OMEGA_PRIME, STATUS_OUTSIDE, GridResult, export_bytes)
+from henonlab.selfcheck import _acceptance_slice
 
 QUAD = HenonMap(2, 3, (0,))
 
@@ -100,3 +106,108 @@ def test_export_grid_writes_file(tmp_path, grid):
 def test_unknown_format_rejected(grid):
     with pytest.raises(ValueError):
         export_bytes(grid, "bmp")
+
+
+# -- pinned export bytes ------------------------------------------------------
+
+ACCEPTANCE_SHA256 = {
+    "csv": "241af273b753d62251754e9f4000a6a061e238565f6544341cec3357dc418584",
+    "json": "7233479937025341c9b981396ed27711ab209ae033c83296faac4cad83475ad2",
+    "pgm": "873a0c981b6a405d8e0711e5eeb3cc8ad4306707ad28758ba3138357bae108ee",
+}
+
+
+def test_acceptance_slice_export_digests():
+    g = sample_slice(QUAD, _acceptance_slice(), c=1.0, budget=200)
+    for fmt, digest in ACCEPTANCE_SHA256.items():
+        assert hashlib.sha256(export_bytes(g, fmt)).hexdigest() == digest, fmt
+
+
+# Per-cell exporters as first written: the byte oracle for the edge cases below.
+
+def _oracle_csv(grid):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["u", "v", "greenPlus", "status", "annulusRadius"])
+    H, W = grid.green.shape
+    for r in range(H):
+        for cidx in range(W):
+            ann = grid.annulus[r, cidx]
+            writer.writerow([
+                repr(float(grid.us[cidx])),
+                repr(float(grid.vs[r])),
+                repr(float(grid.green[r, cidx])),
+                STATUS_NAMES[int(grid.status[r, cidx])],
+                "" if math.isnan(ann) else repr(float(ann)),
+            ])
+    return buf.getvalue().encode("ascii")
+
+
+def _oracle_json(grid):
+    doc = {
+        "metadata": grid.metadata,
+        "u": [float(x) for x in grid.us],
+        "v": [float(x) for x in grid.vs],
+        "greenPlus": [float(x) for x in grid.green.ravel()],
+        "status": [STATUS_NAMES[int(s)] for s in grid.status.ravel()],
+        "annulusRadius": [None if math.isnan(x) else float(x) for x in grid.annulus.ravel()],
+    }
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii")
+
+
+def edge_grid(far=float("inf")):
+    """3 x 5 grid with every status, NaN annulus cells and extreme G+ values."""
+    green = np.array([[-0.0, 2.0, 1e-300, 1e300, far],
+                      [0.0, 0.5, 1.0 / 3.0, 0.9999999999999999, 1e-5],
+                      [5e-324, 123456789.125, 0.1, 1.0, 7.0]])
+    status = np.array([[0, 2, 1, 2, 2],
+                       [0, 1, 1, 3, 1],
+                       [3, 2, 1, 3, 2]], dtype=np.int8)
+    annulus = np.exp(green, where=(green > 0.0) & (green < 1.0), out=np.full_like(green, np.nan))
+    us = np.linspace(-3.0, 3.0, 5)
+    vs = np.array([-1e-7, -0.0, 1e200])
+    meta = {"c": 1.0, "nested": {"list": [1, 2.5, None], "name": "x"},
+            "statusLegend": {str(k): v for k, v in sorted(STATUS_NAMES.items())}}
+    return GridResult(green, np.zeros_like(green), status, annulus, us, vs, meta)
+
+
+def test_edge_grid_covers_cases():
+    g = edge_grid()
+    assert set(np.unique(g.status).tolist()) == {STATUS_K_CANDIDATE, STATUS_OMEGA_PRIME,
+                                                 STATUS_OUTSIDE, STATUS_BOUNDARY}
+    assert np.isnan(g.annulus).any() and np.isfinite(g.annulus).any()
+    assert g.green.shape[0] != g.green.shape[1]
+
+
+def test_csv_bytes_match_per_cell_oracle():
+    g = edge_grid()
+    assert export_bytes(g, "csv") == _oracle_csv(g)
+    assert b",inf,outside,\r\n" in export_bytes(g, "csv")
+
+
+def test_json_bytes_match_per_cell_oracle():
+    g = edge_grid(far=1.5)
+    assert export_bytes(g, "json") == _oracle_json(g)
+
+
+def test_json_rejects_nonfinite_green():
+    with pytest.raises(ValueError):
+        export_bytes(edge_grid(), "json")
+
+
+def test_cli_far_field_json_is_one_line_exit_2(tmp_path):
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({
+        "map": {"d": 2, "p": [0], "a": 3},
+        "slice": {"origin": [[1e200, 0], [1e199, 0]], "spanU": [1, 0], "spanV": [0, 1],
+                  "gridW": 4, "gridH": 4, "extent": 3},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "henonlab.cli", "slice", "--config", str(cfg), "--c", "1",
+         "--out", str(tmp_path / "far_out.json"), "--format", "json"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr + proc.stdout
+    lines = [ln for ln in (proc.stdout + proc.stderr).splitlines() if ln.strip()]
+    assert len(lines) == 1
+    json.loads(lines[0])
