@@ -129,10 +129,6 @@ def as_exact(v):
     return None
 
 
-def to_complex(v) -> complex:
-    return complex(v)
-
-
 def is_zero(v) -> bool:
     if isinstance(v, QC):
         return v.is_zero()

@@ -11,8 +11,6 @@ misclassified.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -146,21 +144,17 @@ def sample_slice(m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
 # ---------------------------------------------------------------------------
 
 def _csv_bytes(grid: GridResult) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # RFC-4180: CRLF line endings, minimal quoting
-    writer.writerow(["u", "v", "greenPlus", "status", "annulusRadius"])
-    H, W = grid.green.shape
-    for r in range(H):
-        for cidx in range(W):
-            ann = grid.annulus[r, cidx]
-            writer.writerow([
-                repr(float(grid.us[cidx])),
-                repr(float(grid.vs[r])),
-                repr(float(grid.green[r, cidx])),
-                STATUS_NAMES[int(grid.status[r, cidx])],
-                "" if math.isnan(ann) else repr(float(ann)),
-            ])
-    return buf.getvalue().encode("ascii")
+    # RFC-4180 with CRLF line endings; no field ever needs quoting (floats,
+    # status names, empty strings), so each row is one f-string join
+    us = [repr(u) for u in grid.us.tolist()]
+    blocks = [b"u,v,greenPlus,status,annulusRadius\r\n"]
+    for r, v in enumerate(grid.vs.tolist()):
+        green, status, ann = grid.green[r].tolist(), grid.status[r].tolist(), grid.annulus[r].tolist()
+        v = repr(v)
+        blocks.append("".join([
+            f"{u},{v},{g!r},{STATUS_NAMES[s]},{'' if a != a else repr(a)}\r\n"
+            for u, g, s, a in zip(us, green, status, ann)]).encode("ascii"))
+    return b"".join(blocks)
 
 
 def _pgm_bytes(grid: GridResult) -> bytes:
@@ -172,17 +166,22 @@ def _pgm_bytes(grid: GridResult) -> bytes:
     return header + pixels.tobytes()
 
 
+def _json_fields(grid: GridResult):
+    """Top-level (key, value) pairs of the JSON export, built one at a time."""
+    yield "metadata", grid.metadata
+    yield "u", grid.us.tolist()
+    yield "v", grid.vs.tolist()
+    yield "greenPlus", grid.green.ravel().tolist()
+    yield "status", [STATUS_NAMES[s] for s in grid.status.ravel().tolist()]
+    yield "annulusRadius", [None if x != x else x for x in grid.annulus.ravel().tolist()]
+
+
 def _json_bytes(grid: GridResult) -> bytes:
-    H, W = grid.green.shape
-    doc = {
-        "metadata": grid.metadata,
-        "u": [float(x) for x in grid.us],
-        "v": [float(x) for x in grid.vs],
-        "greenPlus": [float(x) for x in grid.green.ravel()],
-        "status": [STATUS_NAMES[int(s)] for s in grid.status.ravel()],
-        "annulusRadius": [None if math.isnan(x) else float(x) for x in grid.annulus.ravel()],
-    }
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii")
+    # one key at a time keeps one large list alive; allow_nan=False makes a
+    # non-finite G+ raise ValueError
+    body = ",".join(f'"{key}":{json.dumps(value, separators=(",", ":"), allow_nan=False)}'
+                    for key, value in _json_fields(grid))
+    return ("{" + body + "}").encode("ascii")
 
 
 _EXPORTERS = {"csv": _csv_bytes, "pgm": _pgm_bytes, "json": _json_bytes}

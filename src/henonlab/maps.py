@@ -73,13 +73,6 @@ class HenonMap:
             acc = acc * y + c
         return acc
 
-    def p_numeric(self, y):
-        """Like p() but with coefficients pre-coerced to complex (for mpmath/numpy inputs)."""
-        acc = 1
-        for c in (0.0, *(complex(c) for c in reversed(self.coeffs))):
-            acc = acc * y + c
-        return acc
-
 
 @dataclass(frozen=True)
 class AffineConjugation:
@@ -242,10 +235,6 @@ class PolyMap2:
 
     def approx_eq(self, other: "PolyMap2", tol: float = 1e-12) -> bool:
         return self.first.approx_eq(other.first, tol) and self.second.approx_eq(other.second, tol)
-
-
-def identity_poly_map() -> PolyMap2:
-    return PolyMap2(BivarPoly.var_x(), BivarPoly.var_y())
 
 
 def poly_map_of(m: HenonMap, inverse: bool = False) -> PolyMap2:
@@ -435,11 +424,6 @@ def in_v_plus(z, R: float) -> bool:
 def in_v_minus(z, R: float) -> bool:
     x, y = complex(z[0]), complex(z[1])
     return abs(x) >= max(abs(y), R)
-
-
-def in_v_box(z, R: float) -> bool:
-    x, y = complex(z[0]), complex(z[1])
-    return abs(x) <= R and abs(y) <= R
 
 
 def _certificate_ok(m: HenonMap, R: float, samples) -> bool:

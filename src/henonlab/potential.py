@@ -191,7 +191,7 @@ def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     err = 0.0
     xj = xabs
     for j in range(200):
-        u = A / xj ** 2 + xj ** (1 - d)
+        u = A / xj / xj + xj ** (1 - d)  # xj ** 2 overflows past |x| ~ 1.3e154
         term = 2.0 * u / d ** (n + j + 1)
         err += term
         if term < 1e-300:

@@ -1,6 +1,7 @@
 """Escape-rate potentials: frozen reference values, functorial law,
 method agreement, and budget/filtration independence."""
 
+import math
 import random
 
 import numpy as np
@@ -27,6 +28,13 @@ def test_green_minus_reference_value():
     # G-(1e6, 0): log(1e6) - log(3) (the inverse divides by a each step)
     g = green_minus(QUAD, (1e6, 0))
     assert g.value == pytest.approx(12.716898269296165, abs=1e-9)
+
+
+def test_green_minus_far_point_is_finite():
+    # the tail bound used to square |x| ~ 1e200 and raise OverflowError
+    g = green_minus(QUAD, (1e200, 1e199))
+    assert math.isfinite(g.value) and g.value >= 0.0
+    assert math.isfinite(g.error_bound) and g.error_bound >= 0.0
 
 
 def test_green_nonnegative_and_zero_on_bounded_orbit():
