@@ -149,11 +149,11 @@ def _csv_bytes(grid: GridResult) -> bytes:
     us = [repr(u) for u in grid.us.tolist()]
     blocks = [b"u,v,greenPlus,status,annulusRadius\r\n"]
     for r, v in enumerate(grid.vs.tolist()):
-        green, status, ann = grid.green[r].tolist(), grid.status[r].tolist(), grid.annulus[r].tolist()
         v = repr(v)
+        cells = zip(us, grid.green[r].tolist(), grid.status[r].tolist(), grid.annulus[r].tolist())
         blocks.append("".join([
             f"{u},{v},{g!r},{STATUS_NAMES[s]},{'' if a != a else repr(a)}\r\n"
-            for u, g, s, a in zip(us, green, status, ann)]).encode("ascii"))
+            for u, g, s, a in cells]).encode("ascii"))
     return b"".join(blocks)
 
 

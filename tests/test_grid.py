@@ -123,7 +123,7 @@ def test_acceptance_slice_export_digests():
         assert hashlib.sha256(export_bytes(g, fmt)).hexdigest() == digest, fmt
 
 
-# Per-cell exporters as first written: the byte oracle for the edge cases below.
+# The original per-cell exporters, kept as the byte oracle for the edge cases below.
 
 def _oracle_csv(grid):
     buf = io.StringIO()
@@ -171,16 +171,12 @@ def edge_grid(far=float("inf")):
     return GridResult(green, np.zeros_like(green), status, annulus, us, vs, meta)
 
 
-def test_edge_grid_covers_cases():
+def test_csv_bytes_match_per_cell_oracle():
     g = edge_grid()
     assert set(np.unique(g.status).tolist()) == {STATUS_K_CANDIDATE, STATUS_OMEGA_PRIME,
                                                  STATUS_OUTSIDE, STATUS_BOUNDARY}
     assert np.isnan(g.annulus).any() and np.isfinite(g.annulus).any()
     assert g.green.shape[0] != g.green.shape[1]
-
-
-def test_csv_bytes_match_per_cell_oracle():
-    g = edge_grid()
     assert export_bytes(g, "csv") == _oracle_csv(g)
     assert b",inf,outside,\r\n" in export_bytes(g, "csv")
 
