@@ -40,7 +40,8 @@ import mpmath as mp
 
 from ._exact import QC, as_exact, is_zero
 from .errors import DomainError, InconsistencyError, PrecisionError, UnderdeterminedError
-from .maps import FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate, in_v_plus
+from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate, horner,
+                   in_v_plus)
 from .series import LaurentSeries2
 
 
@@ -55,11 +56,6 @@ def _u_bound(m: HenonMap, yabs: float) -> float:
     A = sum(abs(c) for c in m.coeffs_complex)
     B = abs(complex(m.a))
     return A / yabs ** 2 + B / yabs ** (m.d - 1)
-
-
-def branch_factor_bound(m: HenonMap, yabs: float) -> float:
-    """Bound on the first product factor's |q/y^d|; must stay below 1/2."""
-    return _u_bound(m, max(yabs, 1.0))
 
 
 def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
@@ -93,10 +89,7 @@ class BoettcherValue:
 def _q_value(m: HenonMap, x, y):
     """q(x,y) = p(y) - y^d - a*x computed from the tail coefficients
     (avoids the catastrophic p(y) - y^d cancellation)."""
-    acc = 0
-    for c in reversed(m.coeffs):
-        acc = acc * y + complex(c)
-    return acc - complex(m.a) * x
+    return horner(m.coeffs_complex, y) - complex(m.a) * x
 
 
 def phi_product(m: HenonMap, z, J: int) -> complex:
@@ -144,6 +137,7 @@ def phi_mp(m: HenonMap, z, dps: int):
     d = m.d
     a = mp.mpmathify(complex(m.a))
     coeffs = [mp.mpmathify(c) for c in m.coeffs_complex]
+    p_coeffs = (*coeffs, 0, 1)
     val = y
     cur = (x, y)
     cutoff = mp.mpf(10) ** (-(dps + 10))
@@ -155,24 +149,13 @@ def phi_mp(m: HenonMap, z, dps: int):
         # certified bound on this and all later factors (|y| keeps doubling)
         if Asum / ya ** 2 + Babs / ya ** (d - 1) < cutoff:
             break
-        q = mp.mpf(0)
-        for c in reversed(coeffs):
-            q = q * yj + c
-        q = q - a * xj
-        u = q / yj ** d
+        u = (horner(coeffs, yj) - a * xj) / yj ** d
         if abs(u) >= 0.5:
             raise DomainError("branch safety violated in phi_mp")
         if u != 0:
             val *= mp.exp(mp.log(1 + u) / mp.mpf(d) ** (j + 1))
-        cur = (yj, _p_mp(coeffs, yj, d) - a * xj)
+        cur = (yj, horner(p_coeffs, yj) - a * xj)
     return val
-
-
-def _p_mp(coeffs, y, d):
-    acc = mp.mpf(1)
-    for c in (mp.mpf(0), *reversed(coeffs)):
-        acc = acc * y + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +180,7 @@ class LiftPolynomial:
 
     def q_eval(self, zeta):
         """Evaluate Q; exact for exact zeta and coefficients."""
-        acc = 1
-        for c in (0, *reversed(self.A)):
-            acc = acc * zeta + c
-        return acc
+        return horner((*self.A, 0, 1), zeta)
 
     def nonzero_indices(self, threshold: float = 1e-9):
         return [j for j in range(1, self.d) if abs(complex(self.A[j])) >= threshold]
@@ -385,7 +365,7 @@ def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
         for rho in radii:
             phiv = phi_mp(m, (mp.mpf(0), rho), digits)
             # T = x1*y1 - (a/d)*x*y - phi^{d+1}, with x = 0
-            y1 = _p_mp([mp.mpmathify(c) for c in m.coeffs_complex], rho, d)
+            y1 = horner((*(mp.mpmathify(c) for c in m.coeffs_complex), 0, 1), rho)
             T = rho * y1 - phiv ** (d + 1)
             basis = [phiv ** k for k in range(1, d)] + [rho ** (-j) for j in range(M + 1)]
             rows.append(basis)
@@ -426,25 +406,18 @@ def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
     """(psi_depth, psi_{depth-1}) inside an mp context of dps digits."""
     d = m.d
     a = mp.mpmathify(complex(m.a))
-    coeffs = [mp.mpmathify(c) for c in m.coeffs_complex]
+    p_coeffs = (*(mp.mpmathify(c) for c in m.coeffs_complex), 0, 1)
     doa = mp.mpf(d) / a
     cur = (mp.mpmathify(complex(z[0])), mp.mpmathify(complex(z[1])))
     phi0 = phi_mp(m, cur, dps)
-    qc = [mp.mpmathify(c) for c in q.A_complex]
-
-    def q_of(zeta):
-        acc = mp.mpf(1)
-        for c in (mp.mpf(0), *reversed(qc)):
-            acc = acc * zeta + c
-        return acc
-
+    q_coeffs = (*(mp.mpmathify(c) for c in q.A_complex), 0, 1)
     qsum = mp.mpf(0)
     prev = None
     for j in range(depth):
         if j == depth - 1:
             prev = doa ** (depth - 1) * cur[0] * cur[1] - qsum
-        qsum += doa ** (j + 1) * q_of(phi0 ** (d ** j))
-        cur = (cur[1], _p_mp(coeffs, cur[1], d) - a * cur[0])
+        qsum += doa ** (j + 1) * horner(q_coeffs, phi0 ** (d ** j))
+        cur = (cur[1], horner(p_coeffs, cur[1]) - a * cur[0])
     psi_n = doa ** depth * cur[0] * cur[1] - qsum
     return psi_n, prev
 
@@ -499,10 +472,7 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
             psi_hz, _ = _psi_partials(m, hz, q, depth, precision_digits)
             phi_z = phi_mp(m, z, precision_digits)
             phi_hz = phi_mp(m, hz, precision_digits)
-            qc = [mp.mpmathify(c) for c in q.A_complex]
-            q_phi = mp.mpf(1)
-            for c in (mp.mpf(0), *reversed(qc)):
-                q_phi = q_phi * phi_z + c
+            q_phi = horner((*(mp.mpmathify(c) for c in q.A_complex), 0, 1), phi_z)
             r1 = abs(aod * psi_z + q_phi - psi_hz)
             r2 = abs(phi_z ** m.d - phi_hz)
             worst = max(worst, float(r1), float(r2))

@@ -11,6 +11,7 @@ with stable key order; complex numbers are emitted as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -35,18 +36,25 @@ class UsageError(Exception):
     """Bad argument or input syntax; mapped to exit code 2."""
 
 
+def _finite(z, v):
+    if isinstance(z, int) or cmath.isfinite(z):
+        return z
+    raise UsageError(f"not a finite number: {v!r}")
+
+
 def parse_scalar(v):
-    """Number, [re, im] pair, or 're+imi' string -> int/float/complex."""
+    """Number, [re, im] pair, or 're+imi' string -> int/float/complex.
+
+    inf and nan, in any spelling or from overflow such as 1e400, are rejected.
+    """
     if isinstance(v, bool):
         raise UsageError(f"not a number: {v!r}")
     if isinstance(v, (int, float)):
-        return v
+        return _finite(v, v)
     if isinstance(v, (list, tuple)):
         if len(v) != 2 or not all(isinstance(t, (int, float)) for t in v):
             raise UsageError(f"complex pair must be [re, im]: {v!r}")
-        if v[1] == 0:
-            return v[0]
-        return complex(v[0], v[1])
+        return _finite(v[0] if v[1] == 0 else complex(v[0], v[1]), v)
     if isinstance(v, str):
         s = v.strip().replace(" ", "")
         try:
@@ -56,6 +64,7 @@ def parse_scalar(v):
                 z = complex(s)
         except ValueError:
             raise UsageError(f"cannot parse complex number {v!r}") from None
+        _finite(z, v)
         if z.imag == 0:
             return int(z.real) if z.real == int(z.real) else z.real
         return z
@@ -373,10 +382,6 @@ def _check_threads_env() -> None:
         raise UsageError(f"HENON_LAB_THREADS must be an integer, got {raw!r}") from None
     if n < 1:
         raise UsageError(f"HENON_LAB_THREADS must be >= 1, got {n}")
-    # Computation is vectorized in-process; the cap is forwarded to the
-    # numeric backends rather than spawning workers here.
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 def _fail(code: int, kind: str, exc: Exception) -> int:

@@ -67,11 +67,18 @@ class HenonMap:
 
     # -- evaluation ----------------------------------------------------
     def p(self, y):
-        """Evaluate p(y) = y^d + a_{d-2} y^{d-2} + ... + a_0 (Horner)."""
-        acc = 1
-        for c in (0, *reversed(self.coeffs)):
-            acc = acc * y + c
-        return acc
+        """Evaluate p(y) = y^d + a_{d-2} y^{d-2} + ... + a_0."""
+        return horner((*self.coeffs, 0, 1), y)
+
+
+def horner(coeffs, t):
+    """sum_k coeffs[k] t^k, coefficients low to high, by Horner's rule; works
+    for exact scalars, complex floats, mpmath numbers and numpy arrays."""
+    it = reversed(coeffs)
+    acc = next(it)
+    for c in it:
+        acc = acc * t + c
+    return acc
 
 
 @dataclass(frozen=True)

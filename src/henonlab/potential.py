@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .boettcher import branch_factor_bound, phi_product, phi_tail_bound
+from .boettcher import phi_product, phi_tail_bound
 from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius,
-                   evaluate, in_v_minus, in_v_plus, overflow_limit)
+                   evaluate, horner, in_v_minus, in_v_plus, overflow_limit)
 
 DEFAULT_BUDGET = 200
 DEFAULT_TARGET_ERROR = 1e-9
@@ -43,6 +43,9 @@ class GreenValue:
     method: str  # "crude" | "boettcher-refined"
     iterations: int
     budget_exhausted: bool = False
+    # step at which the walk stopped, entry into V_R+- or overflow; None
+    # when the budget ran out
+    entry: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -59,22 +62,34 @@ def _filtration(m: HenonMap, filtration: Optional[FiltrationRadius]) -> Filtrati
 def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
     """Iterate until the orbit enters V_R+ (or V_R- backwards).
 
-    Returns (entry_index, point_at_entry) or (None, last_point); the third
-    element flags overflow before entry (certain escape).
+    Returns (n, point, overflowed): the step n at which the walk stopped
+    and the point there, with overflowed set when it stopped on overflow
+    before entry (certain escape); n is None when the budget ran out.
     """
+    cur = (complex(z[0]), complex(z[1]))
+    if not (cmath.isfinite(cur[0]) and cmath.isfinite(cur[1])):
+        raise ValueError(f"point must be finite, got {z!r}")
     lim = overflow_limit(m.d)
     member = in_v_minus if inverse else in_v_plus
-    cur = (complex(z[0]), complex(z[1]))
     for n in range(budget + 1):
         mag = max(abs(cur[0]), abs(cur[1]))
-        if not math.isfinite(mag):
-            return None, cur, True
-        if member(cur, R):
+        if math.isfinite(mag) and member(cur, R):
             return n, cur, False
-        if mag > lim:
-            return None, cur, True
+        if not mag <= lim:  # past the limit, inf or nan: escape is certain
+            return n, cur, True
         cur = evaluate(m, cur, inverse=inverse)
     return None, cur, False
+
+
+def _overflow_value(m: HenonMap, n: int, w) -> GreenValue:
+    """Crude value at the walk's overflow point w = H^n z (or H^-n z); w is
+    so large that the crude log is correct far below any sensible target."""
+    g = math.log(max(abs(w[0]), abs(w[1]), 1.0)) / m.d ** n
+    return GreenValue(g, m.d ** (-n) + _FLOAT_NOISE, "crude", n, entry=n)
+
+
+def _exhausted(budget: int) -> GreenValue:
+    return GreenValue(0.0, 0.0, "crude", budget, budget_exhausted=True)
 
 
 def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
@@ -92,17 +107,9 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     filt = _filtration(m, filtration)
     n_entry, w, overflowed = _find_entry(m, z, budget, filt.R)
     if overflowed:
-        # deep escape; last finite point is astronomically large, the crude
-        # log is correct to far below any sensible target
-        n = 0
-        cur = (complex(z[0]), complex(z[1]))
-        while max(abs(cur[0]), abs(cur[1])) <= overflow_limit(m.d):
-            cur = evaluate(m, cur, inverse=False)
-            n += 1
-        g = math.log(max(abs(cur[0]), abs(cur[1]), 1.0)) / m.d ** n
-        return GreenValue(g, m.d ** (-n) * 1.0 + _FLOAT_NOISE, "crude", n)
+        return _overflow_value(m, n_entry, w)
     if n_entry is None:
-        return GreenValue(0.0, 0.0, "crude", budget, budget_exhausted=True)
+        return _exhausted(budget)
 
     # refinement: climb until |y| is deep enough or the tail target is met
     n = n_entry
@@ -123,7 +130,7 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     tail = phi_tail_bound(m, abs(w[1]), J)
     g = math.log(abs(val)) / m.d ** n
     err = tail / m.d ** n + _FLOAT_NOISE * (1.0 + abs(g))
-    return GreenValue(g, err, "boettcher-refined", n)
+    return GreenValue(g, err, "boettcher-refined", n, entry=n_entry)
 
 
 def crude_green_plus(m: HenonMap, z, extra_steps: int, budget: int = DEFAULT_BUDGET,
@@ -134,8 +141,10 @@ def crude_green_plus(m: HenonMap, z, extra_steps: int, budget: int = DEFAULT_BUD
     """
     filt = _filtration(m, filtration)
     n_entry, w, overflowed = _find_entry(m, z, budget, filt.R)
+    if overflowed:
+        return _overflow_value(m, n_entry, w)
     if n_entry is None:
-        return GreenValue(0.0, 0.0, "crude", budget, budget_exhausted=not overflowed)
+        return _exhausted(budget)
     n = n_entry
     lim = overflow_limit(m.d)
     for _ in range(extra_steps):
@@ -146,7 +155,7 @@ def crude_green_plus(m: HenonMap, z, extra_steps: int, budget: int = DEFAULT_BUD
     mag = max(abs(w[0]), abs(w[1]), 1.0)
     # remaining tail: sum_{j>n} d^{-j} log(1+u) with |y| at least doubling
     err = phi_tail_bound(m, abs(w[1]), 0) / m.d ** n + _FLOAT_NOISE
-    return GreenValue(math.log(mag) / m.d ** n, err, "crude", n)
+    return GreenValue(math.log(mag) / m.d ** n, err, "crude", n, entry=n_entry)
 
 
 def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
@@ -162,17 +171,10 @@ def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
         raise ValueError("target_error must be positive")
     filt = _filtration(m, filtration)
     n_entry, w, overflowed = _find_entry(m, z, budget, filt.R, inverse=True)
-    if n_entry is None and not overflowed:
-        return GreenValue(0.0, 0.0, "crude", budget, budget_exhausted=True)
     if overflowed:
-        n = 0
-        cur = (complex(z[0]), complex(z[1]))
-        lim = overflow_limit(m.d)
-        while max(abs(cur[0]), abs(cur[1])) <= lim:
-            cur = evaluate(m, cur, inverse=True)
-            n += 1
-        g = math.log(max(abs(cur[0]), abs(cur[1]), 1.0)) / m.d ** n
-        return GreenValue(g, m.d ** (-n) * 1.0 + _FLOAT_NOISE, "crude", n)
+        return _overflow_value(m, n_entry, w)
+    if n_entry is None:
+        return _exhausted(budget)
 
     n = n_entry
     lim = overflow_limit(m.d)
@@ -198,7 +200,7 @@ def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
             break
         xj *= 2.0
     err += _FLOAT_NOISE * (1.0 + abs(g))
-    return GreenValue(g, err, "crude", n)
+    return GreenValue(g, err, "crude", n, entry=n_entry)
 
 
 def classify_point(m: HenonMap, z, budget: int = DEFAULT_BUDGET,
@@ -207,14 +209,10 @@ def classify_point(m: HenonMap, z, budget: int = DEFAULT_BUDGET,
     escapes-forward never reverts when the budget grows)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    filt = _filtration(m, filtration)
-    n_entry, _, overflowed = _find_entry(m, z, budget, filt.R)
-    if n_entry is None and not overflowed:
-        return OrbitClassification(
-            BOUNDED, None, GreenValue(0.0, 0.0, "crude", budget, budget_exhausted=True))
-    g = green_plus(m, z, budget=budget, filtration=filt)
-    n_exit = n_entry if n_entry is not None else g.iterations
-    return OrbitClassification(ESCAPED_FORWARD, n_exit, g)
+    g = green_plus(m, z, budget=budget, filtration=filtration)
+    if g.budget_exhausted:
+        return OrbitClassification(BOUNDED, None, g)
+    return OrbitClassification(ESCAPED_FORWARD, g.entry, g)
 
 
 def sample_escaping_points(m: HenonMap, count: int, seed: int = 0, box: float = 6.0,
@@ -229,8 +227,7 @@ def sample_escaping_points(m: HenonMap, count: int, seed: int = 0, box: float = 
         attempts += 1
         z = (complex(rng.uniform(-box, box), rng.uniform(-box, box)),
              complex(rng.uniform(-box, box), rng.uniform(-box, box)))
-        n_entry, _, overflowed = _find_entry(m, z, budget, filt.R)
-        if n_entry is not None or overflowed:
+        if _find_entry(m, z, budget, filt.R)[0] is not None:
             out.append(z)
     if len(out) < count:
         raise RuntimeError("could not find enough escaping sample points")
@@ -262,12 +259,7 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
     n_entry = np.full(npts, -1, dtype=np.int64)
     active = np.ones(npts, dtype=bool)
 
-    def p_of(v):
-        acc = np.ones_like(v)
-        for c in (0.0, *reversed(coeffs)):
-            acc = acc * v + c
-        return acc
-
+    p_coeffs = (*coeffs, 0, 1)
     with np.errstate(all="ignore"):
         for step in range(budget + 1):
             ax = np.abs(x[active])
@@ -280,7 +272,7 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
                 break
             idx = np.flatnonzero(active)
             xi, yi = x[idx], y[idx]
-            x[idx], y[idx] = yi, p_of(yi) - a * xi
+            x[idx], y[idx] = yi, horner(p_coeffs, yi) - a * xi
 
         escaped = n_entry >= 0
         total = n_entry.astype(np.float64)
@@ -290,7 +282,7 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
                 break
             idx = np.flatnonzero(climb)
             xi, yi = x[idx], y[idx]
-            x[idx], y[idx] = yi, p_of(yi) - a * xi
+            x[idx], y[idx] = yi, horner(p_coeffs, yi) - a * xi
             total[idx] += 1
             climb[idx] = np.abs(y[idx]) < _DEEP
 
@@ -307,10 +299,9 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
     return green, err, escaped
 
 
-# re-exported for callers needing branch diagnostics
 __all__ = [
     "GreenValue", "OrbitClassification", "classify_point", "green_plus",
     "green_minus", "crude_green_plus", "green_plus_grid",
-    "sample_escaping_points", "branch_factor_bound",
+    "sample_escaping_points",
     "DEFAULT_BUDGET", "DEFAULT_TARGET_ERROR", "ESCAPED_FORWARD", "BOUNDED",
 ]

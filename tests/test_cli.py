@@ -161,6 +161,21 @@ def test_domain_error_is_exit_3(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+@pytest.mark.parametrize("point", ["inf,0", "1e400,0", "0,infi", "nan,1"])
+def test_non_finite_point_is_exit_2(capsys, point):
+    code, out, err = run(capsys, "green", "--map", M2, "--point", point)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+
+
+def test_non_finite_map_coefficient_is_exit_2(capsys):
+    code, _, err = run(capsys, "green", "--map", '{"d":2,"p":[Infinity],"a":3}',
+                       "--point", "0,1")
+    assert code == 2 and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_bad_threads_env_is_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("HENON_LAB_THREADS", "many")
     assert run(capsys, "units", "--d", "2", "--elem", "2")[0] == 2

@@ -5,12 +5,15 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from henonlab import (DomainError, HenonMap, InvalidMapError, evaluate,
                       estimate_filtration_radius, iterate_orbit, normalize,
                       poly_map_of, compose_poly_maps)
-from henonlab.maps import in_v_plus, in_v_minus, overflow_limit
+from henonlab._exact import QC
+from henonlab.maps import horner, in_v_plus, in_v_minus, overflow_limit
 
 
 QUAD = HenonMap(2, 3, (0,))          # p = y^2
@@ -129,3 +132,51 @@ def test_filtration_regions_partition():
     assert in_v_plus((1, 10), R) and not in_v_minus((1, 10), R)
     assert in_v_minus((10, 1), R) and not in_v_plus((10, 1), R)
     assert not in_v_plus((1, 1), R) and not in_v_minus((1, 1), R)
+
+
+def _monic_loop(coeffs, t, one=1, zero=0):
+    """The hand-written loop horner replaced (p, Q): t^(k+2) + 0 t^(k+1) + ..."""
+    acc = one
+    for c in (zero, *reversed(coeffs)):
+        acc = acc * t + c
+    return acc
+
+
+def _tail_loop(coeffs, t, zero=0):
+    """The hand-written loop horner replaced (q = p - y^d - ax)."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def test_horner_matches_the_loops_it_replaced():
+    exact = [(QC(3, -1), QC(0), QC(Fraction(1, 3), 2)), (Fraction(5, 7), 0, Fraction(-2, 9))]
+    for coeffs, t in zip(exact, (QC(Fraction(2, 3), -5), Fraction(-7, 4))):
+        got = horner((*coeffs, 0, 1), t)
+        assert type(got) is type(t) and got == _monic_loop(coeffs, t)
+        tail = horner(coeffs, t)
+        assert type(tail) is type(t) and tail == _tail_loop(coeffs, t)
+
+    def bits(z):
+        return (z.real.hex(), z.imag.hex())
+
+    coeffs = (0.3 + 0j, 0j, 1 + 0j, -1j)
+    rng = random.Random(17)
+    for _ in range(200):
+        t = complex(rng.uniform(-9, 9), rng.uniform(-9, 9))
+        assert bits(horner((*coeffs, 0, 1), t)) == bits(_monic_loop(coeffs, t))
+        assert bits(horner(coeffs, t)) == bits(_tail_loop(coeffs, t))
+
+    with mp.workdps(60):
+        mc = [mp.mpmathify(c) for c in coeffs]
+        t = mp.mpc("2.8787828968791693", "-0.41252814746273536") / 3
+        assert horner((*mc, 0, 1), t) == _monic_loop(mc, t, mp.mpf(1), mp.mpf(0))
+        assert horner(mc, t) == _tail_loop(mc, t, mp.mpf(0))
+
+    v = np.array([complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(64)]
+                 + [1e200 + 1e200j, complex(0.0, -0.0)])
+    with np.errstate(all="ignore"):
+        got = horner((*coeffs, 0, 1), v)
+        want = _monic_loop(coeffs, v, np.ones_like(v), 0.0)
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()

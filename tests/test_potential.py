@@ -117,3 +117,26 @@ def test_sup_norm_definition_at_large_points():
     # H(1e6, 0) = (0, -3e6); G+ = (1/2) log(3e6)
     import math
     assert g.value == pytest.approx(0.5 * math.log(3e6), abs=1e-9)
+
+
+def test_crude_agrees_with_refined_on_overflow():
+    # the walk overflows before V_R+ entry; crude used to report 0.0
+    g = green_plus(QUAD, (1e200, 1e199))
+    c = crude_green_plus(QUAD, (1e200, 1e199), extra_steps=5)
+    assert g.value == pytest.approx(460.517, abs=1e-3)
+    assert (c.value, c.error_bound, c.iterations) == (g.value, g.error_bound, g.iterations)
+    assert not c.budget_exhausted
+
+
+def test_entry_step_is_reported():
+    assert green_plus(QUAD, (0, 100)).entry == 0
+    assert green_plus(QUAD, (0, 0)).entry is None
+    g = green_plus(QUAD, (1e200, 1e199))
+    assert g.entry == g.iterations == classify_point(QUAD, (1e200, 1e199)).n_exit
+
+
+@pytest.mark.parametrize("z", [(math.nan, 0), (0, math.inf), (complex(0, math.nan), 1)])
+def test_non_finite_point_rejected(z):
+    for fn in (green_plus, green_minus, classify_point):
+        with pytest.raises(ValueError):
+            fn(QUAD, z)
