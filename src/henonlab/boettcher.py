@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -41,7 +42,7 @@ import mpmath as mp
 from ._exact import QC, as_exact, is_zero
 from .errors import DomainError, InconsistencyError, PrecisionError, UnderdeterminedError
 from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate, horner,
-                   in_v_plus)
+                   in_v_plus, overflow_limit)
 from .series import LaurentSeries2
 
 
@@ -50,12 +51,13 @@ from .series import LaurentSeries2
 # ---------------------------------------------------------------------------
 
 def _u_bound(m: HenonMap, yabs: float) -> float:
-    """Upper bound for |q(x,y)/y^d| on |x| <= |y|, |y| >= 1."""
-    if yabs > 1e150:
-        return 1e-300  # both terms underflow well below any tolerance
+    """Upper bound for |q(x,y)/y^d| on |x| <= |y|, |y| >= 1; yabs may be a numpy array."""
     A = sum(abs(c) for c in m.coeffs_complex)
     B = abs(complex(m.a))
-    return A / yabs ** 2 + B / yabs ** (m.d - 1)
+    try:
+        return A / yabs ** 2 + B / yabs ** (m.d - 1)
+    except OverflowError:  # |y|^k past the float range; the negative powers underflow
+        return A * yabs ** -2 + B * yabs ** (1 - m.d)
 
 
 def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
@@ -64,14 +66,15 @@ def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
         return float("inf")
     d = m.d
     total = 0.0
-    yj = y0abs * 2.0 ** J
-    for j in range(J, J + 400):
-        u = _u_bound(m, yj)
-        term = 2.0 * u / d ** (j + 1)
-        total += term
-        if term < 1e-300:
-            break
-        yj *= 2.0
+    with suppress(OverflowError):  # 2^J or d^(j+1) past the float range: the rest is < 1e-300
+        yj = y0abs * 2.0 ** J
+        for j in range(J, J + 400):
+            u = _u_bound(m, yj)
+            term = 2.0 * u / d ** (j + 1)
+            total += term
+            if term < 1e-300:
+                break
+            yj *= 2.0
     return total
 
 
@@ -96,11 +99,12 @@ def phi_product(m: HenonMap, z, J: int) -> complex:
     """Raw truncated product (no domain checks); caller guarantees z in V_R+."""
     x, y = complex(z[0]), complex(z[1])
     d = m.d
+    lim = overflow_limit(d)
     val = y
     cur = (x, y)
     for j in range(J):
         xj, yj = cur
-        if abs(yj) > 1e100:
+        if abs(yj) > lim:  # y^d could overflow past the limit; |q/y^d| is negligible there
             break
         u = _q_value(m, xj, yj) / yj ** d
         if abs(u) >= 0.5:

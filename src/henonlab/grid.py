@@ -57,8 +57,13 @@ class SliceSpec:
                        complex(self.span_u[1]).real, complex(self.span_u[1]).imag])
         sv = np.array([complex(self.span_v[0]).real, complex(self.span_v[0]).imag,
                        complex(self.span_v[1]).real, complex(self.span_v[1]).imag])
+        # compare directions: the raw Gram determinant scales like |span|^4
+        nu, nv = np.abs(su).max(), np.abs(sv).max()
+        if not (0.0 < nu < np.inf and 0.0 < nv < np.inf):
+            raise DomainError("degenerate slice: spans must be finite and nonzero")
+        su, sv = su / nu, sv / nv
         gram = np.array([[su @ su, su @ sv], [sv @ su, sv @ sv]])
-        if np.linalg.det(gram) <= 1e-24 * max(1.0, su @ su) * max(1.0, sv @ sv):
+        if np.linalg.det(gram) <= 1e-24 * (su @ su) * (sv @ sv):
             raise DomainError("degenerate slice: spans are linearly dependent")
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boettcher import phi_product, phi_tail_bound
+from .boettcher import _u_bound, phi_product, phi_tail_bound
 from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius,
                    evaluate, horner, in_v_minus, in_v_plus, overflow_limit)
 
@@ -244,58 +244,48 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
     """G+ over flat complex arrays (X, Y) of equal shape.
 
     Returns (green, err, escaped) float/bool arrays.  Escaped points are
-    iterated to height ~1e13 where the crude log is accurate far below
-    1e-9; bounded-within-budget points get green = 0.
+    iterated in V_R+ to height _DEEP, or stop on overflow and are valued as
+    in the scalar walk; bounded-within-budget points get green = 0.
     """
-    filt = _filtration(m, filtration)
-    R = filt.R
+    R = _filtration(m, filtration).R
     d = m.d
     a = complex(m.a)
-    coeffs = m.coeffs_complex
+    lim = overflow_limit(d)
+    p_coeffs = (*m.coeffs_complex, 0, 1)
 
-    x = np.array(X, dtype=np.complex128).ravel().copy()
-    y = np.array(Y, dtype=np.complex128).ravel().copy()
-    npts = x.size
-    n_entry = np.full(npts, -1, dtype=np.int64)
-    active = np.ones(npts, dtype=bool)
-
-    p_coeffs = (*coeffs, 0, 1)
+    x = np.array(X, dtype=np.complex128).ravel()
+    y = np.array(Y, dtype=np.complex128).ravel()
+    live = np.arange(x.size)  # original index of each packed point
+    stop_step = np.full(x.size, -1.0)  # -1: bounded within the budget
+    top = np.zeros(x.size)  # sup-norm where the walk stopped
+    overflowed = np.zeros(x.size, dtype=bool)
+    step = 0
     with np.errstate(all="ignore"):
-        for step in range(budget + 1):
-            ax = np.abs(x[active])
-            ay = np.abs(y[active])
-            entered = ay >= np.maximum(ax, R)
-            idx = np.flatnonzero(active)
-            n_entry[idx[entered]] = step
-            active[idx[entered]] = False
-            if not active.any() or step == budget:
-                break
-            idx = np.flatnonzero(active)
-            xi, yi = x[idx], y[idx]
-            x[idx], y[idx] = yi, horner(p_coeffs, yi) - a * xi
+        while live.size:
+            ax, ay = np.abs(x), np.abs(y)
+            mag = np.maximum(ax, ay)
+            inside = (ay >= np.maximum(ax, R)) & np.isfinite(ay)
+            # V_R+ is forward invariant with |y'| >= 2|y|, so entry and climb
+            # are one walk; past the limit, inf or nan: escape is certain
+            deep = inside & (ay >= _DEEP)
+            over = ~deep & ~(mag <= lim)
+            esc = deep | over
+            done = esc | ~inside if step >= budget else esc
+            if done.any():
+                stop_step[live[esc]] = step
+                top[live[esc]] = mag[esc]
+                overflowed[live[over]] = True
+                x, y, live = x[~done], y[~done], live[~done]
+            x, y = y, horner(p_coeffs, y) - a * x
+            step += 1
 
-        escaped = n_entry >= 0
-        total = n_entry.astype(np.float64)
-        climb = escaped & (np.abs(y) < _DEEP)
-        for _ in range(120):
-            if not climb.any():
-                break
-            idx = np.flatnonzero(climb)
-            xi, yi = x[idx], y[idx]
-            x[idx], y[idx] = yi, horner(p_coeffs, yi) - a * xi
-            total[idx] += 1
-            climb[idx] = np.abs(y[idx]) < _DEEP
-
-        green = np.zeros(npts)
-        err = np.zeros(npts)
-        if escaped.any():
-            ye = np.abs(y[escaped])
-            scale = np.power(float(d), -total[escaped])
-            green[escaped] = np.log(np.maximum(ye, 1.0)) * scale
-            A = sum(abs(c) for c in coeffs)
-            B = abs(a)
-            u = A / np.maximum(ye, 2.0) ** 2 + B / np.maximum(ye, 2.0) ** (d - 1)
-            err[escaped] = scale * (4.0 * u / d) + _FLOAT_NOISE
+        escaped = stop_step >= 0
+        scale = np.power(float(d), -stop_step)
+        u = _u_bound(m, np.maximum(top, 2.0))
+        # an overflowed walk gets the scalar engine's crude bound d^-n
+        bound = scale * np.where(overflowed, 1.0, 4.0 * u / d) + _FLOAT_NOISE
+        green = np.where(escaped, np.log(np.maximum(top, 1.0)) * scale, 0.0)
+        err = np.where(escaped, bound, 0.0)
     return green, err, escaped
 
 

@@ -1,6 +1,7 @@
 """CLI contract: JSON outputs, shared map parser, and exit-code mapping."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -79,6 +80,24 @@ def test_boettcher_output(capsys):
     doc = json.loads(out)
     assert doc["truncation"] == 20
     assert doc["value"][0] == pytest.approx(9.9924877779, abs=1e-6)
+
+
+Q5 = '{"d":5,"p":[0.3,0,1,"0-1i"],"a":"0.5+0.2i"}'
+Q5_BOX = "2.8787828968791693+5.067899959985004i,-5.651937260596624-0.41252814746273536i"
+
+
+@pytest.mark.parametrize("argv", [
+    ("green", "--map", Q5, "--point", Q5_BOX),
+    ("green", "--map", Q5, "--point", "0,1e70"),
+    ("boettcher", "--map", Q5, "--point", "0,1e70"),
+    ("boettcher", "--map", M2, "--point", "0,10", "--trunc", "2000"),
+], ids=["quintic-box", "quintic-deep-green", "quintic-deep-boettcher", "trunc-2000"])
+def test_tail_bound_does_not_overflow(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert math.isfinite(json.loads(lines[0])["errorBound"])
 
 
 def test_derive_q_strategies_agree(capsys):

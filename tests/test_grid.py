@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from henonlab import DomainError, HenonMap, SliceSpec, annulus_radius, export_grid, sample_slice
+from henonlab import (DomainError, HenonMap, SliceSpec, annulus_radius, export_grid, green_plus,
+                      sample_slice)
 from henonlab.grid import (STATUS_BOUNDARY, STATUS_NAMES, STATUS_K_CANDIDATE,
                            STATUS_OMEGA_PRIME, STATUS_OUTSIDE, GridResult, export_bytes)
 from henonlab.selfcheck import _acceptance_slice
@@ -32,6 +33,10 @@ def grid():
 def test_degenerate_spans_rejected():
     with pytest.raises(DomainError):
         SliceSpec(origin=(0, 0), span_u=(1, 1), span_v=(2, 2),
+                  grid_w=8, grid_h=8, extent=(1.0, 1.0))
+    # orthogonal spans are accepted at any scale
+    for s in (1e120, 1e-20):
+        SliceSpec(origin=(0, 0), span_u=(s, 0), span_v=(0, s),
                   grid_w=8, grid_h=8, extent=(1.0, 1.0))
 
 
@@ -191,19 +196,28 @@ def test_json_rejects_nonfinite_green():
         export_bytes(edge_grid(), "json")
 
 
-def test_cli_far_field_json_is_one_line_exit_2(tmp_path):
+def test_cli_far_field_json_exports(tmp_path):
     cfg = tmp_path / "far.json"
     cfg.write_text(json.dumps({
         "map": {"d": 2, "p": [0], "a": 3},
         "slice": {"origin": [[1e200, 0], [1e199, 0]], "spanU": [1, 0], "spanV": [0, 1],
                   "gridW": 4, "gridH": 4, "extent": 3},
     }))
+    out = tmp_path / "far_out.json"
     proc = subprocess.run(
         [sys.executable, "-m", "henonlab.cli", "slice", "--config", str(cfg), "--c", "1",
-         "--out", str(tmp_path / "far_out.json"), "--format", "json"],
+         "--out", str(out), "--format", "json"],
         capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr + proc.stdout
-    lines = [ln for ln in (proc.stdout + proc.stderr).splitlines() if ln.strip()]
-    assert len(lines) == 1
-    json.loads(lines[0])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 1
+    json.loads(proc.stdout)
+    # the walk overflows before V_R+ entry: the grid values it as the scalar engine does
+    g = sample_slice(QUAD, SliceSpec(origin=(1e200, 1e199), span_u=(1, 0), span_v=(0, 1),
+                                     grid_w=4, grid_h=4, extent=(3.0, 3.0)), c=1.0)
+    assert json.loads(out.read_bytes())["greenPlus"] == g.green.ravel().tolist()
+    for r, v in enumerate(g.vs.tolist()):
+        for col, u in enumerate(g.us.tolist()):
+            scalar = green_plus(QUAD, (1e200 + u, 1e199 + v))
+            assert math.isfinite(g.green[r, col])
+            assert abs(g.green[r, col] - scalar.value) <= g.error[r, col] + scalar.error_bound

@@ -1,6 +1,7 @@
 """Escape-rate potentials: frozen reference values, functorial law,
 method agreement, and budget/filtration independence."""
 
+import cmath
 import math
 import random
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from henonlab import HenonMap, classify_point, evaluate, green_minus, green_plus
-from henonlab.maps import FiltrationRadius, estimate_filtration_radius
-from henonlab.potential import (crude_green_plus, green_plus_grid,
+from henonlab.maps import FiltrationRadius, estimate_filtration_radius, horner
+from henonlab.potential import (_DEEP, _FLOAT_NOISE, crude_green_plus, green_plus_grid,
                                 sample_escaping_points)
 
 QUAD = HenonMap(2, 3, (0,))
@@ -96,18 +97,94 @@ def test_classification_stable_under_larger_budget():
             assert c2.n_exit == c1.n_exit
 
 
+def _grid_cases():
+    """QUAD at four fixed points, then maps of degree 2..6 with complex a and
+    coefficients at box, deep (|y| up to 1e12) and far (1e20..1e300) points."""
+    rng = random.Random(36)
+
+    def c(r):
+        return cmath.rect(r, rng.uniform(0.0, 2.0 * math.pi))
+
+    cases = [(QUAD, [(0.5, 2.5), (-1.0, 3.0), (0.0, 100.0), (0.0, 0.0)])]
+    for d in range(2, 7):
+        m = HenonMap(d, c(rng.uniform(0.5, 3.0)), tuple(c(rng.uniform(0.0, 1.5))
+                                                        for _ in range(d - 1)))
+        pts = [(c(rng.uniform(0, 3)), c(rng.uniform(0, 3))) for _ in range(8)]
+        pts += [(c(rng.uniform(0, 3)), c(10 ** rng.uniform(3, 12))) for _ in range(4)]
+        pts += [(c(10 ** rng.uniform(20, 300)), c(10 ** rng.uniform(20, 300)))
+                for _ in range(8)]
+        cases.append((m, pts))
+    return cases
+
+
 def test_vectorized_grid_matches_scalar():
-    pts = [(0.5, 2.5), (-1.0, 3.0), (0.0, 100.0), (0.0, 0.0)]
-    X = np.array([complex(p[0]) for p in pts])
-    Y = np.array([complex(p[1]) for p in pts])
-    filt = estimate_filtration_radius(QUAD)
-    green, err, escaped = green_plus_grid(QUAD, X, Y, filtration=filt)
-    for i, z in enumerate(pts):
-        scalar = green_plus(QUAD, z, filtration=filt)
-        if escaped[i]:
-            assert green[i] == pytest.approx(scalar.value, abs=1e-8)
-        else:
-            assert scalar.value == 0.0
+    for m, pts in _grid_cases():
+        filt = estimate_filtration_radius(m)
+        X = np.array([complex(p[0]) for p in pts])
+        Y = np.array([complex(p[1]) for p in pts])
+        green, err, escaped = green_plus_grid(m, X, Y, filtration=filt)
+        for i, z in enumerate(pts):
+            scalar = green_plus(m, z, filtration=filt)
+            assert math.isfinite(green[i]) and math.isfinite(err[i]), (m, z)
+            assert math.isfinite(scalar.value) and math.isfinite(scalar.error_bound), (m, z)
+            assert escaped[i] == (not scalar.budget_exhausted), (m, z)
+            assert abs(green[i] - scalar.value) <= err[i] + scalar.error_bound, (m, z)
+
+
+# The two-loop grid walk (entry walk, then a capped climb) that the compacted
+# walk replaced, kept as the bit-level oracle for points that never overflow.
+
+def _two_loop_grid(m, X, Y, budget=200, filtration=None):
+    R = filtration.R
+    d, a, coeffs = m.d, complex(m.a), m.coeffs_complex
+    x = np.array(X, dtype=np.complex128).ravel().copy()
+    y = np.array(Y, dtype=np.complex128).ravel().copy()
+    n_entry = np.full(x.size, -1, dtype=np.int64)
+    active = np.ones(x.size, dtype=bool)
+    p_coeffs = (*coeffs, 0, 1)
+    with np.errstate(all="ignore"):
+        for step in range(budget + 1):
+            ax, ay = np.abs(x[active]), np.abs(y[active])
+            entered = ay >= np.maximum(ax, R)
+            idx = np.flatnonzero(active)
+            n_entry[idx[entered]] = step
+            active[idx[entered]] = False
+            if not active.any() or step == budget:
+                break
+            idx = np.flatnonzero(active)
+            xi, yi = x[idx], y[idx]
+            x[idx], y[idx] = yi, horner(p_coeffs, yi) - a * xi
+        escaped = n_entry >= 0
+        total = n_entry.astype(np.float64)
+        climb = escaped & (np.abs(y) < _DEEP)
+        for _ in range(120):
+            if not climb.any():
+                break
+            idx = np.flatnonzero(climb)
+            xi, yi = x[idx], y[idx]
+            x[idx], y[idx] = yi, horner(p_coeffs, yi) - a * xi
+            total[idx] += 1
+            climb[idx] = np.abs(y[idx]) < _DEEP
+        green, err = np.zeros(x.size), np.zeros(x.size)
+        if escaped.any():
+            ye = np.abs(y[escaped])
+            scale = np.power(float(d), -total[escaped])
+            green[escaped] = np.log(np.maximum(ye, 1.0)) * scale
+            A, B = sum(abs(c) for c in coeffs), abs(a)
+            u = A / np.maximum(ye, 2.0) ** 2 + B / np.maximum(ye, 2.0) ** (d - 1)
+            err[escaped] = scale * (4.0 * u / d) + _FLOAT_NOISE
+    return green, err, escaped
+
+
+def test_grid_matches_the_walk_it_replaced():
+    # box and deep points only: their walks never pass the overflow limit
+    for m, pts in _grid_cases():
+        filt = estimate_filtration_radius(m)
+        X = np.array([complex(p[0]) for p in pts if abs(p[0]) < 1e20])
+        Y = np.array([complex(p[1]) for p in pts if abs(p[0]) < 1e20])
+        new = green_plus_grid(m, X, Y, filtration=filt)
+        for n, o in zip(new, _two_loop_grid(m, X, Y, filtration=filt)):
+            assert n.tobytes() == o.tobytes(), m
 
 
 def test_sup_norm_definition_at_large_points():

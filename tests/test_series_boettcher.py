@@ -62,6 +62,12 @@ def test_phi_error_bound_certifies_truncation():
     assert fine.error_bound < coarse.error_bound
 
 
+def test_u_bound_holds_past_1e150():
+    # B / |y|^(d-1) for p = y^2, a = 3; the old 1e-300 cutoff undercut it
+    from henonlab.boettcher import _u_bound
+    assert _u_bound(QUAD, 1e151) == 3 / 1e151
+
+
 def test_phi_asymptotic_to_y():
     pv = phi(QUAD, (0, 1e8))
     assert pv.value == pytest.approx(1e8, rel=1e-7)
