@@ -13,8 +13,8 @@ from .covering import (DeckRational, FiberAffineMap, RootOfUnity, c_alpha,
                        compute_L_prime, deck_compose, deck_eval, deck_rational,
                        fiber_compose, fiber_invert, henon_lift, push,
                        push_iterated)
-from .dyadic import (RingElem, UnitDecomposition, ring_arith,
-                     subgroup_membership, unit_decompose)
+from .dyadic import (RingElem, UnitDecomposition, subgroup_membership,
+                     unit_decompose)
 from .errors import (DomainError, HenonLabError, InconsistencyError,
                      InvalidMapError, PrecisionError, UnderdeterminedError)
 from .grid import (GridResult, SliceSpec, annulus_radius, export_grid,

@@ -253,7 +253,7 @@ def _phi_factor_bases(m: HenonMap, dmin: int):
         if uj.is_zero():
             break
         bases.append((one + uj, d ** (j + 1)))
-        Yprev, Ycur = Ycur, Ycur.pow_int(d) * (one + uj)
+        Yprev, Ycur = Ycur, Ycur ** d * (one + uj)
     return bases
 
 

@@ -406,6 +406,8 @@ def main(argv=None) -> int:
         return _fail(4, "precision", exc)
     except HenonLabError as exc:
         return _fail(3, "domain", exc)
+    except OverflowError as exc:
+        return _fail(3, "overflow", exc)
     except ValueError as exc:
         return _fail(2, "usage", exc)
 

@@ -153,9 +153,9 @@ def push(f: FiberAffineMap, direction: str, q: LiftPolynomial, a) -> FiberAffine
 
 def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
                   a) -> FiberAffineMap:
-    """Closed form of n minus-pushes:
-    gamma_n = (d/a)^n gamma + c_alpha * sum_{j=1}^{n} (d/a)^{j-1},
-    exponent e -> d^n e (valid because c_{alpha^d} = c_alpha)."""
+    """Closed form of n minus-pushes with r = d/a:
+    gamma_n = r^n gamma + c_alpha (r^n - 1)/(r - 1)  (n c_alpha when r = 1),
+    exponent e -> d^n e mod d^2-1 (valid because c_{alpha^d} = c_alpha)."""
     if direction != "minus":
         raise ValueError("closed form implemented for the minus direction")
     if n < 0:
@@ -163,13 +163,10 @@ def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
     d = f.d
     r = _ratio(d, a)
     c = c_alpha(f.alpha, q)
-    geo = 0
-    acc = 1
-    for _ in range(n):
-        geo = geo + acc
-        acc = acc * r
-    gamma = acc * f.gamma + c * geo if n else f.gamma
-    return FiberAffineMap(d, f.alpha ** (d ** n), gamma)
+    rn = r ** n
+    geo = n if r == 1 else (rn - 1) / (r - 1)
+    gamma = rn * f.gamma + c * geo if n else f.gamma
+    return FiberAffineMap(d, f.alpha ** pow(d, n, d * d - 1), gamma)
 
 
 # ---------------------------------------------------------------------------

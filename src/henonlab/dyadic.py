@@ -82,19 +82,6 @@ class RingElem:
         return RingElem(self.d, self.m * other.m, self.k + other.k)
 
 
-def ring_arith(op: str, x: RingElem, y: Optional[RingElem] = None) -> RingElem:
-    """Dispatch wrapper used by the CLI: op in {add, mul, neg}."""
-    if op == "neg":
-        return -x
-    if y is None:
-        raise ValueError(f"op {op!r} needs two operands")
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
-
-
 def ring_from_fraction(d: int, value: Fraction) -> Optional[RingElem]:
     """Represent an exact fraction in Z[1/d], or None if impossible."""
     den = value.denominator

@@ -53,14 +53,17 @@ class SliceSpec:
         object.__setattr__(self, "extent", (float(ext[0]), float(ext[1])))
         if self.extent[0] <= 0 or self.extent[1] <= 0:
             raise DomainError("slice extent must be positive")
-        su = np.array([complex(self.span_u[0]).real, complex(self.span_u[0]).imag,
-                       complex(self.span_u[1]).real, complex(self.span_u[1]).imag])
-        sv = np.array([complex(self.span_v[0]).real, complex(self.span_v[0]).imag,
-                       complex(self.span_v[1]).real, complex(self.span_v[1]).imag])
+        o, su, sv = (np.array([part for c in pair for part in (complex(c).real, complex(c).imag)])
+                     for pair in (self.origin, self.span_u, self.span_v))
         # compare directions: the raw Gram determinant scales like |span|^4
         nu, nv = np.abs(su).max(), np.abs(sv).max()
         if not (0.0 < nu < np.inf and 0.0 < nv < np.inf):
             raise DomainError("degenerate slice: spans must be finite and nonzero")
+        # largest corner origin +- extent*(|spanU| + |spanV|), per real coordinate
+        with np.errstate(over="ignore"):
+            reach = np.abs(o) + self.extent[0] * np.abs(su) + self.extent[1] * np.abs(sv)
+        if not np.isfinite(reach).all():
+            raise DomainError("slice window is not finite: origin +- extent*(|spanU| + |spanV|) overflows")
         su, sv = su / nu, sv / nv
         gram = np.array([[su @ su, su @ sv], [sv @ su, sv @ sv]])
         if np.linalg.det(gram) <= 1e-24 * (su @ su) * (sv @ sv):

@@ -18,6 +18,7 @@ from typing import Iterable
 
 from ._exact import QC, as_exact, is_zero
 from .errors import InvalidMapError
+from .series import LaurentSeries2
 
 
 def _binom(n: int, k: int) -> int:
@@ -104,137 +105,15 @@ class AffineConjugation:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate polynomials and map composition
+# Polynomial maps and composition
 # ---------------------------------------------------------------------------
-
-class BivarPoly:
-    """Polynomial in (x, y): dict (i, j) -> coefficient, no explicit zeros."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if not is_zero(v):
-                    self.terms[k] = v
-
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0): c})
-
-    @classmethod
-    def var_x(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_y(cls):
-        return cls({(0, 1): 1})
-
-    def __add__(self, other):
-        if not isinstance(other, BivarPoly):
-            other = BivarPoly.const(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        p = BivarPoly.__new__(BivarPoly)
-        p.terms = out
-        return p
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = BivarPoly.__new__(BivarPoly)
-        p.terms = {k: -v for k, v in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        if not isinstance(other, BivarPoly):
-            other = BivarPoly.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, BivarPoly):
-            other = BivarPoly.const(other)
-        out = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                s = out.get(k, 0) + v1 * v2
-                if is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        p = BivarPoly.__new__(BivarPoly)
-        p.terms = out
-        return p
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BivarPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def substitute(self, px: "BivarPoly", py: "BivarPoly") -> "BivarPoly":
-        """Evaluate self at x = px, y = py (Horner over cached powers)."""
-        out = BivarPoly()
-        xpow = {0: BivarPoly.const(1)}
-        ypow = {0: BivarPoly.const(1)}
-
-        def power(cache, base, n):
-            if n not in cache:
-                cache[n] = power(cache, base, n - 1) * base
-            return cache[n]
-
-        for (i, j), v in self.terms.items():
-            out = out + power(xpow, px, i) * power(ypow, py, j) * BivarPoly.const(v)
-        return out
-
-    def eval(self, x, y):
-        acc = 0
-        for (i, j), v in self.terms.items():
-            acc = acc + v * x ** i * y ** j
-        return acc
-
-    def max_abs(self) -> float:
-        return max((abs(complex(v)) for v in self.terms.values()), default=0.0)
-
-    def approx_eq(self, other: "BivarPoly", tol: float = 1e-12) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        scale = max(1.0, self.max_abs(), other.max_abs())
-        return all(
-            abs(complex(self.terms.get(k, 0)) - complex(other.terms.get(k, 0))) <= tol * scale
-            for k in keys)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    def __repr__(self):
-        return f"BivarPoly({self.terms!r})"
-
 
 @dataclass
 class PolyMap2:
     """Polynomial self-map of C^2: (x, y) -> (first(x,y), second(x,y))."""
 
-    first: BivarPoly
-    second: BivarPoly
+    first: LaurentSeries2   # polynomials: dmin=None
+    second: LaurentSeries2
 
     def eval(self, z):
         x, y = z
@@ -252,7 +131,7 @@ def poly_map_of(m: HenonMap, inverse: bool = False) -> PolyMap2:
             if not is_zero(c):
                 py[(0, j)] = c
         py[(1, 0)] = -m.a
-        return PolyMap2(BivarPoly.var_y(), BivarPoly(py))
+        return PolyMap2(LaurentSeries2.mono(1, 0, 1, None), LaurentSeries2(None, py))
     a = m.a
     ainv = (QC(1) / a) if isinstance(a, QC) else (
         Fraction(1, 1) / a if isinstance(a, (int, Fraction)) else 1.0 / complex(a))
@@ -261,7 +140,7 @@ def poly_map_of(m: HenonMap, inverse: bool = False) -> PolyMap2:
         if not is_zero(c):
             px[(j, 0)] = ainv * c
     px[(0, 1)] = -ainv
-    return PolyMap2(BivarPoly(px), BivarPoly.var_x())
+    return PolyMap2(LaurentSeries2(None, px), LaurentSeries2.mono(1, 1, 0, None))
 
 
 def compose_poly_maps(f: PolyMap2, g: PolyMap2) -> PolyMap2:

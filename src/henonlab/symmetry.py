@@ -19,10 +19,10 @@ from ._exact import is_zero
 from .boettcher import LiftPolynomial
 from .covering import RootOfUnity, compute_L_prime, root_value
 from .errors import DomainError
-from .maps import (BivarPoly, FiltrationRadius, HenonMap, PolyMap2,
-                   compose_poly_maps, estimate_filtration_radius, iterate_orbit,
-                   poly_map_of)
+from .maps import (FiltrationRadius, HenonMap, PolyMap2, compose_poly_maps,
+                   estimate_filtration_radius, iterate_orbit, poly_map_of)
 from .potential import green_plus, sample_escaping_points
+from .series import LaurentSeries2
 
 _COEFF_ZERO = 1e-12
 
@@ -55,8 +55,8 @@ class SymmetryGroup:
 def symmetry_poly_map(d: int, e: int) -> PolyMap2:
     """L_eta as an exact-as-possible polynomial map."""
     M = d * d - 1
-    return PolyMap2(BivarPoly({(1, 0): root_value(e, M)}),
-                    BivarPoly({(0, 1): root_value(d * e % M, M)}))
+    return PolyMap2(LaurentSeries2.mono(root_value(e, M), 1, 0, None),
+                    LaurentSeries2.mono(root_value(d * e % M, M), 0, 1, None))
 
 
 def apply_symmetry(d: int, e: int, z) -> tuple:

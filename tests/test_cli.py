@@ -180,6 +180,30 @@ def test_domain_error_is_exit_3(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+def test_overflow_is_exit_3(capsys):
+    code, out, err = run(capsys, "lift", "deck", "--map", M2, "--k", "1",
+                         "--n", "40", "--point", "0,2")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "overflow"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pgm"])
+def test_slice_window_overflow_is_exit_3(tmp_path, capsys, fmt):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "map": {"d": 2, "p": [0], "a": 3},
+        "slice": {"origin": [0, 0], "spanU": [1e308, 0], "spanV": [0, 1],
+                  "gridW": 8, "gridH": 8, "extent": 3},
+    }))
+    out_path = tmp_path / f"g.{fmt}"
+    code, out, err = run(capsys, "slice", "--config", str(cfg), "--c", "1",
+                         "--out", str(out_path), "--format", fmt)
+    assert code == 3 and out == "" and not out_path.exists()
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
+
+
 @pytest.mark.parametrize("point", ["inf,0", "1e400,0", "0,infi", "nan,1"])
 def test_non_finite_point_is_exit_2(capsys, point):
     code, out, err = run(capsys, "green", "--map", M2, "--point", point)

@@ -77,12 +77,23 @@ def test_push_round_trip_shift():
 
 def test_push_iterated_matches_repeated_pushes():
     q = LiftPolynomial(3, (Fraction(2), 0, 0))
+    f = FiberAffineMap(3, RootOfUnity(1, 8), Fraction(7, 3))   # c_alpha = -4, exact
+    for a in (9, 3, 2):   # r = d/a = 1/3, 1 and 3/2
+        for n in (0, 1, 2, 10, 37):
+            h = f
+            for _ in range(n):
+                h = push(h, "minus", q, a)
+            hc = push_iterated(f, "minus", n, q, a)
+            assert h.alpha == hc.alpha and h.gamma == hc.gamma, (a, n)
+
+
+def test_push_iterated_large_n_returns():
+    q = LiftPolynomial(3, (Fraction(2), 0, 0))
     f = FiberAffineMap(3, RootOfUnity(1, 8), Fraction(7, 3))
-    h = f
-    for _ in range(10):
-        h = push(h, "minus", q, 9)
-    hc = push_iterated(f, "minus", 10, q, 9)
-    assert h.alpha == hc.alpha and h.gamma == hc.gamma
+    g = push_iterated(f, "minus", 100000, q, 9)
+    assert g.alpha == RootOfUnity(3 ** 100000, 8)
+    assert g.gamma == Fraction(1, 3 ** 100000) * Fraction(7, 3) + \
+        -4 * (1 - Fraction(1, 3 ** 100000)) * Fraction(3, 2)
 
 
 def test_push_invalid_direction():

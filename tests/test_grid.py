@@ -40,6 +40,18 @@ def test_degenerate_spans_rejected():
                   grid_w=8, grid_h=8, extent=(1.0, 1.0))
 
 
+def test_window_with_non_finite_corners_rejected():
+    # corners are origin +- extent*(|spanU| + |spanV|) per real coordinate
+    SliceSpec(origin=(1e308, 0), span_u=(1e307, 0), span_v=(0, 1),
+              grid_w=8, grid_h=8, extent=(3.0, 3.0))
+    with pytest.raises(DomainError):
+        SliceSpec(origin=(1.7e308, 0), span_u=(1e307, 0), span_v=(0, 1),
+                  grid_w=8, grid_h=8, extent=(3.0, 3.0))
+    with pytest.raises(DomainError):
+        SliceSpec(origin=(0, 0), span_u=(1e308, 0), span_v=(0, 1),
+                  grid_w=8, grid_h=8, extent=(3.0, 3.0))
+
+
 def test_tiny_grid_rejected():
     with pytest.raises(DomainError):
         SliceSpec(origin=(0, 0), span_u=(1, 0), span_v=(0, 1),

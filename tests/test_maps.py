@@ -13,7 +13,8 @@ from henonlab import (DomainError, HenonMap, InvalidMapError, evaluate,
                       estimate_filtration_radius, iterate_orbit, normalize,
                       poly_map_of, compose_poly_maps)
 from henonlab._exact import QC
-from henonlab.maps import horner, in_v_plus, in_v_minus, overflow_limit
+from henonlab.maps import PolyMap2, horner, in_v_plus, in_v_minus, overflow_limit
+from henonlab.series import LaurentSeries2
 
 
 QUAD = HenonMap(2, 3, (0,))          # p = y^2
@@ -90,6 +91,19 @@ def test_poly_map_composition_matches_two_steps():
         viapoly = h2.eval(z)
         assert abs(direct[0] - viapoly[0]) < 1e-9
         assert abs(direct[1] - viapoly[1]) < 1e-9
+
+
+@pytest.mark.parametrize("m", [
+    HenonMap(3, Fraction(7, 3), (Fraction(1, 2), Fraction(-2, 5))),
+    HenonMap(2, QC(Fraction(3, 2), Fraction(1, 3)), (QC(1, -2),)),
+], ids=["fraction", "qc"])
+def test_poly_map_composition_with_inverse_is_exactly_identity(m):
+    h, h_inv = poly_map_of(m), poly_map_of(m, inverse=True)
+    ident = PolyMap2(LaurentSeries2.mono(1, 1, 0, None), LaurentSeries2.mono(1, 0, 1, None))
+    for comp in (compose_poly_maps(h, h_inv), compose_poly_maps(h_inv, h)):
+        assert comp == ident
+        assert not any(isinstance(v, (float, complex))
+                       for v in (*comp.first.terms.values(), *comp.second.terms.values()))
 
 
 def test_filtration_radius_values():
