@@ -133,14 +133,25 @@ def phi(m: HenonMap, z, truncation: int = 20,
     return BoettcherValue(val, truncation, err + 1e-15 * abs(val))
 
 
+def _mp(v):
+    """v at the working mpmath precision: int, Fraction and QC exactly (a
+    double would cut 1/3 to 53 bits), floats and complex as they are."""
+    if isinstance(v, (mp.mpf, mp.mpc)):
+        return v
+    q = as_exact(v)
+    if q is None:
+        return mp.mpmathify(complex(v))
+    return mp.mpc(mp.mpf(q.re.numerator) / q.re.denominator,
+                  mp.mpf(q.im.numerator) / q.im.denominator)
+
+
 def phi_mp(m: HenonMap, z, dps: int):
     """Arbitrary-precision phi; truncation chosen so the tail is below the
     working precision.  Must be called inside an mp.workdps context."""
-    x = mp.mpmathify(complex(z[0])) if not isinstance(z[0], (mp.mpf, mp.mpc)) else z[0]
-    y = mp.mpmathify(complex(z[1])) if not isinstance(z[1], (mp.mpf, mp.mpc)) else z[1]
+    x, y = _mp(z[0]), _mp(z[1])
     d = m.d
-    a = mp.mpmathify(complex(m.a))
-    coeffs = [mp.mpmathify(c) for c in m.coeffs_complex]
+    a = _mp(m.a)
+    coeffs = [_mp(c) for c in m.coeffs]
     p_coeffs = (*coeffs, 0, 1)
     val = y
     cur = (x, y)
@@ -369,7 +380,7 @@ def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
         for rho in radii:
             phiv = phi_mp(m, (mp.mpf(0), rho), digits)
             # T = x1*y1 - (a/d)*x*y - phi^{d+1}, with x = 0
-            y1 = horner((*(mp.mpmathify(c) for c in m.coeffs_complex), 0, 1), rho)
+            y1 = horner((*(_mp(c) for c in m.coeffs), 0, 1), rho)
             T = rho * y1 - phiv ** (d + 1)
             basis = [phiv ** k for k in range(1, d)] + [rho ** (-j) for j in range(M + 1)]
             rows.append(basis)
@@ -409,12 +420,12 @@ def digits_needed(m: HenonMap, z, depth: int) -> int:
 def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
     """(psi_depth, psi_{depth-1}) inside an mp context of dps digits."""
     d = m.d
-    a = mp.mpmathify(complex(m.a))
-    p_coeffs = (*(mp.mpmathify(c) for c in m.coeffs_complex), 0, 1)
+    a = _mp(m.a)
+    p_coeffs = (*(_mp(c) for c in m.coeffs), 0, 1)
     doa = mp.mpf(d) / a
-    cur = (mp.mpmathify(complex(z[0])), mp.mpmathify(complex(z[1])))
+    cur = (_mp(z[0]), _mp(z[1]))
     phi0 = phi_mp(m, cur, dps)
-    q_coeffs = (*(mp.mpmathify(c) for c in q.A_complex), 0, 1)
+    q_coeffs = (*(_mp(c) for c in q.A), 0, 1)
     qsum = mp.mpf(0)
     prev = None
     for j in range(depth):
@@ -470,13 +481,13 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
             raise PrecisionError(
                 f"depth {depth} needs about {need} digits, got {precision_digits}")
         with mp.workdps(precision_digits):
-            a = mp.mpmathify(complex(m.a))
+            a = _mp(m.a)
             aod = a / mp.mpf(m.d)
             psi_z, _ = _psi_partials(m, z, q, depth, precision_digits)
             psi_hz, _ = _psi_partials(m, hz, q, depth, precision_digits)
             phi_z = phi_mp(m, z, precision_digits)
             phi_hz = phi_mp(m, hz, precision_digits)
-            q_phi = horner((*(mp.mpmathify(c) for c in q.A_complex), 0, 1), phi_z)
+            q_phi = horner((*(_mp(c) for c in q.A), 0, 1), phi_z)
             r1 = abs(aod * psi_z + q_phi - psi_hz)
             r2 = abs(phi_z ** m.d - phi_hz)
             worst = max(worst, float(r1), float(r2))

@@ -3,7 +3,7 @@
 Subcommands: classify, green, boettcher, derive-q, symmetries,
 lift (push|iterate|deck), units, slice, selftest.
 
-Exit codes: 0 success, 2 bad arguments or environment, 3 domain error,
+Exit codes: 0 success, 2 bad arguments, 3 domain error,
 4 precision error, 5 selftest failure.  All outputs are single-line JSON
 with stable key order; complex numbers are emitted as [re, im] pairs.
 """
@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .boettcher import LiftPolynomial, derive_lift_polynomial, phi
 from .covering import (FiberAffineMap, RootOfUnity, deck_eval, deck_rational,
                        push, push_iterated)
-from .dyadic import RingElem, subgroup_membership, unit_decompose
+from .dyadic import ring_from_fraction, subgroup_membership, unit_decompose
 from .errors import DomainError, HenonLabError, PrecisionError
 from .grid import SliceSpec, export_grid, sample_slice
 from .maps import HenonMap, normalize
@@ -225,25 +224,14 @@ def cmd_lift_deck(args) -> int:
 
 
 def cmd_units(args) -> int:
-    s = args.elem.strip()
+    num, slash, den = args.elem.strip().partition("/")
     try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            mnum, dval = int(num), int(den)
-            if dval <= 0:
-                raise ValueError
-            k = 0
-            while dval > 1:
-                if dval % args.d:
-                    raise UsageError(
-                        f"denominator {den} is not a power of d={args.d}")
-                dval //= args.d
-                k += 1
-        else:
-            mnum, k = int(s), 0
-    except ValueError:
-        raise UsageError(f"--elem must be 'm' or 'm/d^k', got {args.elem!r}") from None
-    x = RingElem(args.d, mnum, k)
+        value = Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--elem must be an integer or 'p/q', got {args.elem!r}") from None
+    x = ring_from_fraction(args.d, value)
+    if x is None:
+        raise UsageError(f"{args.elem} is not in Z[1/{args.d}]")
     u = unit_decompose(x)
     if u is None:
         _emit({"unit": False})
@@ -357,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("units", help="unit test/decomposition in Z[1/d]")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--elem", required=True, help="'m' or 'm/d^k', e.g. 4/6")
+    p.add_argument("--elem", required=True,
+                   help="an integer or 'p/q' whose denominator has only primes of d, e.g. 4/6")
     p.set_defaults(fn=cmd_units)
 
     p = sub.add_parser("slice", help="sample a 2-plane slice and export the grid")
@@ -372,18 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _check_threads_env() -> None:
-    raw = os.environ.get("HENON_LAB_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"HENON_LAB_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise UsageError(f"HENON_LAB_THREADS must be >= 1, got {n}")
-
-
 def _fail(code: int, kind: str, exc: Exception) -> int:
     sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
     return code
@@ -396,7 +373,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _check_threads_env()
         return args.fn(args)
     except UsageError as exc:
         return _fail(2, "usage", exc)

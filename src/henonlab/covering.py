@@ -237,16 +237,12 @@ def henon_lift(point, q: LiftPolynomial, a, variant: str = "a-over-d") -> tuple:
 def compute_L_prime(q: LiftPolynomial, zero_threshold: float = 1e-9) -> list:
     """All exponents e with (d+1-j)e = 0 mod d^2-1 for every retained
     nonzero A_j, 1 <= j <= d-1 (the zeta^{d+1} term is automatic and A_0
-    is absorbed by c_alpha).  Always a subgroup of Z_{d^2-1}."""
+    is absorbed by c_alpha).  Always a subgroup of Z_{d^2-1}: the
+    solutions of homogeneous congruences."""
     if zero_threshold <= 0:
         raise ValueError("zero_threshold must be positive")
     d = q.d
     M = d * d - 1
     idx = q.nonzero_indices(zero_threshold)
-    out = [e for e in range(M)
-           if all((d + 1 - j) * e % M == 0 for j in idx)]
-    members = set(out)
-    for e1 in out:  # subgroup sanity, cheap at this size
-        for e2 in out:
-            assert (e1 + e2) % M in members
-    return [RootOfUnity(e, M) for e in out]
+    return [RootOfUnity(e, M) for e in range(M)
+            if all((d + 1 - j) * e % M == 0 for j in idx)]

@@ -9,6 +9,7 @@ t * (m1, ..., ml) where d = p1^{m1}...pl^{ml}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -83,15 +84,17 @@ class RingElem:
 
 
 def ring_from_fraction(d: int, value: Fraction) -> Optional[RingElem]:
-    """Represent an exact fraction in Z[1/d], or None if impossible."""
-    den = value.denominator
-    k = 0
-    dk = 1
-    while dk % den != 0:
+    """Represent an exact fraction in Z[1/d], or None when a prime of its
+    denominator does not divide d."""
+    den = rest = value.denominator
+    while (g := math.gcd(rest, d)) > 1:
+        rest //= g
+    if rest != 1:
+        return None
+    k, dk = 0, 1
+    while dk % den:
         dk *= d
         k += 1
-        if k > 64:
-            return None
     return RingElem(d, value.numerator * (dk // den), k)
 
 

@@ -3,16 +3,23 @@
 Provides exact construction and normalization, forward/inverse evaluation,
 orbit iteration with overflow-as-escape semantics, exact bivariate
 polynomial composition (used to verify normalization and symmetries), and
-the certified filtration radius R with its doubling property
-|y'| >= 2|y| on V_R+ = {|y| >= max(|x|, R)}.
+the proven filtration radius.
+
+Since |y'| >= |y|^d - sum_j |a_j||y|^j - |a||y| on V_r+ = {|y| >= max(|x|, r)},
+the doubling |y'| >= 2|y| holds there once
+
+    lead/r^{d-1} + sum_j |a_j|/r^{d-j} <= 1        (lead = 2 + |a|),
+
+and with lead = 1 + 2|a| the same inequality proves |x'| = |p(x) - y|/|a|
+>= 2|x| on V_r- = {|x| >= max(|y|, r)}.  The left side falls as r grows;
+R is the least r >= max(1, (2(1+S))^{1/(d-1)}) that satisfies it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -296,10 +303,9 @@ def iterate_orbit(m: HenonMap, z, n: int) -> Orbit:
 
 @dataclass(frozen=True)
 class FiltrationRadius:
-    """Radius R >= 1 with H(V_R+) in V_R+ and |y'| >= 2|y|, sample-certified."""
+    """Radius R >= 1 with H(V_R+) in V_R+ and |y'| >= 2|y| there, proven."""
 
     R: float
-    certificate_samples: tuple = field(default_factory=tuple)
 
 
 def in_v_plus(z, R: float) -> bool:
@@ -312,40 +318,35 @@ def in_v_minus(z, R: float) -> bool:
     return abs(x) >= max(abs(y), R)
 
 
-def _certificate_ok(m: HenonMap, R: float, samples) -> bool:
-    for z in samples:
-        _, y1 = evaluate(m, z)
-        if abs(complex(y1)) < 2 * abs(complex(z[1])) - 1e-12:
-            return False
-    return True
+def doubling_radius(m: HenonMap, lead: float) -> float:
+    """Least r >= max(1, (2(1+S))^{1/(d-1)}) with lead/r^{d-1} +
+    sum_j |a_j|/r^{d-j} <= 1: lead 2+|a| proves forward doubling on V_r+,
+    lead 1+2|a| backward doubling on V_r- (see the module docstring)."""
+    d = m.d
+    b = [0.0] * (d + 1)  # the left side as a polynomial in t = 1/r <= 1
+    for j, c in enumerate(m.coeffs_complex):
+        b[d - j] = abs(c)
+    b[d - 1] += lead
+
+    def holds(r):
+        return horner(b, 1.0 / r) <= 1.0
+
+    lo = max(1.0, (2.0 * (1.0 + m.coeff_bound)) ** (1.0 / (d - 1)))
+    if holds(lo):
+        return lo
+    # for r >= 1 the left side is at most sum(b)/r, so hi holds with room
+    hi = 2.0 * sum(b)
+    while True:  # bisect geometrically: the ends may be 1e300 apart
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            return hi
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
-def estimate_filtration_radius(m: HenonMap, samples: int = 200, seed: int = 7) -> FiltrationRadius:
-    """R = max(1, (2(1+|a|+sum|a_j|))^{1/(d-1)}), certified on boundary samples.
-
-    Certificate points sit on the boundary |y| = max(|x|, R) of V_R+ and a
-    band above it; each must satisfy |y'| >= 2|y| (which already implies
-    H(z) stays in V_R+ since x' = y).  If a sample fails, R is escalated
-    by 1.5x until the certificate passes.
-    """
-    S = m.coeff_bound
-    R = max(1.0, (2.0 * (1.0 + S)) ** (1.0 / (m.d - 1)))
-    rng = random.Random(seed)
-    for _ in range(60):
-        pts = []
-        for i in range(samples):
-            t1, t2, u = rng.random(), rng.random(), rng.random()
-            if i % 2 == 0:
-                # on the sphere |y| = R, |x| <= R
-                y = R * cmath.exp(2j * math.pi * t1)
-                x = R * u * cmath.exp(2j * math.pi * t2)
-            else:
-                # diagonal boundary |x| = |y| = r >= R, plus interior band
-                r = R * (1.0 + 3.0 * u)
-                y = r * cmath.exp(2j * math.pi * t1)
-                x = r * rng.choice([1.0, rng.random()]) * cmath.exp(2j * math.pi * t2)
-            pts.append((x, y))
-        if _certificate_ok(m, R, pts):
-            return FiltrationRadius(R, tuple(pts))
-        R *= 1.5
-    raise InvalidMapError("could not certify a filtration radius for this map")
+def estimate_filtration_radius(m: HenonMap) -> FiltrationRadius:
+    """The forward doubling radius: H maps V_R+ = {|y| >= max(|x|, R)} into
+    itself with |y'| >= 2|y| (x' = y, so H(z) stays in V_R+)."""
+    return FiltrationRadius(doubling_radius(m, 2.0 + abs(m.a_complex)))

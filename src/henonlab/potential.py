@@ -4,7 +4,9 @@ G+(z) = lim d^{-n} log+ ||H^n z|| (sup-norm).  For escaping points the
 forward potential is refined through the infinite-product coordinate of
 the boettcher module once the orbit enters V_R+, with a certified tail
 bound.  The backward potential uses the crude estimator only, with a
-first-order log|a| correction.
+first-order log|a| correction, and walks into V_R- with R the larger of the
+forward and the backward doubling radius (maps.doubling_radius), so |x|
+provably doubles along the rest of the backward orbit.
 
 Membership in the non-escaping set is semi-decidable: the verdict
 "bounded-within-budget" is budget-stamped, never a claim about K+.
@@ -21,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .boettcher import _u_bound, phi_product, phi_tail_bound
-from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius,
+from .errors import DomainError
+from .maps import (FiltrationRadius, HenonMap, doubling_radius, estimate_filtration_radius,
                    evaluate, horner, in_v_minus, in_v_plus, overflow_limit)
 
 DEFAULT_BUDGET = 200
@@ -169,8 +172,9 @@ def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     """
     if target_error <= 0:
         raise ValueError("target_error must be positive")
-    filt = _filtration(m, filtration)
-    n_entry, w, overflowed = _find_entry(m, z, budget, filt.R, inverse=True)
+    # |x| doubles backwards on V_R- only past the backward radius
+    R = max(_filtration(m, filtration).R, doubling_radius(m, 1.0 + 2.0 * abs(m.a_complex)))
+    n_entry, w, overflowed = _find_entry(m, z, budget, R, inverse=True)
     if overflowed:
         return _overflow_value(m, n_entry, w)
     if n_entry is None:
@@ -230,7 +234,7 @@ def sample_escaping_points(m: HenonMap, count: int, seed: int = 0, box: float = 
         if _find_entry(m, z, budget, filt.R)[0] is not None:
             out.append(z)
     if len(out) < count:
-        raise RuntimeError("could not find enough escaping sample points")
+        raise DomainError("could not find enough escaping sample points")
     return out
 
 

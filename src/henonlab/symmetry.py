@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from ._exact import is_zero
 from .boettcher import LiftPolynomial
 from .covering import RootOfUnity, compute_L_prime, root_value
-from .errors import DomainError
+from .errors import DomainError, InconsistencyError
 from .maps import (FiltrationRadius, HenonMap, PolyMap2, compose_poly_maps,
                    estimate_filtration_radius, iterate_orbit, poly_map_of)
 from .potential import green_plus, sample_escaping_points
@@ -98,7 +98,7 @@ def detect_linear_symmetries(m: HenonMap) -> SymmetryGroup:
     for e1 in members:  # subgroup sanity
         for e2 in members:
             if (e1 + e2) % M not in members:
-                raise AssertionError("detected symmetry set is not closed under addition")
+                raise InconsistencyError("detected symmetry set is not closed under addition")
     return group
 
 
@@ -134,7 +134,8 @@ def classify_aut1(m: HenonMap, q: LiftPolynomial,
     """Case i: p(0) != 0; case ii: p = y^d; case iii: otherwise.
 
     k counts the detected linear symmetries, k' the lift-compatible
-    exponents of Q; asserts k <= k' and that both divide d^2 - 1.
+    exponents of Q; raises InconsistencyError unless k <= k' and both
+    divide d^2 - 1.
     """
     d = m.d
     idx = _nonzero_indices(m)
@@ -148,12 +149,12 @@ def classify_aut1(m: HenonMap, q: LiftPolynomial,
     k_prime = len(compute_L_prime(q, zero_threshold))
     M = d * d - 1
     if not (k <= k_prime and M % k == 0 and M % k_prime == 0):
-        raise AssertionError(
+        raise InconsistencyError(
             f"classification invariants violated: k={k}, k'={k_prime}, d^2-1={M}")
     if case == "i" and k != 1:
-        raise AssertionError("case i must have k = 1")
+        raise InconsistencyError("case i must have k = 1")
     if case == "ii" and (k != M or k_prime != M):
-        raise AssertionError("case ii must have k = k' = d^2-1")
+        raise InconsistencyError("case ii must have k = k' = d^2-1")
     return Aut1Classification(case, k, k_prime, k_prime % k == 0)
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from henonlab.cli import main, parse_map, parse_point, parse_scalar, UsageError
+from henonlab.covering import RootOfUnity
 
 M2 = '{"d":2,"p":[0],"a":3}'
 M3 = '{"d":3,"p":[0,0],"a":9}'
@@ -126,6 +127,14 @@ def test_units_reference_example(capsys):
     assert doc["unit"] is True and doc["sign"] == 1 and doc["exponents"] == [1, -1]
 
 
+def test_units_denominator_over_the_primes_of_d(capsys):
+    # 1/4 = 9/36 lies in Z[1/6] although 4 is no power of 6
+    code, out, _ = run(capsys, "units", "--d", "6", "--elem", "1/4")
+    assert code == 0
+    assert json.loads(out) == {"unit": True, "sign": 1, "exponents": [-2, 0],
+                               "subgroupT": None}
+
+
 def test_units_non_unit(capsys):
     code, out, _ = run(capsys, "units", "--d", "6", "--elem", "5/6")
     assert code == 0
@@ -162,6 +171,37 @@ def test_slice_export(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert len(doc["greenPlus"]) == 64
+
+
+# Two d = 8 maps whose old sampled filtration radius did not double |y|
+# forwards (classify divided by y = 0 inside V_R+) or |x| backwards (green
+# --minus returned -2.5e-73 for a bounded backward orbit).
+D8_FORWARD = ('{"d":8,"p":[[0,0],[0,0],[-0.7698788777547483,-1.9123799035882378],'
+              '[-2.0239828778404876,-1.7508550792741673],[0,0],'
+              '[-2.7354764940546,1.6200064163264472],[0,0]],'
+              '"a":[-0.05215380121212693,-0.005786613051275247]}')
+D8_BACKWARD = ('{"d":8,"p":[[-0.47406930307270434,-2.3085276611192738],[0,0],'
+               '[-1.3779297636279397,2.863617057148816],[0,0],[0,0],'
+               '[1.6499715482236068,0.28208535527097567],'
+               '[1.7747752332969426,0.6957433724376703]],'
+               '"a":[-22.89118005812839,-0.3125845303110205]}')
+
+
+def test_classify_d8_point_is_bounded_within_budget(capsys):
+    code, out, _ = run(capsys, "classify", "--map", D8_FORWARD, "--point",
+                       "0.0757965235710465-0.038072463359466485i,"
+                       "1.5436296220362746-0.047198134853721346i")
+    assert code == 0
+    assert json.loads(out)["status"] == "bounded-within-budget"
+
+
+def test_green_minus_d8_bounded_orbit_exhausts_budget(capsys):
+    code, out, _ = run(capsys, "green", "--minus", "--map", D8_BACKWARD, "--point",
+                       "0.6074954358611482-1.746114175868503i,"
+                       "0.635390977042096-1.2950572371718219i")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["budgetExhausted"] is True and doc["value"] >= 0
 
 
 # -- exit codes --------------------------------------------------------------
@@ -219,9 +259,22 @@ def test_non_finite_map_coefficient_is_exit_2(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
-def test_bad_threads_env_is_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("HENON_LAB_THREADS", "many")
-    assert run(capsys, "units", "--d", "2", "--elem", "2")[0] == 2
+def _one_line_error(code, out, err, expected_code, kind):
+    assert code == expected_code and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == kind
+
+
+@pytest.mark.parametrize("elem", ["1/5", "1/0"])
+def test_units_outside_ring_is_exit_2(capsys, elem):
+    _one_line_error(*run(capsys, "units", "--d", "6", "--elem", elem), 2, "usage")
+
+
+def test_symmetries_inconsistent_counts_is_exit_3(capsys, monkeypatch):
+    # one lift-compatible exponent where the map has eight symmetries: k > k'
+    from henonlab import symmetry
+    monkeypatch.setattr(symmetry, "compute_L_prime", lambda q, t=1e-9: [RootOfUnity(0, 8)])
+    _one_line_error(*run(capsys, "symmetries", "--map", M3), 3, "domain")
 
 
 def test_valid_threads_env_ok(capsys, monkeypatch):

@@ -7,7 +7,7 @@ search is the independent oracle for the unit criterion.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from henonlab import RingElem, UnitDecomposition, subgroup_membership, unit_decompose
@@ -52,14 +52,22 @@ def test_round_trip_through_fraction(d, m, k):
 
 def test_ring_from_fraction_rejects_foreign_denominator():
     assert ring_from_fraction(2, Fraction(1, 3)) is None
+    assert ring_from_fraction(6, Fraction(1, 5)) is None
+
+
+def test_ring_from_fraction_accepts_every_denominator_over_the_primes_of_d():
+    assert ring_from_fraction(2, Fraction(1, 2 ** 100)) == RingElem(2, 1, 100)
+    assert ring_from_fraction(6, Fraction(1, 4)) == RingElem(6, 9, 2)
 
 
 @settings(max_examples=60)
 @given(DS, MS, KS)
+@example(10, 256, 0)  # the only inverse is 390625/10^8
 def test_unit_criterion_agrees_with_brute_force(d, m, k):
     x = RingElem(d, m, k)
+    # |m| <= 300 < 2^9, so an inverse m'/d^k' has k' <= 9 and |m'| <= d^(k+9)
     assert (unit_decompose(x) is not None) == \
-        (brute_force_inverse(x, 300 * 300, 10) is not None)
+        (brute_force_inverse(x, d ** (x.k + 9), 9) is not None)
 
 
 @given(DS, MS, KS)

@@ -13,7 +13,8 @@ from henonlab import (DomainError, HenonMap, InvalidMapError, evaluate,
                       estimate_filtration_radius, iterate_orbit, normalize,
                       poly_map_of, compose_poly_maps)
 from henonlab._exact import QC
-from henonlab.maps import PolyMap2, horner, in_v_plus, in_v_minus, overflow_limit
+from henonlab.maps import (PolyMap2, doubling_radius, horner, in_v_minus, in_v_plus,
+                           overflow_limit)
 from henonlab.series import LaurentSeries2
 
 
@@ -113,18 +114,65 @@ def test_filtration_radius_values():
         (2 * (1 + 16 + 1)) ** (1 / 3))
 
 
-def test_filtration_doubling_certificate_10000_points():
-    """|y'| >= 2|y| on the boundary of V_R+ (the defining inequality)."""
+# Two d = 8 maps whose sampled radius was no doubling radius: an orbit of the
+# first reached y = 0 inside V_R+, one of the second left V_R- backwards.
+D8_FORWARD = HenonMap(8, complex(-0.05215380121212693, -0.005786613051275247), (
+    0, 0, complex(-0.7698788777547483, -1.9123799035882378),
+    complex(-2.0239828778404876, -1.7508550792741673), 0,
+    complex(-2.7354764940546, 1.6200064163264472), 0))
+D8_BACKWARD = HenonMap(8, complex(-22.89118005812839, -0.3125845303110205), (
+    complex(-0.47406930307270434, -2.3085276611192738), 0,
+    complex(-1.3779297636279397, 2.863617057148816), 0, 0,
+    complex(1.6499715482236068, 0.28208535527097567),
+    complex(1.7747752332969426, 0.6957433724376703)))
+
+
+def _doubling_maps():
+    """The three fixed maps, the two d = 8 maps above and 60 seeded maps,
+    d = 2..8, |a| in [0.01, 100], coefficients up to 3+3i."""
     rng = random.Random(13)
-    for m in (QUAD, CUBIC, QUARTIC):
+    out = [QUAD, CUBIC, QUARTIC, D8_FORWARD, D8_BACKWARD]
+    for i in range(60):
+        d = 2 + i % 7
+        a = cmath.rect(10 ** rng.uniform(-2, 2), rng.uniform(0, 2 * math.pi))
+        coeffs = tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) if rng.random() < 0.7
+                       else 0 for _ in range(d - 1))
+        out.append(HenonMap(d, a, coeffs))
+    return out
+
+
+def test_filtration_doubling_certificate_10000_points():
+    """|y'| >= 2|y| on V_R+ and |x'| >= 2|x| on V_r- (r the backward radius),
+    each at 170 points per map near the boundary, on the diagonal |x| = |y|
+    with the worst phase of the partner: -ax against p(y) forwards, -y
+    against p(x) backwards."""
+    rng = random.Random(17)
+    rel = 1e-9  # float rounding of one step, far below any sampled failure
+    for m in _doubling_maps():
+        a = abs(m.a_complex)
         R = estimate_filtration_radius(m).R
-        for _ in range(10_000 // 3 + 1):
-            r = R + rng.uniform(0, 4 * R)
-            y = cmath.rect(r, rng.uniform(0, 2 * math.pi))
-            x = cmath.rect(r * rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-            assert in_v_plus((x, y), R)
+        r_minus = doubling_radius(m, 1 + 2 * a)
+        for _ in range(170):
+            t = rng.choice([0.0, 4 * rng.random() ** 3])
+            y = cmath.rect(R * (1 + t), rng.uniform(0, 2 * math.pi))
+            py = m.p(y)
+            x = abs(y) * py / abs(py) * a / m.a_complex if py else y
             _, y1 = evaluate(m, (x, y))
-            assert abs(y1) >= 2 * abs(y)
+            assert abs(y1) >= 2 * abs(y) * (1 - rel), (m, x, y)
+
+            x = cmath.rect(r_minus * (1 + t), rng.uniform(0, 2 * math.pi))
+            px = m.p(x)
+            y = abs(x) * px / abs(px) if px else x
+            x1, _ = evaluate(m, (x, y), inverse=True)
+            assert abs(x1) >= 2 * abs(x) * (1 - rel), (m, x, y)
+
+
+def test_filtration_radius_for_coefficients_up_to_1e300():
+    for d in range(2, 9):
+        m = HenonMap(d, 1e300, (1e300,) * (d - 1))
+        formula = (2 * (1 + d * 1e300)) ** (1 / (d - 1))
+        for r in (estimate_filtration_radius(m).R, doubling_radius(m, 1 + 2e300)):
+            assert math.isfinite(r) and r >= formula * (1 - 1e-15)
 
 
 def test_iterate_orbit_truncates_on_overflow():

@@ -8,7 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from henonlab import HenonMap, classify_point, evaluate, green_minus, green_plus
+from henonlab import (DomainError, HenonMap, classify_point, evaluate, green_minus,
+                      green_plus)
 from henonlab.maps import FiltrationRadius, estimate_filtration_radius, horner
 from henonlab.potential import (_DEEP, _FLOAT_NOISE, crude_green_plus, green_plus_grid,
                                 sample_escaping_points)
@@ -36,6 +37,12 @@ def test_green_minus_far_point_is_finite():
     g = green_minus(QUAD, (1e200, 1e199))
     assert math.isfinite(g.value) and g.value >= 0.0
     assert math.isfinite(g.error_bound) and g.error_bound >= 0.0
+
+
+def test_too_few_escaping_points_is_a_domain_error():
+    # the box around the origin lies in the bounded set of y^2, a = 3
+    with pytest.raises(DomainError):
+        sample_escaping_points(QUAD, 1, box=1e-9, budget=1)
 
 
 def test_green_nonnegative_and_zero_on_bounded_orbit():

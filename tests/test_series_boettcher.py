@@ -4,12 +4,14 @@ semiconjugacy functional."""
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
                       derive_lift_polynomial, evaluate, phi, psi,
                       semiconjugacy_residual)
+from henonlab.boettcher import digits_needed
 from henonlab.maps import estimate_filtration_radius
 from henonlab.series import LaurentSeries2
 
@@ -146,3 +148,19 @@ def test_semiconjugacy_detects_wrong_q():
     assert r_bad > 0.01
     # constant perturbation telescopes to exactly (d/a)^depth in the residual
     assert r_bad == pytest.approx((m.d / abs(complex(m.a))) ** 2, rel=0.2)
+
+
+def test_psi_converges_for_cubic_with_non_dyadic_q():
+    """p = y^3 + 1, a = 9 has A_1 = -1/3; passed to mpmath as a double, its
+    53-bit error times |phi|^3 made psi grow with depth instead of converge."""
+    m = HenonMap(3, 9, (1, 0))
+    q = derive_lift_polynomial(m, "formal-series")
+    assert q.A[1] == Fraction(-1, 3)
+    z = (0.5, 10.0)
+    gaps = [psi(m, z, q, depth).convergence_gap for depth in (3, 4, 5)]
+    assert gaps[2] < gaps[1] < gaps[0]
+    hz = evaluate(m, z)
+    r3, r4 = (semiconjugacy_residual(
+        m, q, [z], depth, max(digits_needed(m, z, depth), digits_needed(m, hz, depth)))
+        for depth in (3, 4))
+    assert r4 <= (m.d / abs(complex(m.a)) + 0.1) * r3
