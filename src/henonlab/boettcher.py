@@ -3,7 +3,11 @@
 phi(x,y) = y * prod_{j>=0} (1 + q(x_j,y_j)/y_j^d)^(1/d^{j+1}) with
 q(x,y) = p(y) - ax - y^d, satisfying phi o H = phi^d and G+ = log|phi|.
 Every factor uses the principal branch, which is safe while
-|q/y^d| < 1/2 (enforced at runtime, never assumed).
+|q/y^d| < 1/2 (enforced at runtime, never assumed).  The product to J
+equals y_J^{1/d^J}: phi_mp takes that root with one log and one exp, its
+winding theta_{j+1} = d theta_j + Arg(1+u_j) tracked in doubles.  mpmath
+computes a high-precision mpc**n as exp(n log z), so the mpmath paths
+carry integer powers by multiplication.
 
 Q(zeta) = zeta^{d+1} + A_{d-1} zeta^{d-1} + ... + A_0 is the first-
 coordinate polynomial of the covering model ((a/d)z + Q(zeta), zeta^d).
@@ -145,32 +149,44 @@ def _mp(v):
                   mp.mpf(q.im.numerator) / q.im.denominator)
 
 
+def _ipow(w, n: int):
+    """w**n, n >= 1, by multiplication (mpmath's mpc**n may take a log)."""
+    out = w
+    for _ in range(n - 1):
+        out *= w
+    return out
+
+
 def phi_mp(m: HenonMap, z, dps: int):
-    """Arbitrary-precision phi; truncation chosen so the tail is below the
-    working precision.  Must be called inside an mp.workdps context."""
+    """Arbitrary-precision phi = exp((Log y_J + 2 pi i k)/d^J), J chosen so the
+    tail is below the working precision.  Call inside an mp.workdps context."""
     x, y = _mp(z[0]), _mp(z[1])
     d = m.d
     a = _mp(m.a)
     coeffs = [_mp(c) for c in m.coeffs]
-    p_coeffs = (*coeffs, 0, 1)
-    val = y
-    cur = (x, y)
     cutoff = mp.mpf(10) ** (-(dps + 10))
     Asum = sum(abs(c) for c in coeffs) if coeffs else mp.mpf(0)
     Babs = abs(a)
-    for j in range(4 * dps + 60):
-        xj, yj = cur
-        ya = abs(yj)
+    theta, J = cmath.phase(complex(y)), 0
+    while J < 4 * dps + 60:
+        ya = abs(y)
         # certified bound on this and all later factors (|y| keeps doubling)
         if Asum / ya ** 2 + Babs / ya ** (d - 1) < cutoff:
             break
-        u = (horner(coeffs, yj) - a * xj) / yj ** d
+        q = horner(coeffs, y) - a * x
+        yd = _ipow(y, d)
+        u = complex(q / yd)
         if abs(u) >= 0.5:
             raise DomainError("branch safety violated in phi_mp")
-        if u != 0:
-            val *= mp.exp(mp.log(1 + u) / mp.mpf(d) ** (j + 1))
-        cur = (yj, horner(p_coeffs, yj) - a * xj)
-    return val
+        theta = d * theta + cmath.phase(1 + u)
+        x, y, J = y, yd + q, J + 1
+    log_y = mp.log(y)
+    turns = (theta - float(log_y.imag)) / (2 * math.pi)
+    # |theta| < 2^40 keeps its double rounding error far below a quarter turn
+    if not (abs(theta) < 2.0 ** 40 and abs(turns - round(turns)) <= 0.25):
+        raise PrecisionError(f"phi_mp winding not resolved: {turns:.3f} turns")
+    k = round(turns)
+    return mp.exp((log_y + (mp.mpc(0, 2 * mp.pi * k) if k else 0)) / d ** J)
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +397,10 @@ def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
             phiv = phi_mp(m, (mp.mpf(0), rho), digits)
             # T = x1*y1 - (a/d)*x*y - phi^{d+1}, with x = 0
             y1 = horner((*(_mp(c) for c in m.coeffs), 0, 1), rho)
-            T = rho * y1 - phiv ** (d + 1)
-            basis = [phiv ** k for k in range(1, d)] + [rho ** (-j) for j in range(M + 1)]
-            rows.append(basis)
-            rhs.append(T)
-        Amat = mp.matrix(rows)
-        bvec = mp.matrix(rhs)
-        sol = mp.qr_solve(Amat, bvec)[0]
-        A = [0j] * d
-        for k in range(1, d):
-            v = sol[k - 1]
-            A[k] = complex(v)
-    return LiftPolynomial(d, tuple(A))
+            rhs.append(rho * y1 - _ipow(phiv, d + 1))
+            rows.append([_ipow(phiv, k) for k in range(1, d)] + [rho ** -j for j in range(M + 1)])
+        sol = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))[0]
+    return LiftPolynomial(d, (0j, *(complex(sol[k]) for k in range(d - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +426,7 @@ def digits_needed(m: HenonMap, z, depth: int) -> int:
 
 
 def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
-    """(psi_depth, psi_{depth-1}) inside an mp context of dps digits."""
+    """(psi_depth, psi_{depth-1}, phi(z)) inside an mp context of dps digits."""
     d = m.d
     a = _mp(m.a)
     p_coeffs = (*(_mp(c) for c in m.coeffs), 0, 1)
@@ -427,14 +435,17 @@ def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
     phi0 = phi_mp(m, cur, dps)
     q_coeffs = (*(_mp(c) for c in q.A), 0, 1)
     qsum = mp.mpf(0)
+    scale, phij = mp.mpf(1), phi0  # (d/a)^j and phi(H^j z) = phi0^(d^j)
     prev = None
     for j in range(depth):
         if j == depth - 1:
-            prev = doa ** (depth - 1) * cur[0] * cur[1] - qsum
-        qsum += doa ** (j + 1) * horner(q_coeffs, phi0 ** (d ** j))
+            prev = scale * cur[0] * cur[1] - qsum
+        scale *= doa
+        qsum += scale * horner(q_coeffs, phij)
+        phij = _ipow(phij, d)
         cur = (cur[1], horner(p_coeffs, cur[1]) - a * cur[0])
-    psi_n = doa ** depth * cur[0] * cur[1] - qsum
-    return psi_n, prev
+    psi_n = scale * cur[0] * cur[1] - qsum
+    return psi_n, prev, phi0
 
 
 def psi(m: HenonMap, z, q: LiftPolynomial, depth: int,
@@ -447,18 +458,12 @@ def psi(m: HenonMap, z, q: LiftPolynomial, depth: int,
     if not in_v_plus(z, filt.R):
         raise DomainError("psi requires z in V_R+")
     need = digits_needed(m, z, depth)
-    if precision_digits is None:
-        dps = need
-    elif precision_digits < need:
-        raise PrecisionError(
-            f"depth {depth} at this point needs about {need} digits, "
-            f"got {precision_digits}")
-    else:
-        dps = precision_digits
+    dps = need if precision_digits is None else precision_digits
+    if dps < need:
+        raise PrecisionError(f"depth {depth} at this point needs about {need} digits, got {dps}")
     with mp.workdps(dps):
-        psi_n, psi_prev = _psi_partials(m, z, q, depth, dps)
-        gap = abs(psi_n - psi_prev) if psi_prev is not None else float("nan")
-        return PsiValue(complex(psi_n), depth, dps, float(gap))
+        psi_n, psi_prev, _ = _psi_partials(m, z, q, depth, dps)
+        return PsiValue(complex(psi_n), depth, dps, float(abs(psi_n - psi_prev)))
 
 
 def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequence,
@@ -481,14 +486,11 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
             raise PrecisionError(
                 f"depth {depth} needs about {need} digits, got {precision_digits}")
         with mp.workdps(precision_digits):
-            a = _mp(m.a)
-            aod = a / mp.mpf(m.d)
-            psi_z, _ = _psi_partials(m, z, q, depth, precision_digits)
-            psi_hz, _ = _psi_partials(m, hz, q, depth, precision_digits)
-            phi_z = phi_mp(m, z, precision_digits)
-            phi_hz = phi_mp(m, hz, precision_digits)
+            aod = _mp(m.a) / m.d
+            psi_z, _, phi_z = _psi_partials(m, z, q, depth, precision_digits)
+            psi_hz, _, phi_hz = _psi_partials(m, hz, q, depth, precision_digits)
             q_phi = horner((*(_mp(c) for c in q.A), 0, 1), phi_z)
             r1 = abs(aod * psi_z + q_phi - psi_hz)
-            r2 = abs(phi_z ** m.d - phi_hz)
+            r2 = abs(_ipow(phi_z, m.d) - phi_hz)
             worst = max(worst, float(r1), float(r2))
     return worst

@@ -283,8 +283,17 @@ def _add_map(p: argparse.ArgumentParser) -> None:
                         '{"d":3,"p":[...],"a":...}')
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 2 with one JSON line; subparsers inherit the class."""
+
+    def error(self, message):
+        if message.endswith("expected one argument"):
+            message += "; join a value that starts with '-' to its option: --point=-1,2"
+        raise SystemExit(_fail(2, "usage", UsageError(f"{self.prog}: {message}")))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="henonlab",
         description="Escape-rate potentials, Boettcher coordinates, covering "
                     "algebra, and sub-level set sampling for complex Henon maps.")

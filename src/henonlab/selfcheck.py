@@ -11,6 +11,7 @@ import cmath
 import hashlib
 import math
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -367,7 +368,9 @@ ALL_CHECKS = (
 def run_all(printer=print) -> bool:
     all_ok = True
     for fn in ALL_CHECKS:
+        t0 = time.perf_counter()
         res = fn()
         all_ok = all_ok and res.passed
-        printer(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
+        printer(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail} "
+                f"({time.perf_counter() - t0:.2f} s)")
     return all_ok

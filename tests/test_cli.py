@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -207,7 +208,32 @@ def test_green_minus_d8_bounded_orbit_exhausts_budget(capsys):
 # -- exit codes --------------------------------------------------------------
 
 def test_bad_subcommand_is_usage_error(capsys):
-    assert run(capsys, "frobnicate")[0] == 2
+    _one_line_error(*run(capsys, "frobnicate"), 2, "usage")
+
+
+def test_missing_required_argument_is_one_json_line(capsys):
+    _one_line_error(*run(capsys, "classify", "--point", "0,0"), 2, "usage")
+
+
+def test_negative_point_as_separate_word_points_to_equals_form(capsys):
+    code, out, err = run(capsys, "green", "--map", M2, "--point", "-1,2")
+    _one_line_error(code, out, err, 2, "usage")
+    assert "--point=-1,2" in json.loads(err)["message"]
+
+
+def test_help_still_exits_0(capsys):
+    code, out, _ = run(capsys, "green", "--help")
+    assert code == 0 and "--point" in out
+
+
+def test_selftest_lines_carry_wall_time(capsys, monkeypatch):
+    from henonlab import selfcheck
+    checks = [lambda: selfcheck.CheckResult("ok", True, "fine"),
+              lambda: selfcheck.CheckResult("bad", False, "off")]
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", checks)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 5
+    assert re.fullmatch(r"PASS ok: fine \(\d+\.\d\d s\)\nFAIL bad: off \(\d+\.\d\d s\)\n", out)
 
 
 def test_bad_map_is_usage_error(capsys):

@@ -6,13 +6,14 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
                       derive_lift_polynomial, evaluate, phi, psi,
                       semiconjugacy_residual)
-from henonlab.boettcher import digits_needed
-from henonlab.maps import estimate_filtration_radius
+from henonlab.boettcher import _mp, digits_needed, phi_mp
+from henonlab.maps import estimate_filtration_radius, horner
 from henonlab.series import LaurentSeries2
 
 QUAD = HenonMap(2, 3, (0,))
@@ -73,6 +74,58 @@ def test_u_bound_holds_past_1e150():
 def test_phi_asymptotic_to_y():
     pv = phi(QUAD, (0, 1e8))
     assert pv.value == pytest.approx(1e8, rel=1e-7)
+
+
+def _phi_mp_per_factor(m, z, dps):
+    """Reference: y * prod_j (1+u_j)^(1/d^(j+1)), one principal log and exp per
+    factor, with phi_mp's cutoff; returns (phi, J, y_J)."""
+    x, y = _mp(z[0]), _mp(z[1])
+    d, a = m.d, _mp(m.a)
+    coeffs = [_mp(c) for c in m.coeffs]
+    val, cutoff = y, mp.mpf(10) ** (-(dps + 10))
+    Asum, Babs = sum(abs(c) for c in coeffs), abs(a)
+    J = 0
+    while Asum / abs(y) ** 2 + Babs / abs(y) ** (d - 1) >= cutoff:
+        q = horner(coeffs, y) - a * x
+        u = q / y ** d
+        assert abs(u) < 0.5
+        val *= mp.exp(mp.log(1 + u) / mp.mpf(d) ** (J + 1))
+        x, y, J = y, y ** d + q, J + 1
+    return val, J, y
+
+
+def _complex_maps():
+    rng = random.Random(2024)
+    for d in range(2, 7):
+        a = complex(rng.uniform(-4, 4), rng.uniform(0.5, 4))
+        yield HenonMap(d, a, tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                   for _ in range(d - 1)))
+
+
+@pytest.mark.parametrize("dps", [30, 80, 400])
+def test_phi_mp_matches_per_factor_product(dps):
+    """phi_mp = y_J^(1/d^J) with a tracked winding agrees with the per-factor
+    product, including arg y within 1e-3 of +-pi and windings of several turns."""
+    windings = set()
+    for m in _complex_maps():
+        r = 3 * estimate_filtration_radius(m).R
+        for t in (math.pi - 5e-4, -math.pi + 5e-4, 2.5, -0.7):
+            z = (cmath.rect(0.5 * r, 1.0 - t), cmath.rect(r, t))
+            with mp.workdps(dps):
+                want, J, yJ = _phi_mp_per_factor(m, z, dps)
+                got = phi_mp(m, z, dps)
+                assert abs(got - want) <= mp.mpf(10) ** (2 - dps) * abs(want)
+                windings.add(int(mp.nint((m.d ** J * mp.arg(want) - mp.arg(yJ)) / (2 * mp.pi))))
+    assert max(map(abs, windings)) >= 3
+
+
+def test_psi_complex_a_depth_5_stable_under_30_more_digits():
+    m = HenonMap(3, 5 + 4j, (0.5 - 1j, 1 + 0.25j))
+    q = derive_lift_polynomial(m, "formal-series")
+    z = (0.3 + 0.2j, cmath.rect(2.2 * estimate_filtration_radius(m).R, 2.0))
+    base = psi(m, z, q, 5)
+    more = psi(m, z, q, 5, precision_digits=base.precision_digits + 30)
+    assert abs(more.value - base.value) <= 1e-12 * max(1.0, abs(base.value))
 
 
 # -- lift polynomial Q -------------------------------------------------------
