@@ -1,8 +1,13 @@
-"""Exact rational-complex scalars.
+"""Exact rational-complex scalars and the one exactness rule.
 
 QC is a complex number with Fraction real and imaginary parts.  Mixed
 arithmetic with floats/complex degrades to complex, so generic code can
 use ordinary operators and stay exact exactly when all inputs are exact.
+
+The rule is decided here and nowhere else: `field` puts a list of scalars
+into one field up front (all QC when every one is exact, all complex
+otherwise), and `support` says which of them are nonzero (exactly nonzero
+in Q(i), above the caller's tolerance in floats).
 """
 
 from __future__ import annotations
@@ -127,6 +132,26 @@ def as_exact(v):
     if isinstance(v, Rational):
         return QC(Fraction(v))
     return None
+
+
+def field(values) -> list:
+    """values as QC when every one is exact, else every one as complex."""
+    exact = [as_exact(v) for v in values]
+    if any(q is None for q in exact):
+        return [complex(v) for v in values]
+    return exact
+
+
+def zero_of(v):
+    """The zero of v's field: QC(0) for an exact v, 0.0 for an inexact one."""
+    return QC(0) if as_exact(v) is not None else 0.0
+
+
+def support(values, tol: float) -> list:
+    """Indices of the nonzero entries of field(values): an exact entry
+    unless it is exactly zero, an inexact one when its modulus exceeds tol."""
+    return [j for j, v in enumerate(field(values))
+            if (not v.is_zero() if isinstance(v, QC) else abs(v) > tol)]
 
 
 def is_zero(v) -> bool:

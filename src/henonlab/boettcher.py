@@ -2,8 +2,11 @@
 
 phi(x,y) = y * prod_{j>=0} (1 + q(x_j,y_j)/y_j^d)^(1/d^{j+1}) with
 q(x,y) = p(y) - ax - y^d, satisfying phi o H = phi^d and G+ = log|phi|.
-Every factor uses the principal branch, which is safe while
-|q/y^d| < 1/2 (enforced at runtime, never assumed).  The product to J
+Every factor uses the principal branch, which needs only Re(1+u) > 0 for
+u = q/y^d; the guard |u| < 1 is enforced at runtime, never assumed (on
+V_R+ the doubling radius gives |u| <= 1 - 2/|y|^{d-1}, not 1/2).  The
+tail bound uses |log(1+u)| <= 2|u|, which needs |u| <= 1/2: it starts at
+J >= 1, where |y_J| >= 2R gives that.  The product to J
 equals y_J^{1/d^J}: phi_mp takes that root with one log and one exp, its
 winding theta_{j+1} = d theta_j + Arg(1+u_j) tracked in doubles.  mpmath
 computes a high-precision mpc**n as exp(n log z), so the mpmath paths
@@ -16,9 +19,14 @@ Two independent derivations are provided:
 * formal-series: expand E = x1*y1 - (a/d)xy - Q(phi) in monomials
   x^i y^m; convergence of the telescoping sum defining psi requires every
   coefficient with orbit grade m*d + i > 0 to vanish (on deep orbits
-  x_N ~ y_N^{1/d}, so x^i y^m scales like y_N^{(m*d+i)/d}).  Those
-  vanishing conditions are linear in A_1..A_{d-1} and are solved exactly
-  in rational-complex arithmetic when the map is rational.
+  x_N ~ y_N^{1/d}, so x^i y^m scales like y_N^{(m*d+i)/d}).  With
+  phi = y*F, G_k = y^k F^k has coefficient 1 at y^k and no monomial of
+  grade above k, so the conditions at y^{d-1}, ..., y^1 are unit upper
+  triangular in A_{d-1}, ..., A_1: back-substitution solves them with no
+  division, exactly in rational-complex arithmetic when the map is
+  rational.  Every other positive-grade monomial of
+  E = E0 - sum A_k G_k must then vanish (exactly, or to a tolerance in
+  floats), or the derivation raises InconsistencyError.
 * bigfloat-fit: evaluate T = x1*y1 - phi^{d+1} at x=0 over geometric
   radii in arbitrary precision and fit T = sum A_k phi^k + sum e_j rho^{-j}
   (the rho^{-j} block plays the role of Richardson extrapolation).
@@ -43,7 +51,7 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from ._exact import QC, as_exact, is_zero
+from ._exact import as_exact, field, is_zero, support, zero_of
 from .errors import DomainError, InconsistencyError, PrecisionError, UnderdeterminedError
 from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate, horner,
                    in_v_plus, overflow_limit)
@@ -111,10 +119,9 @@ def phi_product(m: HenonMap, z, J: int) -> complex:
         if abs(yj) > lim:  # y^d could overflow past the limit; |q/y^d| is negligible there
             break
         u = _q_value(m, xj, yj) / yj ** d
-        if abs(u) >= 0.5:
+        if abs(u) >= 1.0:
             raise DomainError(
-                f"branch safety violated: |q/y^d| = {abs(u):.3f} >= 1/2 at step {j}; "
-                "use a larger filtration radius")
+                f"branch safety violated: |q/y^d| = {abs(u):.3f} >= 1 at step {j}")
         if abs(u) > 1e-19:
             val *= cmath.exp(cmath.log(1 + u) / d ** (j + 1))
         cur = evaluate(m, cur)
@@ -176,7 +183,7 @@ def phi_mp(m: HenonMap, z, dps: int):
         q = horner(coeffs, y) - a * x
         yd = _ipow(y, d)
         u = complex(q / yd)
-        if abs(u) >= 0.5:
+        if abs(u) >= 1.0:
             raise DomainError("branch safety violated in phi_mp")
         theta = d * theta + cmath.phase(1 + u)
         x, y, J = y, yd + q, J + 1
@@ -192,6 +199,10 @@ def phi_mp(m: HenonMap, z, dps: int):
 # ---------------------------------------------------------------------------
 # Lift polynomial
 # ---------------------------------------------------------------------------
+
+# an inexact A_j at or below this modulus counts as zero
+_A_ZERO = 1e-9
+
 
 @dataclass(frozen=True)
 class LiftPolynomial:
@@ -213,8 +224,9 @@ class LiftPolynomial:
         """Evaluate Q; exact for exact zeta and coefficients."""
         return horner((*self.A, 0, 1), zeta)
 
-    def nonzero_indices(self, threshold: float = 1e-9):
-        return [j for j in range(1, self.d) if abs(complex(self.A[j])) >= threshold]
+    def nonzero_indices(self):
+        """Indices j >= 1 of the nonzero A_j under the support rule of _exact."""
+        return [j for j in support(self.A, _A_ZERO) if j >= 1]
 
 
 def derive_lift_polynomial(m: HenonMap, strategy: str = "formal-series",
@@ -247,32 +259,18 @@ def _phi_factor_bases(m: HenonMap, dmin: int):
     Y_{j+1} = Y_j^d (1 + u_j); all series have grades <= 0.
     """
     d = m.d
-    exact = m.exact
-    if exact:
-        coeffs = [as_exact(c) for c in m.coeffs]
-        a = as_exact(m.a)
-    else:
-        coeffs = [complex(c) for c in m.coeffs]
-        a = complex(m.a)
+    a, *coeffs = field([m.a, *m.coeffs])
 
     one = LaurentSeries2.const(1, dmin)
     # u_0 = sum a_k y^{k-d} - a x y^{-d}
-    u0 = LaurentSeries2(dmin)
-    for k, c in enumerate(coeffs):
-        if not is_zero(c):
-            u0 = u0 + LaurentSeries2.mono(c, 0, k - d, dmin)
-    u0 = u0 + LaurentSeries2.mono(-a, 1, -d, dmin)
-
+    u0 = LaurentSeries2(dmin, {**{(0, k - d): c for k, c in enumerate(coeffs)}, (1, -d): -a})
     bases = [(one + u0, d)]
-    Yprev = one
-    Ycur = one + u0
+    Yprev, Ycur = one, one + u0
     for j in range(1, 60):
         uj = LaurentSeries2(dmin)
         for k, c in enumerate(coeffs):
-            if is_zero(c):
-                continue
             e = d ** j * (k - d)
-            if e >= dmin:
+            if e >= dmin and not is_zero(c):
                 uj = uj + Ycur.binomial_pow(k - d).shifted(0, e).scaled(c)
         e2 = -(d ** (j - 1)) * (d * d - 1)
         if e2 >= dmin:
@@ -284,101 +282,44 @@ def _phi_factor_bases(m: HenonMap, dmin: int):
     return bases
 
 
-def _f_power(bases, k: int, dmin: int):
-    """F^k where phi = y*F, as prod (1+u_j)^{k/d^{j+1}}."""
-    out = LaurentSeries2.const(1, dmin)
-    for base, denom in bases:
-        out = out * base.binomial_pow(Fraction(k, denom))
-    return out
-
-
 def _derive_formal(m: HenonMap, truncation: Optional[int]) -> LiftPolynomial:
     d = m.d
     dmin = -(d + 4) if truncation is None else -abs(truncation)
     if dmin > -d:
         raise UnderdeterminedError(
             f"truncation floor {dmin} too shallow; need at least -(d) = {-d}")
-    exact = m.exact
-    bases = _phi_factor_bases(m, dmin)
+    a, *coeffs = field([m.a, *m.coeffs])
 
-    if exact:
-        a = as_exact(m.a)
-        a_scaled = a * (1 + Fraction(1, d))
-        coeffs = [as_exact(c) for c in m.coeffs]
-    else:
-        a = complex(m.a)
-        a_scaled = a * (1 + 1.0 / d)
-        coeffs = [complex(c) for c in m.coeffs]
+    # F = phi/y.  The conditions read E0 and G_k = y^k F^k, k <= d+1, at
+    # grades >= 1 only, so the series below are kept to grade -d; the grades
+    # of F are all <= 0, so its truncated powers are exact there
+    F = LaurentSeries2.const(1, -d)
+    for base, denom in _phi_factor_bases(m, dmin):
+        F = F * base.binomial_pow(Fraction(1, denom))
+    G = [(F ** k).shifted(0, k) for k in range(d + 2)]  # G_k = y^k F^k
 
-    # E0 = y*p(y) - (a + a/d)*x*y - y^{d+1} F^{d+1}
-    E0 = LaurentSeries2.mono(1, 0, d + 1, dmin)
-    for j, c in enumerate(coeffs):
-        if not is_zero(c):
-            E0 = E0 + LaurentSeries2.mono(c, 0, j + 1, dmin)
-    E0 = E0 + LaurentSeries2.mono(-a_scaled, 1, 1, dmin)
-    E0 = E0 - _f_power(bases, d + 1, dmin).shifted(0, d + 1)
+    # E0 = y*p(y) - (a + a/d)*x*y - G_{d+1}
+    E0 = LaurentSeries2(-d, {(0, j + 1): c for j, c in enumerate((*coeffs, 0, 1))})
+    E0 = E0 + LaurentSeries2.mono(-a * (d + 1) / d, 1, 1, -d) - G[d + 1]
 
-    G = {k: _f_power(bases, k, dmin).shifted(0, k) for k in range(1, d)}
+    # the conditions at y^{d-1}, ..., y^1 are unit upper triangular
+    A = [0] * d
+    for j in range(d - 1, 0, -1):
+        A[j] = E0.coeff(0, j) - sum(A[k] * G[k].coeff(0, j) for k in range(j + 1, d))
+    A[1:] = field([a, *A[1:]])[1:]
+    E = E0
+    for k in range(1, d):
+        E = E - G[k].scaled(A[k])
 
-    # vanishing conditions: all monomials with orbit grade m*d + i > 0
-    keys = set(E0.terms)
-    for g in G.values():
-        keys |= set(g.terms)
-    keys = sorted(k for k in keys if k[1] * d + k[0] > 0)
-
-    # E = E0 - sum_k A_k G_k, so each condition reads sum_k A_k G_k = E0
-    nunk = d - 1
-    rows = [[G[k + 1].coeff(i, mth) for k in range(nunk)] + [E0.coeff(i, mth)]
-            for (i, mth) in keys]
-    sol = _solve_overdetermined(rows, nunk, exact)
-    zero = QC(0) if exact else 0.0
-    return LiftPolynomial(d, (zero, *sol))
-
-
-def _solve_overdetermined(rows, nunk, exact):
-    """Gauss-Jordan with consistency check of the leftover rows."""
-    work = [list(r) for r in rows]
-    piv_rows = []
-    row_of_col = {}
-    used = set()
-    for col in range(nunk):
-        best, best_mag = None, 0.0
-        for ri, r in enumerate(work):
-            if ri in used or is_zero(r[col]):
-                continue
-            mag = abs(complex(r[col]))
-            if exact:
-                best = ri
-                break
-            if mag > best_mag:
-                best, best_mag = ri, mag
-        if best is None:
-            raise UnderdeterminedError(
-                f"truncation too low: no condition determines coefficient A_{col + 1}")
-        used.add(best)
-        row_of_col[col] = best
-        pr = work[best]
-        piv = pr[col]
-        if exact and not isinstance(piv, QC):
-            piv = QC(piv)
-        inv = (QC(1) / piv) if isinstance(piv, QC) else 1.0 / piv
-        work[best] = [inv * v for v in pr]
-        for ri, r in enumerate(work):
-            if ri == best or is_zero(r[col]):
-                continue
-            f = r[col]
-            work[ri] = [rv - f * pv for rv, pv in zip(r, work[best])]
-    sol = [work[row_of_col[c]][nunk] for c in range(nunk)]
-    # leftover rows must be (near) zero
-    scale = max((abs(complex(v)) for r in rows for v in r), default=1.0)
-    for ri, r in enumerate(work):
-        if ri in used:
-            continue
-        resid = max((abs(complex(v)) for v in r), default=0.0)
-        if (exact and resid != 0.0) or (not exact and resid > 1e-9 * max(scale, 1.0)):
-            raise InconsistencyError(
-                f"formal conditions inconsistent: residual {resid:.2e}")
-    return sol
+    # every other monomial of positive orbit grade m*d + i must vanish
+    graded = {k for s in (E0, *G[1:d]) for k in s.terms if k[1] * d + k[0] > 0}
+    scale = max((abs(complex(s.coeff(*k))) for s in (E0, *G[1:d]) for k in graded),
+                default=1.0)
+    resid = [E.coeff(*k) for k in graded]
+    if support(resid, 1e-9 * max(scale, 1.0)):
+        worst = max(abs(complex(v)) for v in resid)
+        raise InconsistencyError(f"formal conditions inconsistent: residual {worst:.2e}")
+    return LiftPolynomial(d, (zero_of(a), *A[1:]))
 
 
 # -- bigfloat-fit strategy --------------------------------------------------
@@ -399,7 +340,12 @@ def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
             y1 = horner((*(_mp(c) for c in m.coeffs), 0, 1), rho)
             rhs.append(rho * y1 - _ipow(phiv, d + 1))
             rows.append([_ipow(phiv, k) for k in range(1, d)] + [rho ** -j for j in range(M + 1)])
-        sol = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))[0]
+        try:
+            sol = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))[0]
+        except ValueError as exc:  # mpmath: "matrix is numerically singular"
+            raise PrecisionError(
+                f"fit matrix is numerically singular at {digits} digits; "
+                "raise --digits") from exc
     return LiftPolynomial(d, (0j, *(complex(sol[k]) for k in range(d - 1))))
 
 

@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .boettcher import LiftPolynomial, derive_lift_polynomial, phi
+from .boettcher import derive_lift_polynomial, phi
 from .covering import (FiberAffineMap, RootOfUnity, deck_eval, deck_rational,
                        push, push_iterated)
 from .dyadic import ring_from_fraction, subgroup_membership, unit_decompose
@@ -190,7 +190,7 @@ def _parse_gamma(s: str):
     if "/" in s and "i" not in s and "j" not in s:
         try:
             return Fraction(s)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise UsageError(f"cannot parse gamma {s!r}") from None
     return complex(parse_scalar(s))
 
@@ -243,6 +243,7 @@ def cmd_units(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    _finite(args.c, args.c)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -261,7 +262,10 @@ def cmd_slice(args) -> int:
             extent=s.get("extent", 3.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"invalid slice spec: {exc}") from None
-    grid = sample_slice(m, spec, args.c, budget=doc.get("budget", 200))
+    budget = doc.get("budget", 200)
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise UsageError(f"budget must be a non-negative integer, got {budget!r}")
+    grid = sample_slice(m, spec, args.c, budget=budget)
     export_grid(grid, args.format, args.out)
     _emit({"out": args.out, "format": args.format,
            "gridW": spec.grid_w, "gridH": spec.grid_h, "c": args.c})

@@ -219,30 +219,23 @@ def deck_eval(r: DeckRational, point, q: LiftPolynomial, a) -> tuple:
     return (z + ratio * shift, w * zeta)
 
 
-def henon_lift(point, q: LiftPolynomial, a, variant: str = "a-over-d") -> tuple:
-    """The covering model map; variant 'd-over-a' exists only so the
-    convention-pinning test can demonstrate that it fails."""
-    if variant not in ("a-over-d", "d-over-a"):
-        raise ValueError(f"unknown variant {variant!r}")
+def henon_lift(point, q: LiftPolynomial, a) -> tuple:
+    """The covering model map (z, zeta) -> ((a/d) z + Q(zeta), zeta^d)."""
     z, zeta = point
-    first = ((complex(a) / q.d) if variant == "a-over-d" else (q.d / complex(a))) * z \
-        + q.q_eval(zeta)
-    return (first, zeta ** q.d)
+    return ((complex(a) / q.d) * z + q.q_eval(zeta), zeta ** q.d)
 
 
 # ---------------------------------------------------------------------------
 # The exponent constraint set of Q
 # ---------------------------------------------------------------------------
 
-def compute_L_prime(q: LiftPolynomial, zero_threshold: float = 1e-9) -> list:
-    """All exponents e with (d+1-j)e = 0 mod d^2-1 for every retained
-    nonzero A_j, 1 <= j <= d-1 (the zeta^{d+1} term is automatic and A_0
-    is absorbed by c_alpha).  Always a subgroup of Z_{d^2-1}: the
-    solutions of homogeneous congruences."""
-    if zero_threshold <= 0:
-        raise ValueError("zero_threshold must be positive")
+def compute_L_prime(q: LiftPolynomial) -> list:
+    """All exponents e with (d+1-j)e = 0 mod d^2-1 for every nonzero A_j,
+    1 <= j <= d-1 (the zeta^{d+1} term is automatic and A_0 is absorbed by
+    c_alpha).  Always a subgroup of Z_{d^2-1}: the solutions of
+    homogeneous congruences."""
     d = q.d
     M = d * d - 1
-    idx = q.nonzero_indices(zero_threshold)
+    idx = q.nonzero_indices()
     return [RootOfUnity(e, M) for e in range(M)
             if all((d + 1 - j) * e % M == 0 for j in idx)]

@@ -60,7 +60,7 @@ class SliceSpec:
         if not (0.0 < nu < np.inf and 0.0 < nv < np.inf):
             raise DomainError("degenerate slice: spans must be finite and nonzero")
         # largest corner origin +- extent*(|spanU| + |spanV|), per real coordinate
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite extent gives nan
             reach = np.abs(o) + self.extent[0] * np.abs(su) + self.extent[1] * np.abs(sv)
         if not np.isfinite(reach).all():
             raise DomainError("slice window is not finite: origin +- extent*(|spanU| + |spanV|) overflows")

@@ -21,15 +21,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from ._exact import QC, as_exact, is_zero
+from ._exact import QC, as_exact, field, is_zero, support, zero_of
 from .errors import InvalidMapError
 from .series import LaurentSeries2
-
-
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -37,8 +32,8 @@ class HenonMap:
     """Centered monic Henon map: H(x,y) = (y, y^d + a_{d-2}y^{d-2} + ... + a_0 - ax).
 
     coeffs holds a_0 .. a_{d-2} (length d-1).  Entries may be exact
-    (int/Fraction/QC) or inexact (float/complex); arithmetic stays exact
-    when all inputs are exact.
+    (int/Fraction/QC) or inexact (float/complex); derived objects are
+    exact exactly when every entry is (the `_exact.field` rule).
     """
 
     d: int
@@ -105,10 +100,9 @@ class AffineConjugation:
         return (self.scale * x + self.shift, self.scale * y + self.shift)
 
     def inverse(self) -> "AffineConjugation":
-        s = self.scale
-        inv = (QC(1) / s) if isinstance(s, QC) else (
-            Fraction(1) / s if isinstance(s, (int, Fraction)) else 1.0 / s)
-        return AffineConjugation(inv, -(inv * self.shift))
+        scale, shift = field([self.scale, self.shift])
+        inv = 1 / scale
+        return AffineConjugation(inv, -(inv * shift))
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +125,15 @@ class PolyMap2:
 
 
 def poly_map_of(m: HenonMap, inverse: bool = False) -> PolyMap2:
-    """H (or H^{-1}) as an exact PolyMap2."""
-    if not inverse:
-        py = {(0, m.d): 1}
-        for j, c in enumerate(m.coeffs):
-            if not is_zero(c):
-                py[(0, j)] = c
+    """H (or H^{-1}) as a PolyMap2, exact for an exact map."""
+    p = dict(enumerate((*m.coeffs, 0, 1)))
+    if not inverse:  # (x, y) -> (y, p(y) - a x)
+        py = {(0, j): c for j, c in p.items()}
         py[(1, 0)] = -m.a
         return PolyMap2(LaurentSeries2.mono(1, 0, 1, None), LaurentSeries2(None, py))
-    a = m.a
-    ainv = (QC(1) / a) if isinstance(a, QC) else (
-        Fraction(1, 1) / a if isinstance(a, (int, Fraction)) else 1.0 / complex(a))
-    px = {(m.d, 0): ainv}
-    for j, c in enumerate(m.coeffs):
-        if not is_zero(c):
-            px[(j, 0)] = ainv * c
+    # (x, y) -> ((p(x) - y)/a, x), with 1/a in the field of the map
+    ainv = 1 / field([m.a, *m.coeffs])[0]
+    px = {(j, 0): ainv * c for j, c in p.items()}
     px[(0, 1)] = -ainv
     return PolyMap2(LaurentSeries2(None, px), LaurentSeries2.mono(1, 1, 0, None))
 
@@ -193,26 +181,11 @@ def normalize(coeffs, a) -> tuple[HenonMap, AffineConjugation]:
     if is_zero(a):
         raise InvalidMapError("parameter a must be nonzero")
 
-    cd_x = as_exact(cd)
-    all_exact = cd_x is not None and as_exact(a) is not None and \
-        all(as_exact(c) is not None for c in coeffs)
-    if all_exact:
-        coeffs = [as_exact(c) for c in coeffs]
-        a_val = as_exact(a)
-        inv_lead = QC(1) / coeffs[-1]
-    else:
-        coeffs = [complex(c) for c in coeffs]
-        a_val = complex(a)
-        inv_lead = 1.0 / coeffs[-1]
-
-    lam = _principal_root(inv_lead, d - 1)
-    if isinstance(lam, complex) and all_exact:
-        # root left the rationals; continue in floats
-        coeffs = [complex(c) for c in coeffs]
-        a_val = complex(a_val)
-    cdd = coeffs[-1]
-    cdm1 = coeffs[-2]
-    mu = -cdm1 / (d * cdd) if not is_zero(cdm1) else (QC(0) if as_exact(cdd) is not None and not isinstance(lam, complex) else 0.0)
+    # the field is fixed once the root is known: a root that leaves the
+    # rationals puts the whole normalization in floats
+    *coeffs, a_val = field([*coeffs, a])
+    *coeffs, a_val, lam = field([*coeffs, a_val, _principal_root(1 / coeffs[-1], d - 1)])
+    mu = -coeffs[-2] / (d * coeffs[-1])
 
     # q(y) = (P(lam*y + mu) - (a+1)*mu) / lam, expanded by binomials
     n_terms = [0] * (d + 1)
@@ -221,20 +194,19 @@ def normalize(coeffs, a) -> tuple[HenonMap, AffineConjugation]:
             continue
         for r in range(k + 1):
             # coefficient of y^r from ck * (lam*y + mu)^k
-            n_terms[r] = n_terms[r] + ck * _binom(k, r) * lam ** r * mu ** (k - r)
+            n_terms[r] = n_terms[r] + ck * math.comb(k, r) * lam ** r * mu ** (k - r)
     n_terms[0] = n_terms[0] - (a_val + 1) * mu
-    inv_lam = (QC(1) / lam) if isinstance(lam, QC) else 1.0 / lam
+    inv_lam = 1 / lam
     q = [inv_lam * t for t in n_terms]
 
-    # sanity: monic, centered
+    # sanity: finite, monic, centered
+    if not all(cmath.isfinite(complex(t)) for t in q):
+        raise InvalidMapError("normalization leaves the float range")
     scale = max(1.0, max(abs(complex(t)) for t in q))
     if abs(complex(q[d]) - 1) > 1e-9 * scale or abs(complex(q[d - 1])) > 1e-9 * scale:
         raise InvalidMapError("normalization failed to produce a centered monic polynomial")
-    tail = []
-    for t in q[: d - 1]:
-        if as_exact(t) is None and abs(complex(t)) <= 1e-13 * scale:
-            t = 0.0
-        tail.append(t)
+    keep = support(q[: d - 1], 1e-13 * scale)  # inexact coefficients below it become 0.0
+    tail = [t if j in keep else zero_of(t) for j, t in enumerate(q[: d - 1])]
     return HenonMap(d, a_val, tuple(tail)), AffineConjugation(lam, mu)
 
 

@@ -114,23 +114,24 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     if n_entry is None:
         return _exhausted(budget)
 
-    # refinement: climb until |y| is deep enough or the tail target is met
+    # refinement: climb until |y| is deep enough or the tail target is met;
+    # tail is always the bound at the current w and truncation J, each
+    # evaluated once
     n = n_entry
     extra = 0
-    while abs(w[1]) < _DEEP and extra < 80:
-        tail = phi_tail_bound(m, abs(w[1]), 1) * m.d ** (-n)
-        if tail <= target_error * 0.25:
-            break
+    tail = phi_tail_bound(m, abs(w[1]), 1)
+    while abs(w[1]) < _DEEP and extra < 80 and tail * m.d ** (-n) > target_error * 0.25:
         w = evaluate(m, w)
         n += 1
         extra += 1
+        tail = phi_tail_bound(m, abs(w[1]), 1)
 
     scaled_target = target_error * 0.5 * m.d ** n
     J = 1
-    while phi_tail_bound(m, abs(w[1]), J) > scaled_target and J < 400:
+    while tail > scaled_target and J < 400:
         J += 1
+        tail = phi_tail_bound(m, abs(w[1]), J)
     val = phi_product(m, w, J)
-    tail = phi_tail_bound(m, abs(w[1]), J)
     g = math.log(abs(val)) / m.d ** n
     err = tail / m.d ** n + _FLOAT_NOISE * (1.0 + abs(g))
     return GreenValue(g, err, "boettcher-refined", n, entry=n_entry)

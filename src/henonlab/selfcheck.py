@@ -18,17 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from .boettcher import LiftPolynomial, derive_lift_polynomial, phi, semiconjugacy_residual
-from .covering import (FiberAffineMap, RootOfUnity, c_alpha, compute_L_prime,
-                       deck_compose, deck_eval, deck_rational, fiber_compose,
-                       fiber_invert, fiber_identity, henon_lift, push, push_iterated)
+from .covering import (FiberAffineMap, RootOfUnity, c_alpha, deck_compose, deck_eval,
+                       deck_rational, fiber_compose, fiber_invert, henon_lift, push,
+                       push_iterated)
 from .dyadic import (RingElem, brute_force_inverse, subgroup_membership,
                      unit_decompose)
-from .grid import (STATUS_OMEGA_PRIME, STATUS_OUTSIDE, SliceSpec, export_bytes,
-                   sample_slice)
+from .grid import STATUS_OMEGA_PRIME, SliceSpec, export_bytes, sample_slice
 from .maps import FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate
 from .potential import green_plus, green_plus_grid, sample_escaping_points
-from .symmetry import (classify_aut1, detect_linear_symmetries,
-                       green_invariance_check)
+from .symmetry import detect_linear_symmetries, green_invariance_check
 
 
 @dataclass
@@ -183,6 +181,10 @@ def check_deck_layer() -> CheckResult:
         d, a = m.d, complex(m.a)
         q = derive_lift_polynomial(m, "formal-series")
         rng = random.Random(700 + d)
+
+        def wrong_lift(point):  # the (d/a) convention, which must fail
+            return ((d / a) * point[0] + q.q_eval(point[1]), point[1] ** d)
+
         worst_comm, worst_grp, bad_margin = 0.0, 0.0, 0.0
         for _ in range(50):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -194,9 +196,8 @@ def check_deck_layer() -> CheckResult:
             lhs = henon_lift(deck_eval(r, (z, zeta), q, a), q, a)
             rhs = deck_eval(r_shift, henon_lift((z, zeta), q, a), q, a)
             worst_comm = max(worst_comm, abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
-            lhs_b = henon_lift(deck_eval(r, (z, zeta), q, a), q, a, variant="d-over-a")
-            rhs_b = deck_eval(r_shift, henon_lift((z, zeta), q, a, variant="d-over-a"),
-                              q, a)
+            lhs_b = wrong_lift(deck_eval(r, (z, zeta), q, a))
+            rhs_b = deck_eval(r_shift, wrong_lift((z, zeta)), q, a)
             bad_margin = max(bad_margin, abs(lhs_b[0] - rhs_b[0]))
             r2 = deck_rational(rng.randrange(0, d ** 3), 3, d)
             one = deck_eval(deck_compose(r, r2), (z, zeta), q, a)

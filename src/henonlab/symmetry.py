@@ -11,11 +11,10 @@ since eta^{d^2} = eta).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from ._exact import is_zero
+from ._exact import support
 from .boettcher import LiftPolynomial
 from .covering import RootOfUnity, compute_L_prime, root_value
 from .errors import DomainError, InconsistencyError
@@ -66,16 +65,6 @@ def apply_symmetry(d: int, e: int, z) -> tuple:
     return (eta * complex(z[0]), etad * complex(z[1]))
 
 
-def _nonzero_indices(m: HenonMap):
-    out = []
-    for j, c in enumerate(m.coeffs):
-        if is_zero(c):
-            continue
-        if abs(complex(c)) > _COEFF_ZERO or m.exact:
-            out.append(j)
-    return out
-
-
 def symbolic_symmetry_check(m: HenonMap, e: int, tol: float = 1e-12) -> bool:
     """Coefficient-wise H o L_eta = L_{eta^d} o H via exact composition."""
     d = m.d
@@ -89,7 +78,7 @@ def detect_linear_symmetries(m: HenonMap) -> SymmetryGroup:
     """Congruence enumeration plus symbolic verification of each candidate."""
     d = m.d
     M = d * d - 1
-    idx = _nonzero_indices(m)
+    idx = support(m.coeffs, _COEFF_ZERO)
     candidates = [e for e in range(M)
                   if all(d * (d - j) * e % M == 0 for j in idx)]
     verified = [e for e in candidates if symbolic_symmetry_check(m, e)]
@@ -129,8 +118,7 @@ class Aut1Classification:
     k_divides_k_prime: bool
 
 
-def classify_aut1(m: HenonMap, q: LiftPolynomial,
-                  zero_threshold: float = 1e-9) -> Aut1Classification:
+def classify_aut1(m: HenonMap, q: LiftPolynomial) -> Aut1Classification:
     """Case i: p(0) != 0; case ii: p = y^d; case iii: otherwise.
 
     k counts the detected linear symmetries, k' the lift-compatible
@@ -138,7 +126,7 @@ def classify_aut1(m: HenonMap, q: LiftPolynomial,
     divide d^2 - 1.
     """
     d = m.d
-    idx = _nonzero_indices(m)
+    idx = support(m.coeffs, _COEFF_ZERO)
     if 0 in idx:
         case = "i"
     elif not idx:
@@ -146,7 +134,7 @@ def classify_aut1(m: HenonMap, q: LiftPolynomial,
     else:
         case = "iii"
     k = detect_linear_symmetries(m).order
-    k_prime = len(compute_L_prime(q, zero_threshold))
+    k_prime = len(compute_L_prime(q))
     M = d * d - 1
     if not (k <= k_prime and M % k == 0 and M % k_prime == 0):
         raise InconsistencyError(

@@ -270,6 +270,36 @@ def test_slice_window_overflow_is_exit_3(tmp_path, capsys, fmt):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
 
 
+@pytest.mark.parametrize("c,extent,code,kind", [
+    ("nan", 3, 2, "usage"), ("inf", 3, 2, "usage"), ("1", math.inf, 3, "domain")],
+    ids=["c-nan", "c-inf", "extent-inf"])
+def test_slice_non_finite_level_or_extent_is_one_json_line(tmp_path, capsys, c, extent,
+                                                           code, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "map": {"d": 2, "p": [0], "a": 3},
+        "slice": {"origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1],
+                  "gridW": 4, "gridH": 4, "extent": extent},
+    }))
+    out_path = tmp_path / "g.pgm"
+    _one_line_error(*run(capsys, "slice", "--config", str(cfg), f"--c={c}",
+                         "--out", str(out_path), "--format", "pgm"), code, kind)
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("budget", [-1, 1.5, "x", None, True])
+def test_slice_budget_must_be_a_non_negative_integer(tmp_path, capsys, budget):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "map": {"d": 2, "p": [0], "a": 3},
+        "slice": {"origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1],
+                  "gridW": 4, "gridH": 4, "extent": 3},
+        "budget": budget,
+    }))
+    _one_line_error(*run(capsys, "slice", "--config", str(cfg), "--c", "1",
+                         "--out", str(tmp_path / "g.csv"), "--format", "csv"), 2, "usage")
+
+
 @pytest.mark.parametrize("point", ["inf,0", "1e400,0", "0,infi", "nan,1"])
 def test_non_finite_point_is_exit_2(capsys, point):
     code, out, err = run(capsys, "green", "--map", M2, "--point", point)
@@ -299,8 +329,18 @@ def test_units_outside_ring_is_exit_2(capsys, elem):
 def test_symmetries_inconsistent_counts_is_exit_3(capsys, monkeypatch):
     # one lift-compatible exponent where the map has eight symmetries: k > k'
     from henonlab import symmetry
-    monkeypatch.setattr(symmetry, "compute_L_prime", lambda q, t=1e-9: [RootOfUnity(0, 8)])
+    monkeypatch.setattr(symmetry, "compute_L_prime", lambda q: [RootOfUnity(0, 8)])
     _one_line_error(*run(capsys, "symmetries", "--map", M3), 3, "domain")
+
+
+def test_singular_fit_is_precision_error(capsys):
+    sextic = '{"d":6,"p":[0,0,0,0,1],"a":3}'
+    code, out, err = run(capsys, "derive-q", "--map", sextic, "--strategy", "fit")
+    _one_line_error(code, out, err, 4, "precision")
+    assert "--digits" in json.loads(err)["message"]
+    code, out, _ = run(capsys, "derive-q", "--map", sextic, "--strategy", "fit",
+                       "--digits", "120")
+    assert code == 0 and len(json.loads(out)["A"]) == 6
 
 
 def test_valid_threads_env_ok(capsys, monkeypatch):

@@ -1,0 +1,99 @@
+"""Property test of the CLI contract: whatever the map, point or slice,
+`henonlab` exits 0, 2, 3 or 4 and writes exactly one JSON line, never a
+traceback."""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from henonlab.cli import main
+
+# magnitudes that reach the overflow, underflow and non-finite paths
+_EDGE = [0.0, -0.0, 1.0, -2.5, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+reals = st.one_of(st.floats(-10, 10, allow_nan=False), st.sampled_from(_EDGE))
+finite = st.one_of(st.floats(-10, 10, allow_nan=False), st.sampled_from([0.0, 1e-300, 1e300]))
+
+
+def _scalar_text(re, im):
+    return f"{re!r}{im:+}i" if im else repr(re)
+
+
+complex_text = st.builds(_scalar_text, reals, reals)
+# slice windows: mostly finite and small, so that some slices export
+window = st.one_of(st.builds(_scalar_text, st.floats(-4, 4), st.floats(-4, 4)), complex_text)
+positive = st.one_of(st.floats(0.1, 5), st.sampled_from(_EDGE))
+point = st.builds(lambda x, y: f"{x},{y}", complex_text, complex_text)
+
+
+@st.composite
+def henon_map(draw):
+    d = draw(st.integers(2, 8))
+    n = draw(st.sampled_from([d - 1, d + 1]))
+    p = [[draw(finite), draw(finite)] for _ in range(n)]
+    a = [draw(finite), draw(finite)]
+    return json.dumps({"d": d, "p": p, "a": a})
+
+
+@st.composite
+def argv(draw, slice_dir):
+    m = draw(henon_map())
+    cmd = draw(st.sampled_from(["classify", "green", "green-minus", "boettcher", "derive-q",
+                                "derive-q-fit", "symmetries", "push", "iterate", "deck",
+                                "units", "slice"]))
+    if cmd in ("classify", "green", "boettcher"):
+        extra = ["--trunc", str(draw(st.integers(1, 40)))] if cmd == "boettcher" else []
+        return [cmd, "--map", m, f"--point={draw(point)}", *extra]
+    if cmd == "green-minus":
+        return ["green", "--minus", "--map", m, f"--point={draw(point)}"]
+    if cmd == "derive-q":
+        return ["derive-q", "--map", m]
+    if cmd == "derive-q-fit":
+        return ["derive-q", "--map", m, "--strategy", "fit"]
+    if cmd == "symmetries":
+        return ["symmetries", "--map", m]
+    if cmd in ("push", "iterate"):
+        gamma = draw(st.sampled_from(["7/3", "0", "1+2i", "1e300", "inf", "nan", "1/0"]))
+        out = ["lift", cmd, "--map", m, f"--e={draw(st.integers(-20, 80))}",
+               f"--gamma={gamma}"]
+        if cmd == "push":
+            return out + ["--direction", draw(st.sampled_from(["plus", "minus"]))]
+        return out + [f"--n={draw(st.integers(0, 60))}"]
+    if cmd == "deck":
+        return ["lift", "deck", "--map", m, f"--k={draw(st.integers(-5, 40))}",
+                f"--n={draw(st.integers(0, 6))}", f"--point={draw(point)}"]
+    if cmd == "units":
+        num, den = draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(0, 10 ** 4))
+        return ["units", f"--d={draw(st.integers(-1, 13))}", f"--elem={num}/{den}"]
+    cfg = {"map": json.loads(m),
+           "slice": {"origin": [draw(window), draw(window)],
+                     "spanU": [draw(window), draw(window)],
+                     "spanV": [draw(window), draw(window)],
+                     "gridW": draw(st.integers(1, 16)), "gridH": draw(st.integers(1, 16)),
+                     "extent": draw(positive)},
+           "budget": draw(st.one_of(st.integers(0, 60), st.sampled_from([-1, 1.5, "x", None])))}
+    path = slice_dir / "run.json"
+    path.write_text(json.dumps(cfg))
+    fmt = draw(st.sampled_from(["csv", "pgm", "json"]))
+    return ["slice", "--config", str(path), f"--c={draw(positive)}",
+            "--out", str(slice_dir / f"grid.{fmt}"), "--format", fmt]
+
+
+def test_cli_exit_codes_and_one_json_line(tmp_path_factory):
+    slice_dir = tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv(slice_dir))
+    def check(args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 2, 3, 4), (args, code, err.getvalue())
+        lines = (out.getvalue() + err.getvalue()).splitlines()
+        assert len(lines) == 1, (args, lines)
+        json.loads(lines[0])
+
+    check()

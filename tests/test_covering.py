@@ -159,12 +159,6 @@ def test_deck_exhaustive_uniqueness_d2_denominator_4():
             assert abs(images[i][1] - images[j][1]) > 1e-6
 
 
-def test_henon_lift_rejects_unknown_variant():
-    q = derive_lift_polynomial(QUAD, "formal-series")
-    with pytest.raises(ValueError):
-        henon_lift((0.0, 2.0), q, 3.0, variant="other")
-
-
 def test_compute_l_prime_full_group_for_trivial_q():
     q = derive_lift_polynomial(CUBIC, "formal-series")
     assert len(compute_L_prime(q)) == 8

@@ -1,0 +1,238 @@
+"""The one exactness rule of the lift layer: the field helper and support
+rule of henonlab._exact, the triangular formal solve for Q against the
+pivoting solver it replaced, exact normalization, and the exact k' count."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from henonlab import HenonMap, classify_aut1, derive_lift_polynomial, normalize, poly_map_of
+from henonlab._exact import QC, as_exact, field, is_zero, support, zero_of
+from henonlab.boettcher import LiftPolynomial, _phi_factor_bases
+from henonlab.covering import compute_L_prime
+from henonlab.errors import InconsistencyError, UnderdeterminedError
+from henonlab.series import LaurentSeries2
+
+
+# -- field and support -------------------------------------------------------
+
+def test_field_is_exact_only_when_every_value_is():
+    assert field([1, Fraction(1, 3), QC(0, 2)]) == [QC(1), QC(Fraction(1, 3)), QC(0, 2)]
+    assert all(isinstance(v, QC) for v in field([1, Fraction(1, 3)]))
+    mixed = field([1, Fraction(1, 3), 0.5])
+    assert mixed == [1 + 0j, 1 / 3 + 0j, 0.5 + 0j]
+    assert all(type(v) is complex for v in mixed)
+    assert field([]) == []
+
+
+def test_zero_of_follows_the_field():
+    assert isinstance(zero_of(QC(2)), QC) and is_zero(zero_of(QC(2)))
+    assert type(zero_of(2.0j)) is float and zero_of(2.0j) == 0.0
+
+
+def test_support_exact_values_have_no_threshold():
+    assert support([0, Fraction(1, 10 ** 30), QC(0, 0)], 1e-9) == [1]
+    assert support([0.0, 1e-30, 1e-3], 1e-9) == [2]
+    # a mixed list is inexact as a whole, so a tiny exact entry is cut
+    assert support([Fraction(1, 10 ** 30), 1e-3], 1e-9) == [1]
+
+
+# -- the parent's pivoting solver, kept as an oracle --------------------------
+
+def _f_power(bases, k: int, dmin: int):
+    """F^k where phi = y*F, as prod (1+u_j)^{k/d^{j+1}}."""
+    out = LaurentSeries2.const(1, dmin)
+    for base, denom in bases:
+        out = out * base.binomial_pow(Fraction(k, denom))
+    return out
+
+
+def _solve_overdetermined(rows, nunk, exact):
+    """Gauss-Jordan with consistency check of the leftover rows."""
+    work = [list(r) for r in rows]
+    used = set()
+    row_of_col = {}
+    for col in range(nunk):
+        best, best_mag = None, 0.0
+        for ri, r in enumerate(work):
+            if ri in used or is_zero(r[col]):
+                continue
+            mag = abs(complex(r[col]))
+            if exact:
+                best = ri
+                break
+            if mag > best_mag:
+                best, best_mag = ri, mag
+        if best is None:
+            raise UnderdeterminedError(f"no condition determines A_{col + 1}")
+        used.add(best)
+        row_of_col[col] = best
+        pr = work[best]
+        piv = pr[col]
+        if exact and not isinstance(piv, QC):
+            piv = QC(piv)
+        inv = (QC(1) / piv) if isinstance(piv, QC) else 1.0 / piv
+        work[best] = [inv * v for v in pr]
+        for ri, r in enumerate(work):
+            if ri == best or is_zero(r[col]):
+                continue
+            f = r[col]
+            work[ri] = [rv - f * pv for rv, pv in zip(r, work[best])]
+    sol = [work[row_of_col[c]][nunk] for c in range(nunk)]
+    scale = max((abs(complex(v)) for r in rows for v in r), default=1.0)
+    for ri, r in enumerate(work):
+        if ri in used:
+            continue
+        resid = max((abs(complex(v)) for v in r), default=0.0)
+        if (exact and resid != 0.0) or (not exact and resid > 1e-9 * max(scale, 1.0)):
+            raise InconsistencyError(f"formal conditions inconsistent: residual {resid:.2e}")
+    return sol
+
+
+def _oracle_q(m: HenonMap, truncation):
+    d = m.d
+    dmin = -(d + 4) if truncation is None else -abs(truncation)
+    exact = m.exact
+    bases = _phi_factor_bases(m, dmin)
+    if exact:
+        a = as_exact(m.a)
+        a_scaled = a * (1 + Fraction(1, d))
+        coeffs = [as_exact(c) for c in m.coeffs]
+    else:
+        a = complex(m.a)
+        a_scaled = a * (1 + 1.0 / d)
+        coeffs = [complex(c) for c in m.coeffs]
+    E0 = LaurentSeries2.mono(1, 0, d + 1, dmin)
+    for j, c in enumerate(coeffs):
+        if not is_zero(c):
+            E0 = E0 + LaurentSeries2.mono(c, 0, j + 1, dmin)
+    E0 = E0 + LaurentSeries2.mono(-a_scaled, 1, 1, dmin)
+    E0 = E0 - _f_power(bases, d + 1, dmin).shifted(0, d + 1)
+    G = {k: _f_power(bases, k, dmin).shifted(0, k) for k in range(1, d)}
+    keys = set(E0.terms)
+    for g in G.values():
+        keys |= set(g.terms)
+    keys = sorted(k for k in keys if k[1] * d + k[0] > 0)
+    nunk = d - 1
+    rows = [[G[k + 1].coeff(i, mth) for k in range(nunk)] + [E0.coeff(i, mth)]
+            for (i, mth) in keys]
+    sol = _solve_overdetermined(rows, nunk, exact)
+    return LiftPolynomial(d, (QC(0) if exact else 0.0, *sol))
+
+
+def _seeded_maps(count: int, exact: bool, seed: int):
+    rng = random.Random(seed)
+
+    def scalar():
+        if exact:
+            re = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            im = Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4 else 0
+            return QC(re, im) if im or rng.random() < 0.5 else re
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    out = []
+    for i in range(count):
+        d = 2 + i % 5
+        a = scalar()
+        out.append(HenonMap(d, a if not is_zero(a) else 3,
+                            tuple(scalar() if rng.random() < 0.7 else 0 for _ in range(d - 1))))
+    return out
+
+
+def _cases():
+    maps = _seeded_maps(30, True, 81) + _seeded_maps(30, False, 82)
+    return [(m, tr) for m in maps for tr in (None, m.d, m.d + 8)]
+
+
+def test_triangular_solve_matches_pivoting_oracle():
+    for m, tr in _cases():
+        new = derive_lift_polynomial(m, "formal-series", truncation=tr)
+        old = _oracle_q(m, tr)
+        if m.exact:
+            assert new.A == old.A, (m, tr)
+            assert [type(c) for c in new.A] == [QC] * m.d
+        else:
+            assert type(new.A[0]) is float and new.A[0] == 0.0
+            assert all(type(c) is complex for c in new.A[1:])
+            assert max(abs(complex(x) - complex(y)) for x, y in zip(new.A, old.A)) <= 1e-14
+
+
+@pytest.mark.parametrize("m,kick", [(HenonMap(3, 9, (1, 0)), Fraction(1, 7)),
+                                    (HenonMap(3, 9.0 + 1j, (1.0, 0.5j)), 1e-3)],
+                         ids=["exact", "complex"])
+def test_inconsistent_conditions_raise(monkeypatch, m, kick):
+    # a wrong phi makes some positive-grade monomial of E survive the solve
+    from henonlab import boettcher
+    true_bases = boettcher._phi_factor_bases
+
+    def wrong_bases(m, dmin):
+        (base, denom), *rest = true_bases(m, dmin)
+        return [(base + LaurentSeries2.mono(kick, 1, -3, dmin), denom), *rest]
+
+    monkeypatch.setattr(boettcher, "_phi_factor_bases", wrong_bases)
+    with pytest.raises(InconsistencyError):
+        derive_lift_polynomial(m, "formal-series")
+
+
+def test_truncation_floor_above_minus_d_is_underdetermined():
+    with pytest.raises(UnderdeterminedError):
+        derive_lift_polynomial(HenonMap(3, 9, (1, 0)), "formal-series", truncation=2)
+
+
+# -- normalization -----------------------------------------------------------
+
+def _qc(re, im=0):
+    return QC(Fraction(re), Fraction(im))
+
+
+NORMALIZE_CASES = [
+    (([1, 4, 2], 3),
+     (_qc(3), (_qc(6),), _qc(Fraction(1, 2)), _qc(-1), _qc(2), _qc(2))),
+    (([0, 0, 3, Fraction(1, 4)], QC(1, 2)),
+     (_qc(1, 2), (_qc(20, 4), _qc(-12)), _qc(2), _qc(-4), _qc(Fraction(1, 2)), _qc(2))),
+    (([QC(1, 1), 0, 5, 0, 1], 2),
+     (_qc(2), (_qc(1, 1), _qc(0), _qc(5)), _qc(1), _qc(0), _qc(1), _qc(0))),
+    (([Fraction(-2, 3), 1, QC(0, 1), Fraction(9, 4)], -1),
+     (_qc(-1), (_qc(-1, Fraction(-178, 729)), _qc(Fraction(31, 27))),
+      _qc(Fraction(2, 3)), _qc(0, Fraction(-4, 27)), _qc(Fraction(3, 2)),
+      _qc(0, Fraction(2, 9)))),
+]
+
+
+@pytest.mark.parametrize("raw,expected", NORMALIZE_CASES, ids=["quad", "cubic", "quartic", "cubic-i"])
+def test_exact_normalize_matches_fixed_expectation(raw, expected):
+    m, conj = normalize(*raw)
+    inv = conj.inverse()
+    got = (m.a, m.coeffs, conj.scale, conj.shift, inv.scale, inv.shift)
+    assert got == expected
+    flat = (m.a, *m.coeffs, conj.scale, conj.shift, inv.scale, inv.shift)
+    assert all(isinstance(v, QC) for v in flat)
+    pinv = poly_map_of(m, inverse=True).first
+    assert pinv.coeff(m.d, 0) == 1 / m.a and all(isinstance(v, QC) for v in pinv.terms.values())
+
+
+def test_normalize_with_irrational_root_is_complex_throughout():
+    m, conj = normalize([1, 0, 2], 3)  # lam = 1/2
+    assert isinstance(conj.scale, QC)
+    m, conj = normalize([1, 0, 0, 2], 3)  # lam = 1/sqrt(2)
+    assert type(conj.scale) is complex and type(m.a) is complex
+    assert type(m.coeffs[0]) is complex
+    assert m.coeffs[1] == 0.0  # an inexact coefficient below 1e-13 is flushed to 0.0
+
+
+# -- k' under the support rule -----------------------------------------------
+
+def test_tiny_exact_lift_coefficient_counts_as_nonzero():
+    m = HenonMap(3, 9, (0, Fraction(1, 10 ** 12)))
+    q = derive_lift_polynomial(m, "formal-series")
+    assert q.A[2] == QC(Fraction(-1, 3 * 10 ** 12))
+    assert q.nonzero_indices() == [2]
+    assert len(compute_L_prime(q)) == 2
+    assert classify_aut1(m, q).k_prime == 2
+
+
+def test_tiny_inexact_lift_coefficient_counts_as_zero():
+    q = LiftPolynomial(3, (0.0, 0j, -1e-12 + 0j))
+    assert q.nonzero_indices() == []
+    assert len(compute_L_prime(q)) == 8

@@ -82,6 +82,13 @@ def test_normalize_idempotent_on_centered_map():
     assert conj.scale == 1 and conj.shift == 0
 
 
+def test_normalize_rejects_results_past_the_float_range():
+    # lead 1e-300(1+i): lambda ~ 1e100 sends the centered coefficients to nan
+    with pytest.raises(InvalidMapError):
+        normalize([0.25 + 1e-300j, 0.2789 - 8.3j, 1e-300 + 0.52j, -6.988 + 1e-300j,
+                   1e-300 + 1e-300j], -6.988)
+
+
 def test_poly_map_composition_matches_two_steps():
     h = poly_map_of(CUBIC)
     h2 = compose_poly_maps(h, h)

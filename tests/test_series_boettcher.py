@@ -13,7 +13,7 @@ from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
                       derive_lift_polynomial, evaluate, phi, psi,
                       semiconjugacy_residual)
 from henonlab.boettcher import _mp, digits_needed, phi_mp
-from henonlab.maps import estimate_filtration_radius, horner
+from henonlab.maps import estimate_filtration_radius, horner, in_v_plus
 from henonlab.series import LaurentSeries2
 
 QUAD = HenonMap(2, 3, (0,))
@@ -117,6 +117,39 @@ def test_phi_mp_matches_per_factor_product(dps):
                 assert abs(got - want) <= mp.mpf(10) ** (2 - dps) * abs(want)
                 windings.add(int(mp.nint((m.d ** J * mp.arg(want) - mp.arg(yJ)) / (2 * mp.pi))))
     assert max(map(abs, windings)) >= 3
+
+
+# V_R+ points where |q/y^d| lies in [1/2, 1): the doubling radius proves
+# only |q/y^d| <= 1 - 2/|y|^(d-1) there, and the principal branch needs |u| < 1
+WIDE_BRANCH_POINTS = [
+    (HenonMap(5, 4.611390967291932 + 4.137472671197903j,
+              (0.5748598692096989 - 1.441052075876614j, 2.8858833745480785 - 0.022166971069502495j,
+               -0.5070497086791113 - 1.0850847089956976j, 2.905659078396339 - 0.049471694400405664j)),
+     (0.6112852619389675 - 0.2633732501753707j, -2.3804015884045304 - 0.4939659880321677j)),
+    (HenonMap(6, -2.0138899065399785 + 3.119006430313391j,
+              (-1.5517766724494158 + 1.004882770772249j, 0.4102165324794864 + 2.3784799987351706j,
+               -0.13910229951134134 - 1.0281594508434782j, -1.4454876236839527 - 0.8171194894799916j,
+               -2.9993033268490183 - 2.2830035630789283j)),
+     (-0.48526483920054647 - 2.2582530093867614j, -0.138804189320013 + 2.3318596715142768j)),
+    (HenonMap(6, 3.4049881136141327 + 1.8482165062125633j,
+              (0.635337209488573 - 2.408635379218558j, -1.0938496696204973 - 1.3327437256096315j,
+               2.24231542198316 + 2.2290567163641697j, 1.212177748846658 + 1.0853304636497807j,
+               -2.179413589347218 - 2.901358698054966j)),
+     (-0.19161642222663122 + 1.4778850039925833j, -1.484971365357774 + 1.9249561753775875j)),
+]
+
+
+@pytest.mark.parametrize("m,z", WIDE_BRANCH_POINTS, ids=["d5", "d6a", "d6b"])
+def test_phi_accepts_branch_parameter_between_one_half_and_one(m, z):
+    x, y = z
+    u = abs((m.p(y) - y ** m.d - m.a * x) / y ** m.d)
+    assert 0.5 <= u < 1 and in_v_plus(z, estimate_filtration_radius(m).R)
+    bv = phi(m, z)
+    with mp.workdps(60):
+        ref = complex(phi_mp(m, z, 60))
+    assert abs(bv.value - ref) <= bv.error_bound
+    phz = phi(m, evaluate(m, z)).value
+    assert abs(phz - bv.value ** m.d) <= 1e-14 * abs(phz)
 
 
 def test_psi_complex_a_depth_5_stable_under_30_more_digits():
