@@ -16,7 +16,7 @@ from .covering import (DeckRational, FiberAffineMap, RootOfUnity, c_alpha,
 from .dyadic import (RingElem, UnitDecomposition, subgroup_membership,
                      unit_decompose)
 from .errors import (DomainError, HenonLabError, InconsistencyError,
-                     InvalidMapError, PrecisionError, UnderdeterminedError)
+                     InvalidMapError, PrecisionError)
 from .grid import (GridResult, SliceSpec, annulus_radius, export_grid,
                    sample_slice)
 from .maps import (AffineConjugation, FiltrationRadius, HenonMap, PolyMap2,

@@ -24,12 +24,19 @@ Two independent derivations are provided:
   grade above k, so the conditions at y^{d-1}, ..., y^1 are unit upper
   triangular in A_{d-1}, ..., A_1: back-substitution solves them with no
   division, exactly in rational-complex arithmetic when the map is
-  rational.  Every other positive-grade monomial of
-  E = E0 - sum A_k G_k must then vanish (exactly, or to a tolerance in
-  floats), or the derivation raises InconsistencyError.
-* bigfloat-fit: evaluate T = x1*y1 - phi^{d+1} at x=0 over geometric
-  radii in arbitrary precision and fit T = sum A_k phi^k + sum e_j rho^{-j}
-  (the rho^{-j} block plays the role of Richardson extrapolation).
+  rational.  They read grades >= 1 only, so F is needed to grade -d, and
+  there it is one factor, F = (1 + q/y^d)^{1/d}: every later factor has
+  terms of grade <= -2d or 1 - d^2 only.  Every other positive-grade
+  monomial of E = E0 - sum A_k G_k must then vanish (exactly, or to a
+  tolerance in floats), or the derivation raises InconsistencyError.
+* bigfloat-fit: at x = 0, T = y*p(y) - phi^{d+1} - sum A_k phi^k has no
+  positive power of y; these are the same conditions with i = 0.  The
+  trapezoidal rule on N = 2d+10 points of |y| = rho = 1000 R gives the
+  Fourier coefficients at y^1 .. y^{d-1} of T and of phi^k with aliasing
+  error (R/rho)^N, and the same back-substitution solves them.  The y^1
+  coefficient carries rho^d times each sample's rounding, so the fit
+  needs ceil(d (3 + log10 R)) + 20 digits and raises PrecisionError
+  below that, before any sampling.
 
 The constant A_0 is a gauge freedom of psi whenever a != d (shifting psi
 by a constant reshuffles A_0); both strategies pin A_0 = 0.
@@ -51,8 +58,8 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from ._exact import as_exact, field, is_zero, support, zero_of
-from .errors import DomainError, InconsistencyError, PrecisionError, UnderdeterminedError
+from ._exact import as_exact, field, support, zero_of
+from .errors import DomainError, InconsistencyError, PrecisionError
 from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate, horner,
                    in_v_plus, overflow_limit)
 from .series import LaurentSeries2
@@ -230,9 +237,9 @@ class LiftPolynomial:
 
 
 def derive_lift_polynomial(m: HenonMap, strategy: str = "formal-series",
-                           digits: int = 80, truncation: Optional[int] = None) -> LiftPolynomial:
+                           digits: int = 80) -> LiftPolynomial:
     if strategy == "formal-series":
-        return _derive_formal(m, truncation)
+        return _derive_formal(m)
     if strategy == "bigfloat-fit":
         return _derive_fit(m, digits)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -240,7 +247,7 @@ def derive_lift_polynomial(m: HenonMap, strategy: str = "formal-series",
 
 def cross_check_lift(m: HenonMap, tol: float = 1e-8, digits: int = 80) -> LiftPolynomial:
     """Run both strategies; raise InconsistencyError on disagreement."""
-    qf = _derive_formal(m, None)
+    qf = _derive_formal(m)
     qn = _derive_fit(m, digits)
     for j in range(m.d):
         diff = abs(complex(qf.A[j]) - complex(qn.A[j]))
@@ -250,62 +257,40 @@ def cross_check_lift(m: HenonMap, tol: float = 1e-8, digits: int = 80) -> LiftPo
     return qf
 
 
+def _back_substitute(d: int, rhs, coeff) -> list:
+    """[0, A_1, ..., A_{d-1}] from the unit upper triangular conditions
+    sum_{k >= j} A_k coeff(k, j) = rhs(j) at y^j, j = d-1, ..., 1."""
+    A = [0] * d
+    for j in range(d - 1, 0, -1):
+        A[j] = rhs(j) - sum(A[k] * coeff(k, j) for k in range(j + 1, d))
+    return A
+
+
 # -- formal-series strategy -------------------------------------------------
 
-def _phi_factor_bases(m: HenonMap, dmin: int):
-    """Bases (1 + u_j, d^{j+1}) with phi = y * prod (1+u_j)^{1/d^{j+1}}.
+def _phi_over_y(m: HenonMap) -> LaurentSeries2:
+    """F = phi/y to grade -d: (1 + u_0)^{1/d} with u_0 = q(x,y)/y^d; every
+    later factor is 1 there (its terms have grade <= -2d or 1 - d^2)."""
+    d = m.d
+    a, *coeffs = field([m.a, *m.coeffs])
+    u0 = LaurentSeries2(-d, {**{(0, k - d): c for k, c in enumerate(coeffs)}, (1, -d): -a})
+    return (1 + u0).binomial_pow(Fraction(1, d))
 
-    Uses y_j = y^{d^j} Y_j, x_j = y^{d^{j-1}} Y_{j-1} with Y_0 = 1,
-    Y_{j+1} = Y_j^d (1 + u_j); all series have grades <= 0.
-    """
+
+def _derive_formal(m: HenonMap) -> LiftPolynomial:
     d = m.d
     a, *coeffs = field([m.a, *m.coeffs])
 
-    one = LaurentSeries2.const(1, dmin)
-    # u_0 = sum a_k y^{k-d} - a x y^{-d}
-    u0 = LaurentSeries2(dmin, {**{(0, k - d): c for k, c in enumerate(coeffs)}, (1, -d): -a})
-    bases = [(one + u0, d)]
-    Yprev, Ycur = one, one + u0
-    for j in range(1, 60):
-        uj = LaurentSeries2(dmin)
-        for k, c in enumerate(coeffs):
-            e = d ** j * (k - d)
-            if e >= dmin and not is_zero(c):
-                uj = uj + Ycur.binomial_pow(k - d).shifted(0, e).scaled(c)
-        e2 = -(d ** (j - 1)) * (d * d - 1)
-        if e2 >= dmin:
-            uj = uj + (Yprev * Ycur.binomial_pow(-d)).shifted(0, e2).scaled(-a)
-        if uj.is_zero():
-            break
-        bases.append((one + uj, d ** (j + 1)))
-        Yprev, Ycur = Ycur, Ycur ** d * (one + uj)
-    return bases
-
-
-def _derive_formal(m: HenonMap, truncation: Optional[int]) -> LiftPolynomial:
-    d = m.d
-    dmin = -(d + 4) if truncation is None else -abs(truncation)
-    if dmin > -d:
-        raise UnderdeterminedError(
-            f"truncation floor {dmin} too shallow; need at least -(d) = {-d}")
-    a, *coeffs = field([m.a, *m.coeffs])
-
-    # F = phi/y.  The conditions read E0 and G_k = y^k F^k, k <= d+1, at
-    # grades >= 1 only, so the series below are kept to grade -d; the grades
-    # of F are all <= 0, so its truncated powers are exact there
-    F = LaurentSeries2.const(1, -d)
-    for base, denom in _phi_factor_bases(m, dmin):
-        F = F * base.binomial_pow(Fraction(1, denom))
-    G = [(F ** k).shifted(0, k) for k in range(d + 2)]  # G_k = y^k F^k
+    # the conditions read E0 and G_k = y^k F^k, k <= d+1, at grades >= 1
+    # only; the grades of F are all <= 0, so its truncated powers are exact
+    F = _phi_over_y(m)
+    G = [(F ** k).shifted(0, k) for k in range(d + 2)]
 
     # E0 = y*p(y) - (a + a/d)*x*y - G_{d+1}
     E0 = LaurentSeries2(-d, {(0, j + 1): c for j, c in enumerate((*coeffs, 0, 1))})
     E0 = E0 + LaurentSeries2.mono(-a * (d + 1) / d, 1, 1, -d) - G[d + 1]
 
-    # the conditions at y^{d-1}, ..., y^1 are unit upper triangular
-    A = [0] * d
-    for j in range(d - 1, 0, -1):
-        A[j] = E0.coeff(0, j) - sum(A[k] * G[k].coeff(0, j) for k in range(j + 1, d))
+    A = _back_substitute(d, lambda j: E0.coeff(0, j), lambda k, j: G[k].coeff(0, j))
     A[1:] = field([a, *A[1:]])[1:]
     E = E0
     for k in range(1, d):
@@ -324,29 +309,39 @@ def _derive_formal(m: HenonMap, truncation: Optional[int]) -> LiftPolynomial:
 
 # -- bigfloat-fit strategy --------------------------------------------------
 
+def fit_digits_needed(d: int, R: float) -> int:
+    """Digits the fit needs on |y| = 1000 R: its y^1 coefficient carries
+    rho^d times each sample's rounding, and 20 digits are kept past that."""
+    return math.ceil(d * (3 + math.log10(R))) + 20
+
+
 def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
     d = m.d
-    M = d + 6
-    nunk = (d - 1) + (M + 1)
+    R = estimate_filtration_radius(m).R
+    need = fit_digits_needed(d, R)
+    if digits < need:
+        raise PrecisionError(f"the fit for this map needs {need} digits, got {digits}; "
+                             "raise --digits")
+    N = 2 * d + 10  # aliasing error (R/rho)^N
     with mp.workdps(digits):
-        # geometric radii over two decades keep the rho^{-j} columns well
-        # above the precision floor (wider spreads go numerically singular)
-        npts = nunk + 4
-        radii = [mp.mpf(1000) * mp.mpf(100) ** (mp.mpf(i) / (npts - 1)) for i in range(npts)]
-        rows, rhs = [], []
-        for rho in radii:
-            phiv = phi_mp(m, (mp.mpf(0), rho), digits)
-            # T = x1*y1 - (a/d)*x*y - phi^{d+1}, with x = 0
-            y1 = horner((*(_mp(c) for c in m.coeffs), 0, 1), rho)
-            rhs.append(rho * y1 - _ipow(phiv, d + 1))
-            rows.append([_ipow(phiv, k) for k in range(1, d)] + [rho ** -j for j in range(M + 1)])
-        try:
-            sol = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))[0]
-        except ValueError as exc:  # mpmath: "matrix is numerically singular"
-            raise PrecisionError(
-                f"fit matrix is numerically singular at {digits} digits; "
-                "raise --digits") from exc
-    return LiftPolynomial(d, (0j, *(complex(sol[k]) for k in range(d - 1))))
+        rho = 1000 * mp.mpf(R)
+        p_coeffs = (*(_mp(c) for c in m.coeffs), 0, 1)
+        T = [0] * d  # T[j]: coefficient of y^j in y*p(y) - phi^{d+1}
+        P = [[0] * d for _ in range(d)]  # P[k][j]: coefficient of y^j in phi^k
+        for n in range(N):
+            y = rho * mp.expjpi(mp.mpf(2 * n) / N)
+            pk = [1, phi_mp(m, (mp.mpf(0), y), digits)]
+            for _ in range(d):
+                pk.append(pk[-1] * pk[1])
+            t = y * horner(p_coeffs, y) - pk[d + 1]
+            wj = w = 1 / y
+            for j in range(1, d):
+                T[j] += t * wj
+                for k in range(j + 1, d):
+                    P[k][j] += pk[k] * wj
+                wj *= w
+        A = _back_substitute(d, lambda j: T[j] / N, lambda k, j: P[k][j] / N)
+    return LiftPolynomial(d, (0j, *(complex(c) for c in A[1:])))
 
 
 # ---------------------------------------------------------------------------

@@ -153,16 +153,17 @@ def push(f: FiberAffineMap, direction: str, q: LiftPolynomial, a) -> FiberAffine
 
 def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
                   a) -> FiberAffineMap:
-    """Closed form of n minus-pushes with r = d/a:
-    gamma_n = r^n gamma + c_alpha (r^n - 1)/(r - 1)  (n c_alpha when r = 1),
+    """Closed form of n pushes, gamma -> r gamma + c each:
+    gamma_n = r^n gamma + c (r^n - 1)/(r - 1)  (n c when r = 1), with
+    r = d/a, c = c_alpha (minus) or r = a/d, c = -c_alpha (plus);
     exponent e -> d^n e mod d^2-1 (valid because c_{alpha^d} = c_alpha)."""
-    if direction != "minus":
-        raise ValueError("closed form implemented for the minus direction")
+    if direction not in ("plus", "minus"):
+        raise ValueError("direction must be 'plus' or 'minus'")
     if n < 0:
         raise ValueError("n must be >= 0")
     d = f.d
-    r = _ratio(d, a)
     c = c_alpha(f.alpha, q)
+    r, c = (_ratio(d, a), c) if direction == "minus" else (_ratio(a, d), -c)
     rn = r ** n
     geo = n if r == 1 else (rn - 1) / (r - 1)
     gamma = rn * f.gamma + c * geo if n else f.gamma

@@ -21,9 +21,5 @@ class PrecisionError(HenonLabError):
     """Requested precision or depth is not achievable; message carries an estimate."""
 
 
-class UnderdeterminedError(HenonLabError):
-    """Series truncation too low to determine all unknown coefficients."""
-
-
 class InconsistencyError(HenonLabError):
     """Two independent computation strategies disagree beyond tolerance."""

@@ -105,8 +105,10 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     the returned value is d^{-n} log|phi(H^n z)|.  Non-escaping within
     budget: value 0 with the budget flag set.
     """
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
+    if not 0 < target_error < math.inf:
+        raise ValueError(f"target_error must be finite and positive, got {target_error!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget!r}")
     filt = _filtration(m, filtration)
     n_entry, w, overflowed = _find_entry(m, z, budget, filt.R)
     if overflowed:
@@ -143,6 +145,8 @@ def crude_green_plus(m: HenonMap, z, extra_steps: int, budget: int = DEFAULT_BUD
 
     Kept as an independent cross-check of the refined method.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget!r}")
     filt = _filtration(m, filtration)
     n_entry, w, overflowed = _find_entry(m, z, budget, filt.R)
     if overflowed:
@@ -171,8 +175,10 @@ def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     + O(1/|x_n|), so the limit is d^{-n}(log|x_n| - log|a|/(d-1)) up to a
     geometric tail; the correction and its bound are both reported.
     """
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
+    if not 0 < target_error < math.inf:
+        raise ValueError(f"target_error must be finite and positive, got {target_error!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget!r}")
     # |x| doubles backwards on V_R- only past the backward radius
     R = max(_filtration(m, filtration).R, doubling_radius(m, 1.0 + 2.0 * abs(m.a_complex)))
     n_entry, w, overflowed = _find_entry(m, z, budget, R, inverse=True)

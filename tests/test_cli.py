@@ -159,6 +159,25 @@ def test_lift_push(capsys):
     assert doc["e"] == 3 and doc["gamma"] == [7.0, 0.0]
 
 
+def test_lift_iterate_plus(capsys):
+    code, out, _ = run(capsys, "lift", "iterate", "--map", M3, "--e", "1",
+                       "--gamma", "7/3", "--direction", "plus", "--n", "2")
+    assert code == 0
+    doc = json.loads(out)
+    # r = a/d = 3 and c_alpha = 0 (A_0 = 0): gamma_2 = 9 * 7/3
+    assert doc["e"] == 1 and doc["gamma"] == [21.0, 0.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("green", "--budget=-3"), ("green", "--minus", "--budget=-3"),
+    ("green", "--target-error", "nan"), ("green", "--target-error", "inf"),
+    ("green", "--target-error", "0"), ("green", "--minus", "--target-error", "nan"),
+    ("green", "--minus", "--target-error", "inf"),
+], ids=["budget", "minus-budget", "nan", "inf", "zero", "minus-nan", "minus-inf"])
+def test_green_rejects_invalid_budget_and_target(capsys, argv):
+    _one_line_error(*run(capsys, *argv, "--map", M2, "--point", "0,10"), 2, "usage")
+
+
 def test_slice_export(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -333,14 +352,20 @@ def test_symmetries_inconsistent_counts_is_exit_3(capsys, monkeypatch):
     _one_line_error(*run(capsys, "symmetries", "--map", M3), 3, "domain")
 
 
-def test_singular_fit_is_precision_error(capsys):
+def test_sextic_fit_runs_at_default_digits_and_names_digits_below_need(capsys):
     sextic = '{"d":6,"p":[0,0,0,0,1],"a":3}'
-    code, out, err = run(capsys, "derive-q", "--map", sextic, "--strategy", "fit")
+    docs = []
+    for strat in ("formal", "fit"):
+        code, out, _ = run(capsys, "derive-q", "--map", sextic, "--strategy", strat)
+        assert code == 0
+        docs.append(json.loads(out)["A"])
+    assert len(docs[1]) == 6
+    for a_formal, a_fit in zip(*docs):
+        assert abs(complex(*a_formal) - complex(*a_fit)) <= 1e-8
+    code, out, err = run(capsys, "derive-q", "--map", sextic, "--strategy", "fit",
+                         "--digits", "20")
     _one_line_error(code, out, err, 4, "precision")
     assert "--digits" in json.loads(err)["message"]
-    code, out, _ = run(capsys, "derive-q", "--map", sextic, "--strategy", "fit",
-                       "--digits", "120")
-    assert code == 0 and len(json.loads(out)["A"]) == 6
 
 
 def test_valid_threads_env_ok(capsys, monkeypatch):

@@ -1,6 +1,6 @@
-"""Property test of the CLI contract: whatever the map, point or slice,
-`henonlab` exits 0, 2, 3 or 4 and writes exactly one JSON line, never a
-traceback."""
+"""Property test of the CLI contract: whatever the map, point, option or
+slice, `henonlab` exits 0, 2, 3 or 4 and writes exactly one JSON line, never
+a traceback; a potential it reports has a finite error bound."""
 
 import contextlib
 import io
@@ -43,15 +43,19 @@ def argv(draw, slice_dir):
     cmd = draw(st.sampled_from(["classify", "green", "green-minus", "boettcher", "derive-q",
                                 "derive-q-fit", "symmetries", "push", "iterate", "deck",
                                 "units", "slice"]))
-    if cmd in ("classify", "green", "boettcher"):
+    if cmd in ("classify", "boettcher"):
         extra = ["--trunc", str(draw(st.integers(1, 40)))] if cmd == "boettcher" else []
         return [cmd, "--map", m, f"--point={draw(point)}", *extra]
-    if cmd == "green-minus":
-        return ["green", "--minus", "--map", m, f"--point={draw(point)}"]
+    if cmd in ("green", "green-minus"):
+        minus = ["--minus"] if cmd == "green-minus" else []
+        return ["green", *minus, "--map", m, f"--point={draw(point)}",
+                f"--budget={draw(st.sampled_from([-3, 0, 1, 200]))}",
+                f"--target-error={draw(st.sampled_from(['1e-9', '0', '-1', 'nan', 'inf']))}"]
     if cmd == "derive-q":
         return ["derive-q", "--map", m]
     if cmd == "derive-q-fit":
-        return ["derive-q", "--map", m, "--strategy", "fit"]
+        return ["derive-q", "--map", m, "--strategy", "fit",
+                f"--digits={draw(st.sampled_from([-5, 0, 20, 80, 120]))}"]
     if cmd == "symmetries":
         return ["symmetries", "--map", m]
     if cmd in ("push", "iterate"):
@@ -60,7 +64,8 @@ def argv(draw, slice_dir):
                f"--gamma={gamma}"]
         if cmd == "push":
             return out + ["--direction", draw(st.sampled_from(["plus", "minus"]))]
-        return out + [f"--n={draw(st.integers(0, 60))}"]
+        return out + [f"--n={draw(st.integers(0, 60))}",
+                      "--direction", draw(st.sampled_from(["plus", "minus"]))]
     if cmd == "deck":
         return ["lift", "deck", "--map", m, f"--k={draw(st.integers(-5, 40))}",
                 f"--n={draw(st.integers(0, 6))}", f"--point={draw(point)}"]
@@ -94,6 +99,10 @@ def test_cli_exit_codes_and_one_json_line(tmp_path_factory):
         assert code in (0, 2, 3, 4), (args, code, err.getvalue())
         lines = (out.getvalue() + err.getvalue()).splitlines()
         assert len(lines) == 1, (args, lines)
-        json.loads(lines[0])
+        doc = json.loads(lines[0])
+        if code == 0 and args[0] in ("green", "classify"):
+            green = doc["greenPlus"] if args[0] == "classify" else doc
+            assert green["iterations"] >= 0, (args, doc)
+            assert math.isfinite(green["errorBound"]), (args, doc)
 
     check()

@@ -87,6 +87,37 @@ def test_push_iterated_matches_repeated_pushes():
             assert h.alpha == hc.alpha and h.gamma == hc.gamma, (a, n)
 
 
+def test_push_iterated_plus_matches_repeated_pushes():
+    maps = [(LiftPolynomial(2, (Fraction(2), 0)), 2),   # c_alpha = 0 for every alpha
+            (LiftPolynomial(3, (Fraction(2), 0, 0)), 3)]  # c_alpha in {0, -4}, exact
+    for q, d in maps:
+        for e in range(d * d - 1):
+            f = FiberAffineMap(d, RootOfUnity.for_degree(d, e), Fraction(7, 3))
+            for a in (9, 3, 2):
+                for n in (0, 1, 2, 10):
+                    h = f
+                    for _ in range(n):
+                        h = push(h, "plus", q, a)
+                    hc = push_iterated(f, "plus", n, q, a)
+                    assert h.alpha == hc.alpha and h.gamma == hc.gamma, (d, e, a, n)
+                    assert type(h.gamma) is type(hc.gamma), (d, e, a, n)
+
+
+def test_push_iterated_plus_float_roots():
+    q = LiftPolynomial(4, (Fraction(2), 0, 0, 0))
+    for e in range(15):   # c_alpha is a float complex unless 3 divides e
+        f = FiberAffineMap(4, RootOfUnity.for_degree(4, e), Fraction(7, 3))
+        for a in (16, 4, 2):   # r = a/d = 4, 1 and 1/2
+            for n in (0, 1, 2, 10):
+                h = f
+                for _ in range(n):
+                    h = push(h, "plus", q, a)
+                hc = push_iterated(f, "plus", n, q, a)
+                assert h.alpha == hc.alpha
+                err = abs(complex(h.gamma) - complex(hc.gamma))
+                assert err <= 1e-12 * max(1.0, abs(complex(h.gamma))), (e, a, n)
+
+
 def test_push_iterated_large_n_returns():
     q = LiftPolynomial(3, (Fraction(2), 0, 0))
     f = FiberAffineMap(3, RootOfUnity(1, 8), Fraction(7, 3))

@@ -1,17 +1,20 @@
 """The one exactness rule of the lift layer: the field helper and support
 rule of henonlab._exact, the triangular formal solve for Q against the
-pivoting solver it replaced, exact normalization, and the exact k' count."""
+factor chain and pivoting solver it replaced, the Fourier fit against the
+formal Q, exact normalization, and the exact k' count."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from henonlab import HenonMap, classify_aut1, derive_lift_polynomial, normalize, poly_map_of
+from henonlab import (HenonMap, classify_aut1, derive_lift_polynomial,
+                      estimate_filtration_radius, normalize, poly_map_of)
+from henonlab import boettcher
 from henonlab._exact import QC, as_exact, field, is_zero, support, zero_of
-from henonlab.boettcher import LiftPolynomial, _phi_factor_bases
+from henonlab.boettcher import LiftPolynomial
 from henonlab.covering import compute_L_prime
-from henonlab.errors import InconsistencyError, UnderdeterminedError
+from henonlab.errors import InconsistencyError, PrecisionError
 from henonlab.series import LaurentSeries2
 
 
@@ -38,7 +41,37 @@ def test_support_exact_values_have_no_threshold():
     assert support([Fraction(1, 10 ** 30), 1e-3], 1e-9) == [1]
 
 
-# -- the parent's pivoting solver, kept as an oracle --------------------------
+# -- the parent's factor chain and pivoting solver, kept as an oracle ---------
+
+def _phi_factor_bases(m: HenonMap, dmin: int):
+    """Bases (1 + u_j, d^{j+1}) with phi = y * prod (1+u_j)^{1/d^{j+1}}.
+
+    Uses y_j = y^{d^j} Y_j, x_j = y^{d^{j-1}} Y_{j-1} with Y_0 = 1,
+    Y_{j+1} = Y_j^d (1 + u_j); all series have grades <= 0.
+    """
+    d = m.d
+    a, *coeffs = field([m.a, *m.coeffs])
+
+    one = LaurentSeries2.const(1, dmin)
+    # u_0 = sum a_k y^{k-d} - a x y^{-d}
+    u0 = LaurentSeries2(dmin, {**{(0, k - d): c for k, c in enumerate(coeffs)}, (1, -d): -a})
+    bases = [(one + u0, d)]
+    Yprev, Ycur = one, one + u0
+    for j in range(1, 60):
+        uj = LaurentSeries2(dmin)
+        for k, c in enumerate(coeffs):
+            e = d ** j * (k - d)
+            if e >= dmin and not is_zero(c):
+                uj = uj + Ycur.binomial_pow(k - d).shifted(0, e).scaled(c)
+        e2 = -(d ** (j - 1)) * (d * d - 1)
+        if e2 >= dmin:
+            uj = uj + (Yprev * Ycur.binomial_pow(-d)).shifted(0, e2).scaled(-a)
+        if uj.is_zero():
+            break
+        bases.append((one + uj, d ** (j + 1)))
+        Yprev, Ycur = Ycur, Ycur ** d * (one + uj)
+    return bases
+
 
 def _f_power(bases, k: int, dmin: int):
     """F^k where phi = y*F, as prod (1+u_j)^{k/d^{j+1}}."""
@@ -65,7 +98,7 @@ def _solve_overdetermined(rows, nunk, exact):
             if mag > best_mag:
                 best, best_mag = ri, mag
         if best is None:
-            raise UnderdeterminedError(f"no condition determines A_{col + 1}")
+            raise AssertionError(f"no condition determines A_{col + 1}")
         used.add(best)
         row_of_col[col] = best
         pr = work[best]
@@ -121,41 +154,38 @@ def _oracle_q(m: HenonMap, truncation):
     return LiftPolynomial(d, (QC(0) if exact else 0.0, *sol))
 
 
-def _seeded_maps(count: int, exact: bool, seed: int):
+def _seeded_maps(count: int, exact: bool, seed: int, top: int = 9, degrees: int = 5):
+    """count maps of degree 2 .. degrees+1, coefficients and a up to top."""
     rng = random.Random(seed)
 
     def scalar():
         if exact:
-            re = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            im = Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4 else 0
+            re = Fraction(rng.randint(-top, top), rng.randint(1, 5))
+            im = Fraction(rng.randint(-top, top), rng.randint(1, 5)) if rng.random() < 0.4 else 0
             return QC(re, im) if im or rng.random() < 0.5 else re
-        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        return complex(rng.uniform(-top / 3, top / 3), rng.uniform(-top / 3, top / 3))
 
     out = []
     for i in range(count):
-        d = 2 + i % 5
+        d = 2 + i % degrees
         a = scalar()
         out.append(HenonMap(d, a if not is_zero(a) else 3,
                             tuple(scalar() if rng.random() < 0.7 else 0 for _ in range(d - 1))))
     return out
 
 
-def _cases():
-    maps = _seeded_maps(30, True, 81) + _seeded_maps(30, False, 82)
-    return [(m, tr) for m in maps for tr in (None, m.d, m.d + 8)]
-
-
 def test_triangular_solve_matches_pivoting_oracle():
-    for m, tr in _cases():
-        new = derive_lift_polynomial(m, "formal-series", truncation=tr)
-        old = _oracle_q(m, tr)
-        if m.exact:
-            assert new.A == old.A, (m, tr)
-            assert [type(c) for c in new.A] == [QC] * m.d
-        else:
-            assert type(new.A[0]) is float and new.A[0] == 0.0
-            assert all(type(c) is complex for c in new.A[1:])
-            assert max(abs(complex(x) - complex(y)) for x, y in zip(new.A, old.A)) <= 1e-14
+    for m in _seeded_maps(30, True, 81) + _seeded_maps(30, False, 82):
+        new = derive_lift_polynomial(m, "formal-series")
+        for tr in (None, m.d, m.d + 8):
+            old = _oracle_q(m, tr)
+            if m.exact:
+                assert new.A == old.A, (m, tr)
+                assert [type(c) for c in new.A] == [QC] * m.d
+            else:
+                assert type(new.A[0]) is float and new.A[0] == 0.0
+                assert all(type(c) is complex for c in new.A[1:])
+                assert max(abs(complex(x) - complex(y)) for x, y in zip(new.A, old.A)) <= 1e-14
 
 
 @pytest.mark.parametrize("m,kick", [(HenonMap(3, 9, (1, 0)), Fraction(1, 7)),
@@ -163,21 +193,40 @@ def test_triangular_solve_matches_pivoting_oracle():
                          ids=["exact", "complex"])
 def test_inconsistent_conditions_raise(monkeypatch, m, kick):
     # a wrong phi makes some positive-grade monomial of E survive the solve
-    from henonlab import boettcher
-    true_bases = boettcher._phi_factor_bases
+    true_f = boettcher._phi_over_y
 
-    def wrong_bases(m, dmin):
-        (base, denom), *rest = true_bases(m, dmin)
-        return [(base + LaurentSeries2.mono(kick, 1, -3, dmin), denom), *rest]
+    def wrong_f(m):
+        F = true_f(m)
+        return F + LaurentSeries2.mono(kick, 1, -3, F.dmin)
 
-    monkeypatch.setattr(boettcher, "_phi_factor_bases", wrong_bases)
+    monkeypatch.setattr(boettcher, "_phi_over_y", wrong_f)
     with pytest.raises(InconsistencyError):
         derive_lift_polynomial(m, "formal-series")
 
 
-def test_truncation_floor_above_minus_d_is_underdetermined():
-    with pytest.raises(UnderdeterminedError):
-        derive_lift_polynomial(HenonMap(3, 9, (1, 0)), "formal-series", truncation=2)
+# -- the Fourier fit ---------------------------------------------------------
+
+def test_fit_at_needed_digits_matches_formal_and_checks_before_sampling(monkeypatch):
+    maps = _seeded_maps(24, True, 91, 10 ** 4, 7) + _seeded_maps(24, False, 92, 10 ** 4, 7)
+    true_phi_mp = boettcher.phi_mp
+    calls = []
+
+    def counted_phi_mp(*args):
+        calls.append(1)
+        return true_phi_mp(*args)
+
+    monkeypatch.setattr(boettcher, "phi_mp", counted_phi_mp)
+    for m in maps:
+        need = boettcher.fit_digits_needed(m.d, estimate_filtration_radius(m).R)
+        formal = derive_lift_polynomial(m, "formal-series")
+        fit = derive_lift_polynomial(m, "bigfloat-fit", digits=need)
+        assert fit.A[0] == 0j and all(type(c) is complex for c in fit.A)
+        for x, y in zip(formal.A_complex, fit.A):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (m, x, y)
+        calls.clear()
+        with pytest.raises(PrecisionError, match="--digits"):
+            derive_lift_polynomial(m, "bigfloat-fit", digits=need - 1)
+        assert not calls
 
 
 # -- normalization -----------------------------------------------------------

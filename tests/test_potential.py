@@ -224,3 +224,18 @@ def test_non_finite_point_rejected(z):
     for fn in (green_plus, green_minus, classify_point):
         with pytest.raises(ValueError):
             fn(QUAD, z)
+
+
+@pytest.mark.parametrize("fn", [green_plus, green_minus,
+                                lambda m, z, budget: crude_green_plus(m, z, 3, budget)],
+                         ids=["plus", "minus", "crude"])
+def test_negative_budget_rejected(fn):
+    with pytest.raises(ValueError, match="budget"):
+        fn(QUAD, (0, 10), budget=-1)
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
+def test_target_error_must_be_finite_and_positive(target):
+    for fn in (green_plus, green_minus):
+        with pytest.raises(ValueError, match="target_error"):
+            fn(QUAD, (0, 10), target_error=target)
