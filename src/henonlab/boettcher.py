@@ -69,10 +69,12 @@ from .series import LaurentSeries2
 # Tail and branch bounds
 # ---------------------------------------------------------------------------
 
-def _u_bound(m: HenonMap, yabs: float) -> float:
-    """Upper bound for |q(x,y)/y^d| on |x| <= |y|, |y| >= 1; yabs may be a numpy array."""
+def _u_bound(m: HenonMap, yabs: float, inverse: bool = False) -> float:
+    """Upper bound for |q(x,y)/y^d| on |x| <= |y|, |y| >= 1, or backwards for
+    |(q(x) - y)/x^d| on |y| <= |x|, |x| = yabs >= 1 (so B = 1 there); yabs
+    may be a numpy array or an mpf."""
     A = sum(abs(c) for c in m.coeffs_complex)
-    B = abs(complex(m.a))
+    B = 1.0 if inverse else abs(complex(m.a))
     try:
         return A / yabs ** 2 + B / yabs ** (m.d - 1)
     except OverflowError:  # |y|^k past the float range; the negative powers underflow
@@ -80,7 +82,10 @@ def _u_bound(m: HenonMap, yabs: float) -> float:
 
 
 def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
-    """Certified bound on |log phi - log phi_J| using |y_j| >= 2^j |y_0|."""
+    """Certified bound on |log phi - log phi_J| using |y_j| >= 2^j |y_0|;
+    J >= 1, where |y_J| >= 2R gives the |u| <= 1/2 the bound needs."""
+    if J < 1:
+        raise ValueError(f"phi_tail_bound needs J >= 1, got {J!r}")
     if y0abs <= 1.0:
         return float("inf")
     d = m.d
@@ -178,14 +183,12 @@ def phi_mp(m: HenonMap, z, dps: int):
     d = m.d
     a = _mp(m.a)
     coeffs = [_mp(c) for c in m.coeffs]
+    # a float A in _u_bound is well inside the 10-digit margin of the cutoff
     cutoff = mp.mpf(10) ** (-(dps + 10))
-    Asum = sum(abs(c) for c in coeffs) if coeffs else mp.mpf(0)
-    Babs = abs(a)
     theta, J = cmath.phase(complex(y)), 0
     while J < 4 * dps + 60:
-        ya = abs(y)
         # certified bound on this and all later factors (|y| keeps doubling)
-        if Asum / ya ** 2 + Babs / ya ** (d - 1) < cutoff:
+        if _u_bound(m, abs(y)) < cutoff:
             break
         q = horner(coeffs, y) - a * x
         yd = _ipow(y, d)

@@ -8,6 +8,13 @@ first-order log|a| correction, and walks into V_R- with R the larger of the
 forward and the backward doubling radius (maps.doubling_radius), so |x|
 provably doubles along the rest of the backward orbit.
 
+One crude estimator serves G-, crude_green_plus and the grid: after entry
+the walk climbs until the leading coordinate reaches max(1e13, 2R) or the
+overflow limit and takes d^-n log of it.  The rest of the limit, the sum
+over j >= n of d^-(j+1) log|1+u_j|, is below d^-n 4u/d, u = _u_bound there:
+past 2R the doubling inequality gives |u_j| <= 1/2, so |log(1+u_j)| <=
+2|u_j|, and u_j at least halves per step.
+
 Membership in the non-escaping set is semi-decidable: the verdict
 "bounded-within-budget" is budget-stamped, never a claim about K+.
 """
@@ -33,8 +40,8 @@ DEFAULT_TARGET_ERROR = 1e-9
 ESCAPED_FORWARD = "escapes-forward"
 BOUNDED = "bounded-within-budget"
 
-# magnitude at which the crude log is already certified far beyond any
-# requested target; used as the refinement stopping height
+# height at which, for a modest R, the crude log is certified far beyond any
+# requested target: the refinement stops there, the crude climb at max(_DEEP, 2R)
 _DEEP = 1e13
 _FLOAT_NOISE = 1e-12
 
@@ -65,9 +72,10 @@ def _filtration(m: HenonMap, filtration: Optional[FiltrationRadius]) -> Filtrati
 def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
     """Iterate until the orbit enters V_R+ (or V_R- backwards).
 
-    Returns (n, point, overflowed): the step n at which the walk stopped
-    and the point there, with overflowed set when it stopped on overflow
-    before entry (certain escape); n is None when the budget ran out.
+    Returns (n, point, None) at entry, or (n, point, final) when the walk
+    stops first: on overflow (certain escape) final is the crude log of the
+    sup-norm with error d^-n; when the budget runs out n is None and final
+    is 0 with the budget flag set.
     """
     cur = (complex(z[0]), complex(z[1]))
     if not (cmath.isfinite(cur[0]) and cmath.isfinite(cur[1])):
@@ -77,22 +85,36 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
     for n in range(budget + 1):
         mag = max(abs(cur[0]), abs(cur[1]))
         if math.isfinite(mag) and member(cur, R):
-            return n, cur, False
+            return n, cur, None
         if not mag <= lim:  # past the limit, inf or nan: escape is certain
-            return n, cur, True
+            g = math.log(max(mag, 1.0)) / m.d ** n
+            return n, cur, GreenValue(g, m.d ** (-n) + _FLOAT_NOISE, "crude", n, entry=n)
         cur = evaluate(m, cur, inverse=inverse)
-    return None, cur, False
+    return None, cur, GreenValue(0.0, 0.0, "crude", budget, budget_exhausted=True)
 
 
-def _overflow_value(m: HenonMap, n: int, w) -> GreenValue:
-    """Crude value at the walk's overflow point w = H^n z (or H^-n z); w is
-    so large that the crude log is correct far below any sensible target."""
-    g = math.log(max(abs(w[0]), abs(w[1]), 1.0)) / m.d ** n
-    return GreenValue(g, m.d ** (-n) + _FLOAT_NOISE, "crude", n, entry=n)
+def _crude_bound(m: HenonMap, top, inverse: bool = False):
+    """d^n times the crude error bound at a stop height top >= 2R (see the
+    module docstring); top may be a numpy array."""
+    return 4.0 * _u_bound(m, top, inverse) / m.d
 
 
-def _exhausted(budget: int) -> GreenValue:
-    return GreenValue(0.0, 0.0, "crude", budget, budget_exhausted=True)
+def _crude(m: HenonMap, n: int, w, R: float, inverse: bool = False) -> GreenValue:
+    """The crude estimator from the entry step n and point w into V_R+-, on
+    the leading coordinate (y, or x backwards), less log|a|/(d-1) backwards."""
+    lead = 0 if inverse else 1
+    height = max(_DEEP, 2.0 * R)
+    lim = overflow_limit(m.d)
+    n_entry = n
+    while abs(w[lead]) < height and abs(w[lead]) <= lim:
+        w = evaluate(m, w, inverse=inverse)
+        n += 1
+    top = abs(w[lead])
+    shift = math.log(abs(m.a_complex)) / (m.d - 1) if inverse else 0.0
+    g = (math.log(top) - shift) / m.d ** n
+    # stopped on the overflow limit below the height: the overflow rule
+    err = (_crude_bound(m, top, inverse) if top >= height else 1.0) / m.d ** n
+    return GreenValue(g, err + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n, entry=n_entry)
 
 
 def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
@@ -110,22 +132,18 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget!r}")
     filt = _filtration(m, filtration)
-    n_entry, w, overflowed = _find_entry(m, z, budget, filt.R)
-    if overflowed:
-        return _overflow_value(m, n_entry, w)
-    if n_entry is None:
-        return _exhausted(budget)
+    n_entry, w, final = _find_entry(m, z, budget, filt.R)
+    if final is not None:
+        return final
 
     # refinement: climb until |y| is deep enough or the tail target is met;
     # tail is always the bound at the current w and truncation J, each
     # evaluated once
     n = n_entry
-    extra = 0
     tail = phi_tail_bound(m, abs(w[1]), 1)
-    while abs(w[1]) < _DEEP and extra < 80 and tail * m.d ** (-n) > target_error * 0.25:
+    while abs(w[1]) < _DEEP and tail * m.d ** (-n) > target_error * 0.25:
         w = evaluate(m, w)
         n += 1
-        extra += 1
         tail = phi_tail_bound(m, abs(w[1]), 1)
 
     scaled_target = target_error * 0.5 * m.d ** n
@@ -139,41 +157,29 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     return GreenValue(g, err, "boettcher-refined", n, entry=n_entry)
 
 
-def crude_green_plus(m: HenonMap, z, extra_steps: int, budget: int = DEFAULT_BUDGET,
+def crude_green_plus(m: HenonMap, z, budget: int = DEFAULT_BUDGET,
                      filtration: Optional[FiltrationRadius] = None) -> GreenValue:
-    """Plain d^{-n} log+ sup-norm estimator, extra_steps past V_R+ entry.
+    """Plain d^{-n} log+ sup-norm estimator, taken at height max(1e13, 2R)
+    in V_R+ with the crude bound.
 
     Kept as an independent cross-check of the refined method.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget!r}")
-    filt = _filtration(m, filtration)
-    n_entry, w, overflowed = _find_entry(m, z, budget, filt.R)
-    if overflowed:
-        return _overflow_value(m, n_entry, w)
-    if n_entry is None:
-        return _exhausted(budget)
-    n = n_entry
-    lim = overflow_limit(m.d)
-    for _ in range(extra_steps):
-        if abs(w[1]) > lim:
-            break
-        w = evaluate(m, w)
-        n += 1
-    mag = max(abs(w[0]), abs(w[1]), 1.0)
-    # remaining tail: sum_{j>n} d^{-j} log(1+u) with |y| at least doubling
-    err = phi_tail_bound(m, abs(w[1]), 0) / m.d ** n + _FLOAT_NOISE
-    return GreenValue(math.log(mag) / m.d ** n, err, "crude", n, entry=n_entry)
+    R = _filtration(m, filtration).R
+    n, w, final = _find_entry(m, z, budget, R)
+    return final if final is not None else _crude(m, n, w, R)
 
 
 def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
                 budget: int = DEFAULT_BUDGET,
                 filtration: Optional[FiltrationRadius] = None) -> GreenValue:
-    """Backward Green's function, crude estimator with log|a| correction.
+    """Backward Green's function: the crude estimator with log|a| correction.
 
     After n backward steps into V_R-, log|x_{n+1}| = d log|x_n| - log|a|
-    + O(1/|x_n|), so the limit is d^{-n}(log|x_n| - log|a|/(d-1)) up to a
-    geometric tail; the correction and its bound are both reported.
+    + log|1+u_n|, so the limit is d^{-n}(log|x_n| - log|a|/(d-1)) up to the
+    crude tail.  target_error is validated but changes nothing: G- always
+    reports the crude value at height max(1e13, 2R) with its bound.
     """
     if not 0 < target_error < math.inf:
         raise ValueError(f"target_error must be finite and positive, got {target_error!r}")
@@ -181,37 +187,8 @@ def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
         raise ValueError(f"budget must be >= 0, got {budget!r}")
     # |x| doubles backwards on V_R- only past the backward radius
     R = max(_filtration(m, filtration).R, doubling_radius(m, 1.0 + 2.0 * abs(m.a_complex)))
-    n_entry, w, overflowed = _find_entry(m, z, budget, R, inverse=True)
-    if overflowed:
-        return _overflow_value(m, n_entry, w)
-    if n_entry is None:
-        return _exhausted(budget)
-
-    n = n_entry
-    lim = overflow_limit(m.d)
-    extra = 0
-    while abs(w[0]) < _DEEP and extra < 80 and abs(w[0]) <= lim:
-        w = evaluate(m, w, inverse=True)
-        n += 1
-        extra += 1
-    xabs = max(abs(w[0]), 1.0)
-    d = m.d
-    loga = math.log(abs(complex(m.a)))
-    g = (math.log(xabs) - loga / (d - 1)) / d ** n
-    # tail bound: per-step multiplicative perturbations A/x^2 + |y|/x^d with
-    # |x| at least doubling backwards on V_R-
-    A = sum(abs(c) for c in m.coeffs_complex)
-    err = 0.0
-    xj = xabs
-    for j in range(200):
-        u = A / xj / xj + xj ** (1 - d)  # xj ** 2 overflows past |x| ~ 1.3e154
-        term = 2.0 * u / d ** (n + j + 1)
-        err += term
-        if term < 1e-300:
-            break
-        xj *= 2.0
-    err += _FLOAT_NOISE * (1.0 + abs(g))
-    return GreenValue(g, err, "crude", n, entry=n_entry)
+    n, w, final = _find_entry(m, z, budget, R, inverse=True)
+    return final if final is not None else _crude(m, n, w, R, inverse=True)
 
 
 def classify_point(m: HenonMap, z, budget: int = DEFAULT_BUDGET,
@@ -255,10 +232,12 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
     """G+ over flat complex arrays (X, Y) of equal shape.
 
     Returns (green, err, escaped) float/bool arrays.  Escaped points are
-    iterated in V_R+ to height _DEEP, or stop on overflow and are valued as
-    in the scalar walk; bounded-within-budget points get green = 0.
+    iterated in V_R+ to height max(1e13, 2R) and get the crude value and
+    bound of crude_green_plus, or stop on overflow and are valued as in the
+    scalar walk; bounded-within-budget points get green = 0.
     """
     R = _filtration(m, filtration).R
+    height = max(_DEEP, 2.0 * R)
     d = m.d
     a = complex(m.a)
     lim = overflow_limit(d)
@@ -278,7 +257,7 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
             inside = (ay >= np.maximum(ax, R)) & np.isfinite(ay)
             # V_R+ is forward invariant with |y'| >= 2|y|, so entry and climb
             # are one walk; past the limit, inf or nan: escape is certain
-            deep = inside & (ay >= _DEEP)
+            deep = inside & (ay >= height)
             over = ~deep & ~(mag <= lim)
             esc = deep | over
             done = esc | ~inside if step >= budget else esc
@@ -292,9 +271,9 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
 
         escaped = stop_step >= 0
         scale = np.power(float(d), -stop_step)
-        u = _u_bound(m, np.maximum(top, 2.0))
         # an overflowed walk gets the scalar engine's crude bound d^-n
-        bound = scale * np.where(overflowed, 1.0, 4.0 * u / d) + _FLOAT_NOISE
+        bound = scale * np.where(overflowed, 1.0, _crude_bound(m, np.maximum(top, 2.0))) \
+            + _FLOAT_NOISE
         green = np.where(escaped, np.log(np.maximum(top, 1.0)) * scale, 0.0)
         err = np.where(escaped, bound, 0.0)
     return green, err, escaped

@@ -325,8 +325,7 @@ def check_grid_sampling() -> CheckResult:
     us, vs = np.meshgrid(g1.us, g1.vs)
     X = us[mask].astype(np.complex128)
     Y = vs[mask].astype(np.complex128)
-    HX, HY = Y, Y * Y - 3.0 * X
-    gh, _, esc = green_plus_grid(m, HX, HY, budget=200, filtration=filt)
+    gh, _, esc = green_plus_grid(m, *evaluate(m, (X, Y)), budget=200, filtration=filt)
     frac = float(np.mean(esc & (gh < m.d * 1.0))) if mask.any() else 1.0
 
     # cross-format agreement

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ._exact import support
 from .boettcher import LiftPolynomial
-from .covering import RootOfUnity, compute_L_prime, root_value
+from .covering import compute_L_prime, root_value
 from .errors import DomainError, InconsistencyError
 from .maps import (FiltrationRadius, HenonMap, PolyMap2, compose_poly_maps,
                    estimate_filtration_radius, iterate_orbit, poly_map_of)
@@ -43,12 +43,6 @@ class SymmetryGroup:
     @property
     def order(self) -> int:
         return len(self.exponents)
-
-    def __contains__(self, e: int) -> bool:
-        return e % self.modulus in self.exponents
-
-    def elements(self):
-        return [RootOfUnity(e, self.modulus) for e in self.exponents]
 
 
 def symmetry_poly_map(d: int, e: int) -> PolyMap2:

@@ -5,12 +5,13 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from henonlab import (DomainError, HenonMap, classify_point, evaluate, green_minus,
                       green_plus)
-from henonlab.maps import FiltrationRadius, estimate_filtration_radius, horner
+from henonlab.maps import FiltrationRadius, doubling_radius, estimate_filtration_radius, horner
 from henonlab.potential import (_DEEP, _FLOAT_NOISE, crude_green_plus, green_plus_grid,
                                 sample_escaping_points)
 
@@ -64,7 +65,7 @@ def test_crude_and_refined_methods_agree():
     filt = estimate_filtration_radius(QUAD)
     for z in sample_escaping_points(QUAD, 50, seed=33, filtration=filt):
         refined = green_plus(QUAD, z, filtration=filt)
-        crude = crude_green_plus(QUAD, z, extra_steps=25, filtration=filt)
+        crude = crude_green_plus(QUAD, z, filtration=filt)
         assert abs(refined.value - crude.value) <= \
             refined.error_bound + crude.error_bound + 1e-9
 
@@ -194,6 +195,110 @@ def test_grid_matches_the_walk_it_replaced():
             assert n.tobytes() == o.tobytes(), m
 
 
+def _orbit_truth(m, z, inverse=False, n=14):
+    """60-digit d^-n log ||H^n z|| (H^-n backwards, less log|a|/(d-1))."""
+    with mp.workdps(60):
+        a = mp.mpc(m.a_complex)
+        p = (*(mp.mpc(c) for c in m.coeffs_complex), 0, 1)
+        x, y = mp.mpc(z[0]), mp.mpc(z[1])
+        for _ in range(n):
+            x, y = ((horner(p, x) - y) / a, x) if inverse else (y, horner(p, y) - a * x)
+        g = mp.log(max(abs(x), abs(y)))
+        if inverse:
+            g -= mp.log(abs(a)) / (m.d - 1)
+        return float(g / m.d ** n)
+
+
+def _entry_points(rng, R, count):
+    """Points of V_R+ at entry: |y| in [R, 1.2R], |x| <= |y| (swap for V_R-)."""
+    def rect(r):
+        return cmath.rect(r, rng.uniform(0.0, 2.0 * math.pi))
+    out = []
+    for _ in range(count):
+        r = R * rng.uniform(1.0, 1.2)
+        out.append((rect(r * rng.uniform(0.0, 1.0)), rect(r)))
+    return out
+
+
+def test_green_bounds_hold_against_mpmath_orbit():
+    """|value - truth| <= error_bound for G+, crude G+, the grid and G- at
+    V_R+- entry, where |u| may be near 1 until the orbit passes 2R.  Walks
+    that pass the overflow limit before entry, valued by the overflow rule,
+    are not drawn.  The two fixed cases have R = 31.6 and R = 3.16e13."""
+    rng = random.Random(37)
+    cases = []
+    for m in (HenonMap(4, 1, (0, 0, 1000)), HenonMap(4, 1, (0, 0, 1e27))):
+        z = (0j, 1.0001j * estimate_filtration_radius(m).R)
+        cases.append((m, [z], [z[::-1]]))
+    for d in range(2, 6):
+        for amod in (0.3, 1.0, 3.0, 50.0):
+            for scale in (1.0, 1e9, 1e27):
+                coeffs = [cmath.rect(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0 * math.pi))
+                          for _ in range(d - 1)]
+                coeffs[d - 2] *= scale
+                m = HenonMap(d, cmath.rect(amod, rng.uniform(0.0, 2.0 * math.pi)),
+                             tuple(coeffs))
+                R = estimate_filtration_radius(m).R
+                Rm = max(R, doubling_radius(m, 1.0 + 2.0 * amod))
+                cases.append((m, _entry_points(rng, R, 3),
+                               [z[::-1] for z in _entry_points(rng, Rm, 3)]))
+    bad = []
+    for m, fwd, bwd in cases:
+        filt = estimate_filtration_radius(m)
+        green, err, _ = green_plus_grid(m, np.array([z[0] for z in fwd]),
+                                        np.array([z[1] for z in fwd]), filtration=filt)
+        for i, z in enumerate(fwd):
+            truth = _orbit_truth(m, z)
+            g, c = green_plus(m, z, filtration=filt), crude_green_plus(m, z, filtration=filt)
+            for name, v, e in (("plus", g.value, g.error_bound), ("crude", c.value, c.error_bound),
+                               ("grid", green[i], err[i])):
+                if not abs(v - truth) <= e:
+                    bad.append((name, m, z, v, e, truth))
+        for z in bwd:
+            truth = _orbit_truth(m, z, inverse=True)
+            g = green_minus(m, z, filtration=filt)
+            if not abs(g.value - truth) <= g.error_bound:
+                bad.append(("minus", m, z, g.value, g.error_bound, truth))
+    assert not bad, bad
+
+
+def _agreement_cases():
+    """The four benchmark maps at box, deep and far points, and a map with
+    R = 3.16e13 at points around R."""
+    rng = random.Random(38)
+
+    def rect(r):
+        return cmath.rect(r, rng.uniform(0.0, 2.0 * math.pi))
+
+    def box():
+        return complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
+
+    cases = []
+    for m in (QUAD, CUBIC, HenonMap(2, 0.3, (-1.2,)),
+              HenonMap(5, 0.5 + 0.2j, (0.3, 0, 1, -1j))):
+        pts = [(box(), box()) for _ in range(100)]
+        pts += [(box(), rect(1e6 * rng.uniform(0.5, 2.0))) for _ in range(20)]
+        pts += [(rect(1e200 * rng.uniform(0.5, 2.0)), rect(1e200 * rng.uniform(0.5, 2.0)))
+                for _ in range(20)]
+        cases.append((m, pts))
+    m = HenonMap(4, 1, (0, 0, 1e27))
+    R = estimate_filtration_radius(m).R
+    cases.append((m, [(rect(R * rng.uniform(0.0, 2.0)), rect(R * rng.uniform(0.0, 2.0)))
+                      for _ in range(100)]))
+    return cases
+
+
+def test_grid_agrees_with_scalar_crude_estimator():
+    for m, pts in _agreement_cases():
+        filt = estimate_filtration_radius(m)
+        green, _, escaped = green_plus_grid(m, np.array([z[0] for z in pts]),
+                                            np.array([z[1] for z in pts]), filtration=filt)
+        for i, z in enumerate(pts):
+            c = crude_green_plus(m, z, filtration=filt)
+            assert escaped[i] == (not c.budget_exhausted), (m, z)
+            assert abs(green[i] - c.value) <= 1e-14 * max(1.0, abs(c.value)), (m, z)
+
+
 def test_sup_norm_definition_at_large_points():
     """G+ uses the sup norm: at (x, y) with |x| > |y| deep in escape,
     one step into V_R+ still reproduces d^{-n} log of the sup norm."""
@@ -206,7 +311,7 @@ def test_sup_norm_definition_at_large_points():
 def test_crude_agrees_with_refined_on_overflow():
     # the walk overflows before V_R+ entry; crude used to report 0.0
     g = green_plus(QUAD, (1e200, 1e199))
-    c = crude_green_plus(QUAD, (1e200, 1e199), extra_steps=5)
+    c = crude_green_plus(QUAD, (1e200, 1e199))
     assert g.value == pytest.approx(460.517, abs=1e-3)
     assert (c.value, c.error_bound, c.iterations) == (g.value, g.error_bound, g.iterations)
     assert not c.budget_exhausted
@@ -226,8 +331,7 @@ def test_non_finite_point_rejected(z):
             fn(QUAD, z)
 
 
-@pytest.mark.parametrize("fn", [green_plus, green_minus,
-                                lambda m, z, budget: crude_green_plus(m, z, 3, budget)],
+@pytest.mark.parametrize("fn", [green_plus, green_minus, crude_green_plus],
                          ids=["plus", "minus", "crude"])
 def test_negative_budget_rejected(fn):
     with pytest.raises(ValueError, match="budget"):

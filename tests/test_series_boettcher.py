@@ -66,9 +66,19 @@ def test_phi_error_bound_certifies_truncation():
 
 
 def test_u_bound_holds_past_1e150():
-    # B / |y|^(d-1) for p = y^2, a = 3; the old 1e-300 cutoff undercut it
+    # B / |y|^(d-1) for p = y^2, a = 3 (B = 1 backwards); the old 1e-300
+    # cutoff undercut it
     from henonlab.boettcher import _u_bound
     assert _u_bound(QUAD, 1e151) == 3 / 1e151
+    assert _u_bound(QUAD, 1e151, inverse=True) == 1 / 1e151
+
+
+def test_phi_tail_bound_needs_truncation_at_least_one():
+    # at J = 0 the tail starts below 2R, where |u| <= 1/2 is not proven
+    from henonlab.boettcher import phi_tail_bound
+    assert phi_tail_bound(QUAD, 100.0, 1) > 0.0
+    with pytest.raises(ValueError, match="J >= 1"):
+        phi_tail_bound(QUAD, 100.0, 0)
 
 
 def test_phi_asymptotic_to_y():
