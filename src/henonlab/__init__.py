@@ -21,7 +21,7 @@ from .grid import (GridResult, SliceSpec, annulus_radius, export_grid,
                    sample_slice)
 from .maps import (AffineConjugation, FiltrationRadius, HenonMap, PolyMap2,
                    compose_poly_maps, estimate_filtration_radius, evaluate,
-                   iterate_orbit, normalize, poly_map_of)
+                   normalize, poly_map_of)
 from .potential import (GreenValue, OrbitClassification, classify_point,
                         green_minus, green_plus)
 from .symmetry import (Aut1Classification, SymmetryGroup, classify_aut1,

@@ -5,12 +5,17 @@ q(x,y) = p(y) - ax - y^d, satisfying phi o H = phi^d and G+ = log|phi|.
 Every factor uses the principal branch, which needs only Re(1+u) > 0 for
 u = q/y^d; the guard |u| < 1 is enforced at runtime, never assumed (on
 V_R+ the doubling radius gives |u| <= 1 - 2/|y|^{d-1}, not 1/2).  The
-tail bound uses |log(1+u)| <= 2|u|, which needs |u| <= 1/2: it starts at
-J >= 1, where |y_J| >= 2R gives that.  The product to J
-equals y_J^{1/d^J}: phi_mp takes that root with one log and one exp, its
-winding theta_{j+1} = d theta_j + Arg(1+u_j) tracked in doubles.  mpmath
-computes a high-precision mpc**n as exp(n log z), so the mpmath paths
-carry integer powers by multiplication.
+product to J equals y_J^{1/d^J}: phi_mp takes that root with one log and
+one exp, its winding theta_{j+1} = d theta_j + Arg(1+u_j) tracked in
+doubles, and stops once the factors left are below 10^-(dps+10).  phi is
+phi_mp at 30 digits rounded to a complex double.  mpmath computes a
+high-precision mpc**n as exp(n log z), so the mpmath paths carry integer
+powers by multiplication.
+
+The refined G+ of the potential module still takes the float product
+phi_product with its tail bound phi_tail_bound, which uses
+|log(1+u)| <= 2|u| and so needs |u| <= 1/2: it starts at J >= 1, where
+|y_J| >= 2R gives that.
 
 Q(zeta) = zeta^{d+1} + A_{d-1} zeta^{d-1} + ... + A_0 is the first-
 coordinate polynomial of the covering model ((a/d)z + Q(zeta), zeta^d).
@@ -109,7 +114,6 @@ def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
 @dataclass(frozen=True)
 class BoettcherValue:
     value: complex
-    truncation: int
     error_bound: float
 
 
@@ -119,8 +123,14 @@ def _q_value(m: HenonMap, x, y):
     return horner(m.coeffs_complex, y) - complex(m.a) * x
 
 
-def phi_product(m: HenonMap, z, J: int) -> complex:
-    """Raw truncated product (no domain checks); caller guarantees z in V_R+."""
+def phi_product(m: HenonMap, z, J: int):
+    """Raw truncated product (no domain checks); caller guarantees z in V_R+.
+
+    Returns (product, rest).  Once |y_j| passes the overflow limit, where
+    y_j^d could overflow, the product stops after j < J factors, and
+    rest = 4u/d at |y_j| over d^j bounds the log of the factors skipped,
+    provided |y_j| >= 2R (the caller's to ensure); otherwise rest is 0.
+    """
     x, y = complex(z[0]), complex(z[1])
     d = m.d
     lim = overflow_limit(d)
@@ -128,8 +138,8 @@ def phi_product(m: HenonMap, z, J: int) -> complex:
     cur = (x, y)
     for j in range(J):
         xj, yj = cur
-        if abs(yj) > lim:  # y^d could overflow past the limit; |q/y^d| is negligible there
-            break
+        if abs(yj) > lim:
+            return val, 4.0 * _u_bound(m, abs(yj)) / d ** (j + 1)
         u = _q_value(m, xj, yj) / yj ** d
         if abs(u) >= 1.0:
             raise DomainError(
@@ -137,23 +147,27 @@ def phi_product(m: HenonMap, z, J: int) -> complex:
         if abs(u) > 1e-19:
             val *= cmath.exp(cmath.log(1 + u) / d ** (j + 1))
         cur = evaluate(m, cur)
-    return val
+    return val, 0.0
 
 
-def phi(m: HenonMap, z, truncation: int = 20,
-        filtration: Optional[FiltrationRadius] = None) -> BoettcherValue:
-    """Boettcher coordinate at z in V_R+, with certified product-tail bound."""
+# phi's working precision.  phi_mp stops once the factors left are below
+# 10^-(dps+10); its J steps at dps digits carry each step's rounding into
+# log phi divided by d^(j+1), and the final log and exp add |log phi|
+# (below 10^3 for any double y) times 10^-dps, so the computed log phi is
+# within 10^-(dps-10) with room to spare
+_PHI_DPS = 30
+_PHI_REL = 2.0 ** -52 + 10.0 ** -(_PHI_DPS - 10)
+
+
+def phi(m: HenonMap, z, filtration: Optional[FiltrationRadius] = None) -> BoettcherValue:
+    """Boettcher coordinate at z in V_R+: phi_mp at 30 digits rounded to a
+    complex double, with bound |phi| (2^-52 + 10^-20)."""
     filt = filtration if filtration is not None else estimate_filtration_radius(m)
     if not in_v_plus(z, filt.R):
         raise DomainError("phi requires z in V_R+; iterate the point forward first")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    val = phi_product(m, z, truncation)
-    yabs = abs(complex(z[1]))
-    tail = phi_tail_bound(m, yabs, truncation)
-    # tail bounds |log phi - log phi_J|; convert to an absolute bound
-    err = abs(val) * (math.expm1(tail) if tail < 700 else float("inf"))
-    return BoettcherValue(val, truncation, err + 1e-15 * abs(val))
+    with mp.workdps(_PHI_DPS):
+        val = complex(phi_mp(m, z, _PHI_DPS))
+    return BoettcherValue(val, abs(val) * _PHI_REL)
 
 
 def _mp(v):

@@ -20,7 +20,7 @@ from .boettcher import derive_lift_polynomial, phi
 from .covering import (FiberAffineMap, RootOfUnity, deck_eval, deck_rational,
                        push, push_iterated)
 from .dyadic import ring_from_fraction, subgroup_membership, unit_decompose
-from .errors import DomainError, HenonLabError, PrecisionError
+from .errors import HenonLabError, PrecisionError
 from .grid import SliceSpec, export_grid, sample_slice
 from .maps import HenonMap, normalize
 from .potential import classify_point, green_minus, green_plus
@@ -153,9 +153,8 @@ def cmd_green(args) -> int:
 
 def cmd_boettcher(args) -> int:
     m = parse_map(args.map)
-    bv = phi(m, parse_point(args.point), truncation=args.trunc)
-    _emit({"value": _c(bv.value), "truncation": bv.truncation,
-           "errorBound": bv.error_bound})
+    bv = phi(m, parse_point(args.point))
+    _emit({"value": _c(bv.value), "errorBound": bv.error_bound})
     return 0
 
 
@@ -320,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boettcher", help="Boettcher coordinate on V_R+")
     _add_map(p)
     p.add_argument("--point", required=True)
-    p.add_argument("--trunc", type=int, default=20, help="product truncation J")
     p.set_defaults(fn=cmd_boettcher)
 
     p = sub.add_parser("derive-q", help="derive the lift polynomial Q")
@@ -389,8 +387,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as exc:
         return _fail(2, "usage", exc)
-    except DomainError as exc:
-        return _fail(3, "domain", exc)
     except PrecisionError as exc:
         return _fail(4, "precision", exc)
     except HenonLabError as exc:

@@ -1,7 +1,7 @@
 """Henon maps H(x,y) = (y, p(y) - ax) with p centered monic of degree d.
 
 Provides exact construction and normalization, forward/inverse evaluation,
-orbit iteration with overflow-as-escape semantics, exact bivariate
+the overflow limit past which escape is certain, exact bivariate
 polynomial composition (used to verify normalization and symmetries), and
 the proven filtration radius.
 
@@ -211,7 +211,7 @@ def normalize(coeffs, a) -> tuple[HenonMap, AffineConjugation]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and orbits
+# Evaluation
 # ---------------------------------------------------------------------------
 
 def evaluate(m: HenonMap, z, inverse: bool = False):
@@ -226,47 +226,9 @@ def evaluate(m: HenonMap, z, inverse: bool = False):
     return ((m.p(x) - y) / m.a, x)
 
 
-@dataclass
-class Orbit:
-    points: list
-    overflow: bool = False
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-
 def overflow_limit(d: int) -> float:
     """Magnitude above which the next step could overflow doubles; escape is then certain."""
     return 10.0 ** (260.0 / d)
-
-
-def iterate_orbit(m: HenonMap, z, n: int) -> Orbit:
-    """Orbit [z, H^{s}z, ..., H^{sn}z] with s = sign(n); truncates on overflow.
-
-    Overflow is a certificate of escape (the filtration doubling bound),
-    never an error.
-    """
-    direction = n < 0
-    steps = abs(n)
-    pts = [z]
-    lim = overflow_limit(m.d)
-    cur = z
-    for _ in range(steps):
-        mag = max(abs(complex(cur[0])), abs(complex(cur[1])))
-        if not math.isfinite(mag) or mag > lim:
-            return Orbit(pts, overflow=True)
-        cur = evaluate(m, cur, inverse=direction)
-        pts.append(cur)
-    m0, m1 = abs(complex(pts[-1][0])), abs(complex(pts[-1][1]))
-    if not (math.isfinite(m0) and math.isfinite(m1)):
-        return Orbit(pts[:-1], overflow=True)
-    return Orbit(pts, overflow=False)
 
 
 # ---------------------------------------------------------------------------

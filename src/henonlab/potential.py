@@ -3,10 +3,12 @@
 G+(z) = lim d^{-n} log+ ||H^n z|| (sup-norm).  For escaping points the
 forward potential is refined through the infinite-product coordinate of
 the boettcher module once the orbit enters V_R+, with a certified tail
-bound.  The backward potential uses the crude estimator only, with a
-first-order log|a| correction, and walks into V_R- with R the larger of the
-forward and the backward doubling radius (maps.doubling_radius), so |x|
-provably doubles along the rest of the backward orbit.
+bound; an orbit that enters past the overflow limit, where no factor of
+the product can be formed, gets the crude value.  The backward potential
+uses the crude estimator only, with a first-order log|a| correction, and
+walks into V_R- with R the larger of the forward and the backward
+doubling radius (maps.doubling_radius), so |x| provably doubles along the
+rest of the backward orbit.
 
 One crude estimator serves G-, crude_green_plus and the grid: after entry
 the walk climbs until the leading coordinate reaches max(1e13, 2R) or the
@@ -41,7 +43,8 @@ ESCAPED_FORWARD = "escapes-forward"
 BOUNDED = "bounded-within-budget"
 
 # height at which, for a modest R, the crude log is certified far beyond any
-# requested target: the refinement stops there, the crude climb at max(_DEEP, 2R)
+# requested target: the refinement stops there or at the overflow limit,
+# the crude climb at max(_DEEP, 2R) or the overflow limit
 _DEEP = 1e13
 _FLOAT_NOISE = 1e-12
 
@@ -124,7 +127,8 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
 
     Escaping points: iterate n steps into V_R+, then a few more so the
     product tail at truncation J satisfies d^{-n} * tail <= target_error;
-    the returned value is d^{-n} log|phi(H^n z)|.  Non-escaping within
+    the returned value is d^{-n} log|phi(H^n z)|, or the crude value when
+    the entry point is past the overflow limit.  Non-escaping within
     budget: value 0 with the budget flag set.
     """
     if not 0 < target_error < math.inf:
@@ -135,13 +139,16 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     n_entry, w, final = _find_entry(m, z, budget, filt.R)
     if final is not None:
         return final
+    lim = overflow_limit(m.d)
+    if abs(w[1]) > lim:  # no product factor can be formed there
+        return _crude(m, n_entry, w, filt.R)
 
     # refinement: climb until |y| is deep enough or the tail target is met;
     # tail is always the bound at the current w and truncation J, each
     # evaluated once
     n = n_entry
     tail = phi_tail_bound(m, abs(w[1]), 1)
-    while abs(w[1]) < _DEEP and tail * m.d ** (-n) > target_error * 0.25:
+    while abs(w[1]) < min(_DEEP, lim) and tail * m.d ** (-n) > target_error * 0.25:
         w = evaluate(m, w)
         n += 1
         tail = phi_tail_bound(m, abs(w[1]), 1)
@@ -151,9 +158,10 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     while tail > scaled_target and J < 400:
         J += 1
         tail = phi_tail_bound(m, abs(w[1]), J)
-    val = phi_product(m, w, J)
+    # the product can stop past the limit, at |y_j| >= 2R: j >= 1, or w climbed
+    val, rest = phi_product(m, w, J)
     g = math.log(abs(val)) / m.d ** n
-    err = tail / m.d ** n + _FLOAT_NOISE * (1.0 + abs(g))
+    err = (tail + rest) / m.d ** n + _FLOAT_NOISE * (1.0 + abs(g))
     return GreenValue(g, err, "boettcher-refined", n, entry=n_entry)
 
 
@@ -272,9 +280,9 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
         escaped = stop_step >= 0
         scale = np.power(float(d), -stop_step)
         # an overflowed walk gets the scalar engine's crude bound d^-n
-        bound = scale * np.where(overflowed, 1.0, _crude_bound(m, np.maximum(top, 2.0))) \
-            + _FLOAT_NOISE
         green = np.where(escaped, np.log(np.maximum(top, 1.0)) * scale, 0.0)
+        bound = scale * np.where(overflowed, 1.0, _crude_bound(m, np.maximum(top, 2.0))) \
+            + _FLOAT_NOISE * (1.0 + green)
         err = np.where(escaped, bound, 0.0)
     return green, err, escaped
 

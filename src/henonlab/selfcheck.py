@@ -79,8 +79,8 @@ def check_boettcher_equation() -> CheckResult:
             y = cmath.rect(r, rng.uniform(0, 2 * math.pi))
             x = cmath.rect(r * rng.random(), rng.uniform(0, 2 * math.pi))
             z = (x, y)
-            pv = phi(m, z, truncation=20, filtration=filt2)
-            pv2 = phi(m, evaluate(m, z), truncation=20, filtration=filt2)
+            pv = phi(m, z, filtration=filt2)
+            pv2 = phi(m, evaluate(m, z), filtration=filt2)
             worst_rel = max(worst_rel,
                             abs(pv2.value - pv.value ** m.d) / abs(pv.value) ** m.d)
             g = green_plus(m, z, filtration=filt)
@@ -89,7 +89,8 @@ def check_boettcher_equation() -> CheckResult:
     return CheckResult(
         "boettcher-equation",
         ok,
-        f"200 points in V_2R+: max relative phi-equation residual {worst_rel:.2e} "
+        f"200 points in V_2R+, phi from 30-digit phi_mp: max relative phi-equation "
+        f"residual {worst_rel:.2e} "
         f"(tol 1e-9), max |log|phi| - G+| = {worst_log:.2e} (tol 1e-8)")
 
 

@@ -19,7 +19,7 @@ from .boettcher import LiftPolynomial
 from .covering import compute_L_prime, root_value
 from .errors import DomainError, InconsistencyError
 from .maps import (FiltrationRadius, HenonMap, PolyMap2, compose_poly_maps,
-                   estimate_filtration_radius, iterate_orbit, poly_map_of)
+                   estimate_filtration_radius, evaluate, overflow_limit, poly_map_of)
 from .potential import green_plus, sample_escaping_points
 from .series import LaurentSeries2
 
@@ -152,12 +152,16 @@ def verify_rigidity_family(m: HenonMap, e: int, s: int, samples: int = 100,
     pts = sample_escaping_points(m, samples, seed=seed, filtration=filt)
     worst = 0.0
     scale = float(m.d) ** s
+    lim = overflow_limit(m.d)
     for z in pts:
-        orb = iterate_orbit(m, z, s)
-        if orb.overflow:
-            continue
-        w = apply_symmetry(m.d, e, orb[-1])
-        g1 = green_plus(m, w, filtration=filt).value
-        g0 = green_plus(m, z, filtration=filt).value
-        worst = max(worst, abs(g1 - scale * g0))
+        hz = z
+        for _ in range(abs(s)):
+            hz = evaluate(m, hz, inverse=s < 0)
+            if not max(abs(hz[0]), abs(hz[1])) <= lim:  # certain escape: skip the sample
+                break
+        else:
+            w = apply_symmetry(m.d, e, hz)
+            g1 = green_plus(m, w, filtration=filt).value
+            g0 = green_plus(m, z, filtration=filt).value
+            worst = max(worst, abs(g1 - scale * g0))
     return worst

@@ -28,8 +28,8 @@ def test_criterion_01_functorial_law():
 
 
 def test_criterion_02_boettcher_equation():
-    """|phi(Hz) - phi(z)^d| / |phi(z)|^d < 1e-9 at J=20 on V_2R+,
-    and |log|phi| - G+| < 1e-8 on V_R+."""
+    """|phi(Hz) - phi(z)^d| / |phi(z)|^d < 1e-9 on V_2R+ with phi from
+    30-digit phi_mp, and |log|phi| - G+| < 1e-8 on V_R+."""
     _run(selfcheck.check_boettcher_equation)
 
 

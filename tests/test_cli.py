@@ -80,8 +80,15 @@ def test_boettcher_output(capsys):
     code, out, _ = run(capsys, "boettcher", "--map", M2, "--point", "0,10")
     assert code == 0
     doc = json.loads(out)
-    assert doc["truncation"] == 20
+    assert list(doc) == ["value", "errorBound"]
     assert doc["value"][0] == pytest.approx(9.9924877779, abs=1e-6)
+    assert 0 < doc["errorBound"] < 1e-14
+
+
+def test_boettcher_trunc_is_a_usage_error(capsys):
+    # phi is phi_mp rounded to doubles: there is no truncation to choose
+    _one_line_error(*run(capsys, "boettcher", "--map", M2, "--point", "0,10",
+                         "--trunc", "20"), 2, "usage")
 
 
 Q5 = '{"d":5,"p":[0.3,0,1,"0-1i"],"a":"0.5+0.2i"}'
@@ -92,8 +99,7 @@ Q5_BOX = "2.8787828968791693+5.067899959985004i,-5.651937260596624-0.41252814746
     ("green", "--map", Q5, "--point", Q5_BOX),
     ("green", "--map", Q5, "--point", "0,1e70"),
     ("boettcher", "--map", Q5, "--point", "0,1e70"),
-    ("boettcher", "--map", M2, "--point", "0,10", "--trunc", "2000"),
-], ids=["quintic-box", "quintic-deep-green", "quintic-deep-boettcher", "trunc-2000"])
+], ids=["quintic-box", "quintic-deep-green", "quintic-deep-boettcher"])
 def test_tail_bound_does_not_overflow(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""

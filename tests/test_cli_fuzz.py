@@ -44,8 +44,7 @@ def argv(draw, slice_dir):
                                 "derive-q-fit", "symmetries", "push", "iterate", "deck",
                                 "units", "slice"]))
     if cmd in ("classify", "boettcher"):
-        extra = ["--trunc", str(draw(st.integers(1, 40)))] if cmd == "boettcher" else []
-        return [cmd, "--map", m, f"--point={draw(point)}", *extra]
+        return [cmd, "--map", m, f"--point={draw(point)}"]
     if cmd in ("green", "green-minus"):
         minus = ["--minus"] if cmd == "green-minus" else []
         return ["green", *minus, "--map", m, f"--point={draw(point)}",

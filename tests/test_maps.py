@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from henonlab import (DomainError, HenonMap, InvalidMapError, evaluate,
-                      estimate_filtration_radius, iterate_orbit, normalize,
+                      estimate_filtration_radius, normalize,
                       poly_map_of, compose_poly_maps)
 from henonlab._exact import QC
-from henonlab.maps import (PolyMap2, doubling_radius, horner, in_v_minus, in_v_plus,
-                           overflow_limit)
+from henonlab.maps import PolyMap2, doubling_radius, horner, in_v_minus, in_v_plus
 from henonlab.series import LaurentSeries2
 
 
@@ -180,20 +179,6 @@ def test_filtration_radius_for_coefficients_up_to_1e300():
         formula = (2 * (1 + d * 1e300)) ** (1 / (d - 1))
         for r in (estimate_filtration_radius(m).R, doubling_radius(m, 1 + 2e300)):
             assert math.isfinite(r) and r >= formula * (1 - 1e-15)
-
-
-def test_iterate_orbit_truncates_on_overflow():
-    orb = iterate_orbit(QUAD, (0, 1e9), 50)
-    assert orb.overflow
-    assert len(orb.points) <= 51
-    assert all(abs(p[1]) <= overflow_limit(2) * 1e9 for p in orb.points[:-1])
-
-
-def test_iterate_orbit_backward():
-    orb = iterate_orbit(QUAD, (1e6, 0), -1)
-    x1, y1 = orb.points[-1]
-    assert y1 == pytest.approx(1e6)
-    assert x1 == pytest.approx(1e12 / 3, rel=1e-12)
 
 
 def test_filtration_regions_partition():

@@ -180,7 +180,7 @@ def _two_loop_grid(m, X, Y, budget=200, filtration=None):
             green[escaped] = np.log(np.maximum(ye, 1.0)) * scale
             A, B = sum(abs(c) for c in coeffs), abs(a)
             u = A / np.maximum(ye, 2.0) ** 2 + B / np.maximum(ye, 2.0) ** (d - 1)
-            err[escaped] = scale * (4.0 * u / d) + _FLOAT_NOISE
+            err[escaped] = scale * (4.0 * u / d) + _FLOAT_NOISE * (1.0 + green[escaped])
     return green, err, escaped
 
 
@@ -209,22 +209,26 @@ def _orbit_truth(m, z, inverse=False, n=14):
         return float(g / m.d ** n)
 
 
-def _entry_points(rng, R, count):
-    """Points of V_R+ at entry: |y| in [R, 1.2R], |x| <= |y| (swap for V_R-)."""
+def _entry_points(rng, R, count, top=1.2):
+    """Points of V_R+ at entry: |y| in [R, top R], |x| <= |y| (swap for V_R-)."""
     def rect(r):
         return cmath.rect(r, rng.uniform(0.0, 2.0 * math.pi))
     out = []
     for _ in range(count):
-        r = R * rng.uniform(1.0, 1.2)
+        r = R * rng.uniform(1.0, top)
         out.append((rect(r * rng.uniform(0.0, 1.0)), rect(r)))
     return out
 
 
 def test_green_bounds_hold_against_mpmath_orbit():
-    """|value - truth| <= error_bound for G+, crude G+, the grid and G- at
-    V_R+- entry, where |u| may be near 1 until the orbit passes 2R.  Walks
-    that pass the overflow limit before entry, valued by the overflow rule,
-    are not drawn.  The two fixed cases have R = 31.6 and R = 3.16e13."""
+    """|value - truth| <= error_bound, both finite, for G+, crude G+, the
+    grid and G- at V_R+- entry, where |u| may be near 1 until the orbit
+    passes 2R.  Walks that pass the overflow limit before entry, valued by
+    the overflow rule, are not drawn.  The two fixed cases have R = 31.6 and
+    R = 3.16e13.  Forward only: maps of degree 21..40 (the overflow limit
+    below 1e13) with coefficients to 1e30, and of degree 2..8 with
+    coefficients to 1e200 (R can lie past the limit), at |y| in
+    [R, 100R]."""
     rng = random.Random(37)
     cases = []
     for m in (HenonMap(4, 1, (0, 0, 1000)), HenonMap(4, 1, (0, 0, 1e27))):
@@ -242,6 +246,14 @@ def test_green_bounds_hold_against_mpmath_orbit():
                 Rm = max(R, doubling_radius(m, 1.0 + 2.0 * amod))
                 cases.append((m, _entry_points(rng, R, 3),
                                [z[::-1] for z in _entry_points(rng, Rm, 3)]))
+    for degrees, exponent in ((range(21, 41), 30), (range(2, 9), 200)):
+        for _ in range(24):
+            d = rng.choice(degrees)
+            scale = 10.0 ** rng.uniform(0.0, exponent)
+            m = HenonMap(d, cmath.rect(rng.uniform(0.1, 10.0), rng.uniform(0.0, 2.0 * math.pi)),
+                         tuple(cmath.rect(scale * rng.uniform(0.0, 2.0),
+                                          rng.uniform(0.0, 2.0 * math.pi)) for _ in range(d - 1)))
+            cases.append((m, _entry_points(rng, estimate_filtration_radius(m).R, 4, 100.0), []))
     bad = []
     for m, fwd, bwd in cases:
         filt = estimate_filtration_radius(m)
@@ -252,7 +264,7 @@ def test_green_bounds_hold_against_mpmath_orbit():
             g, c = green_plus(m, z, filtration=filt), crude_green_plus(m, z, filtration=filt)
             for name, v, e in (("plus", g.value, g.error_bound), ("crude", c.value, c.error_bound),
                                ("grid", green[i], err[i])):
-                if not abs(v - truth) <= e:
+                if not (math.isfinite(v) and abs(v - truth) <= e < math.inf):
                     bad.append((name, m, z, v, e, truth))
         for z in bwd:
             truth = _orbit_truth(m, z, inverse=True)
@@ -315,6 +327,17 @@ def test_crude_agrees_with_refined_on_overflow():
     assert g.value == pytest.approx(460.517, abs=1e-3)
     assert (c.value, c.error_bound, c.iterations) == (g.value, g.error_bound, g.iterations)
     assert not c.budget_exhausted
+
+
+@pytest.mark.parametrize("k", [1.01, 1.5j])
+def test_green_plus_is_crude_when_entry_is_past_the_overflow_limit(k):
+    # R = 2.4e87 is past the overflow limit 4.6e86 of d = 3: no product
+    # factor can be formed at entry, where |q/y^d| may be about 1/2
+    m = HenonMap(3, 1, (0, 3e174))
+    z = (0j, k * estimate_filtration_radius(m).R)
+    g, c = green_plus(m, z), crude_green_plus(m, z)
+    assert (g.value, g.error_bound, g.method) == (c.value, c.error_bound, "crude")
+    assert abs(g.value - _orbit_truth(m, z)) <= g.error_bound
 
 
 def test_entry_step_is_reported():

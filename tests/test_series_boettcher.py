@@ -13,7 +13,7 @@ from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
                       derive_lift_polynomial, evaluate, phi, psi,
                       semiconjugacy_residual)
 from henonlab.boettcher import _mp, digits_needed, phi_mp
-from henonlab.maps import estimate_filtration_radius, horner, in_v_plus
+from henonlab.maps import estimate_filtration_radius, horner, in_v_plus, overflow_limit
 from henonlab.series import LaurentSeries2
 
 QUAD = HenonMap(2, 3, (0,))
@@ -57,12 +57,29 @@ def test_phi_outside_domain_raises():
         phi(QUAD, (0, 1))
 
 
-def test_phi_error_bound_certifies_truncation():
-    z = (0, 9.0)
-    coarse = phi(QUAD, z, truncation=3)
-    fine = phi(QUAD, z, truncation=40)
-    assert abs(coarse.value - fine.value) <= coarse.error_bound
-    assert fine.error_bound < coarse.error_bound
+def test_phi_within_its_bound_of_60_digit_phi_mp():
+    """phi against phi_mp at 60 digits for d = 2..40, complex a and
+    coefficients to 1e30, with |y| in [R, 100R] and past the overflow limit
+    (where |q/y^d| need not be small when R is near or past it)."""
+    rng = random.Random(11)
+    bad = []
+    for d in range(2, 41):
+        for _ in range(2):
+            scale = 10.0 ** rng.uniform(0.0, 30.0)
+            m = HenonMap(d, cmath.rect(rng.uniform(0.1, 10.0), rng.uniform(0.0, 2 * math.pi)),
+                         tuple(cmath.rect(scale * rng.uniform(0.0, 2.0),
+                                          rng.uniform(0.0, 2 * math.pi)) for _ in range(d - 1)))
+            R = estimate_filtration_radius(m).R
+            lim = max(R, overflow_limit(d))
+            for r in (R * (1 + 1e-9), R * rng.uniform(1.0, 100.0), lim * rng.uniform(1.0, 100.0)):
+                z = (cmath.rect(r * rng.random(), rng.uniform(0.0, 2 * math.pi)),
+                     cmath.rect(r, rng.uniform(0.0, 2 * math.pi)))
+                bv = phi(m, z)
+                with mp.workdps(60):
+                    diff = abs(mp.mpc(bv.value) - phi_mp(m, z, 60))
+                if not diff <= bv.error_bound < math.inf:
+                    bad.append((m, z, bv, float(diff)))
+    assert not bad, bad
 
 
 def test_u_bound_holds_past_1e150():

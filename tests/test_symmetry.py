@@ -95,3 +95,11 @@ def test_rigidity_family_invariance():
     e = sorted(g.exponents)[1]
     dev = verify_rigidity_family(CUBIC, e, s=1, samples=30, seed=54)
     assert dev < 1e-6
+
+
+@pytest.mark.parametrize("s", [-1, 2, 8])
+def test_rigidity_family_steps_either_way_and_skips_overflow(s):
+    # at s = 8 every box sample passes the overflow limit and is skipped
+    e = sorted(detect_linear_symmetries(CUBIC).exponents)[1]
+    dev = verify_rigidity_family(CUBIC, e, s=s, samples=30, seed=54)
+    assert dev == 0.0 if s == 8 else dev < 1e-6
