@@ -17,8 +17,7 @@ import sys
 from fractions import Fraction
 
 from .boettcher import derive_lift_polynomial, phi
-from .covering import (FiberAffineMap, RootOfUnity, deck_eval, deck_rational,
-                       push, push_iterated)
+from .covering import FiberAffineMap, RootOfUnity, deck_eval, deck_rational, push_iterated
 from .dyadic import ring_from_fraction, subgroup_membership, unit_decompose
 from .errors import HenonLabError, PrecisionError
 from .grid import SliceSpec, export_grid, sample_slice
@@ -194,15 +193,6 @@ def _parse_gamma(s: str):
     return complex(parse_scalar(s))
 
 
-def cmd_lift_push(args) -> int:
-    m = parse_map(args.map)
-    q = derive_lift_polynomial(m, "formal-series")
-    f = FiberAffineMap(m.d, RootOfUnity.for_degree(m.d, args.e),
-                       _parse_gamma(args.gamma))
-    _emit(_fiber_doc(push(f, args.direction, q, m.a)))
-    return 0
-
-
 def cmd_lift_iterate(args) -> int:
     m = parse_map(args.map)
     q = derive_lift_polynomial(m, "formal-series")
@@ -218,7 +208,7 @@ def cmd_lift_deck(args) -> int:
     r = deck_rational(args.k, args.n, m.d)
     z, zeta = parse_point(args.point)
     w = deck_eval(r, (z, zeta), q, complex(m.a))
-    _emit({"k": r.k, "n": r.n, "d": r.d, "image": [_c(w[0]), _c(w[1])]})
+    _emit({"k": r.m, "n": r.k, "d": r.d, "image": [_c(w[0]), _c(w[1])]})
     return 0
 
 
@@ -339,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--e", type=int, required=True, help="root-of-unity exponent")
     lp.add_argument("--gamma", required=True, help="translation part (fraction or complex)")
     lp.add_argument("--direction", choices=("plus", "minus"), required=True)
-    lp.set_defaults(fn=cmd_lift_push)
+    lp.set_defaults(fn=cmd_lift_iterate, n=1)
     lp = lsub.add_parser("iterate", help="closed-form n-fold push")
     _add_map(lp)
     lp.add_argument("--e", type=int, required=True)

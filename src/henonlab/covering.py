@@ -3,7 +3,8 @@
 Fiber-preserving affine maps (z, zeta) -> (beta z + gamma, alpha zeta)
 with alpha a (d^2-1)-th root of unity and beta = alpha^{d+1}; the push
 operations transporting them through the covering model in both
-directions; deck transformations indexed by k/d^n in Z[1/d]/Z; and the
+directions; deck transformations indexed by classes k/d^n of Z[1/d]/Z,
+each held as the dyadic.RingElem m/d^k with 0 <= m < d^k; and the
 constraint set of exponents compatible with a given lift polynomial.
 
 Roots of unity are exact integer exponents modulo d^2-1 throughout;
@@ -18,8 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._exact import QC, is_zero
+from ._exact import QC
 from .boettcher import LiftPolynomial
+from .dyadic import RingElem
 from .errors import DomainError
 
 
@@ -90,13 +92,6 @@ class FiberAffineMap:
     def apply(self, point):
         z, zeta = point
         return (self.beta * z + self.gamma, self.alpha.value() * zeta)
-
-    def is_identity(self) -> bool:
-        return self.alpha.e == 0 and is_zero(self.gamma)
-
-
-def fiber_identity(d: int) -> FiberAffineMap:
-    return FiberAffineMap(d, RootOfUnity.for_degree(d, 0), 0)
 
 
 def fiber_compose(f: FiberAffineMap, g: FiberAffineMap) -> FiberAffineMap:
@@ -174,48 +169,31 @@ def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
 # Deck transformations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeckRational:
-    """Class k/d^n mod Z, normalized: 0 <= k < d^n and (d does not divide k or n = 0)."""
-
-    k: int
-    n: int
-    d: int
-
-
-def deck_rational(k: int, n: int, d: int) -> DeckRational:
+def deck_rational(k: int, n: int, d: int) -> RingElem:
+    """The class of k/d^n mod Z, as m/d^k in normal form with 0 <= m < d^k."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    k %= d ** n
-    while n > 0 and k % d == 0:
-        k //= d
-        n -= 1
-    if k == 0:
-        n = 0
-    return DeckRational(k, n, d)
+    return RingElem(d, k % d ** n, n)
 
 
-def deck_compose(r1: DeckRational, r2: DeckRational) -> DeckRational:
-    if r1.d != r2.d:
-        raise ValueError("degree mismatch")
-    n = max(r1.n, r2.n)
-    d = r1.d
-    k = r1.k * d ** (n - r1.n) + r2.k * d ** (n - r2.n)
-    return deck_rational(k, n, d)
+def deck_compose(r1: RingElem, r2: RingElem) -> RingElem:
+    """The class of r1 + r2 mod Z."""
+    s = r1 + r2
+    return RingElem(s.d, s.m % s.d ** s.k, s.k)
 
 
-def deck_eval(r: DeckRational, point, q: LiftPolynomial, a) -> tuple:
-    """gamma_{k/d^n}(z, zeta) = (z + (d/a) sum_{l<n} (d/a)^l (Q(zeta^{d^l}) -
-    Q((w zeta)^{d^l})), w zeta) with w = exp(2*pi*i*k/d^n); terms with
-    l >= n vanish identically, so the sum is finite."""
+def deck_eval(r: RingElem, point, q: LiftPolynomial, a) -> tuple:
+    """gamma_{m/d^k}(z, zeta) = (z + (d/a) sum_{l<k} (d/a)^l (Q(zeta^{d^l}) -
+    Q((w zeta)^{d^l})), w zeta) with w = exp(2*pi*i*m/d^k); terms with
+    l >= k vanish identically, so the sum is finite."""
     z, zeta = complex(point[0]), complex(point[1])
     if abs(zeta) <= 1.0:
         raise DomainError("deck transformations act on |zeta| > 1")
     d = r.d
-    w = cmath.exp(2j * math.pi * r.k / d ** r.n)
+    w = cmath.exp(2j * math.pi * r.m / d ** r.k)
     ratio = d / complex(a)
     shift = 0j
-    for l in range(r.n):
+    for l in range(r.k):
         shift += ratio ** l * (q.q_eval(zeta ** (d ** l)) - q.q_eval((w * zeta) ** (d ** l)))
     return (z + ratio * shift, w * zeta)
 

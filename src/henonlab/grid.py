@@ -12,7 +12,6 @@ misclassified.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,15 +78,6 @@ class GridResult:
     us: np.ndarray          # (W,) slice parameter values
     vs: np.ndarray          # (H,) slice parameter values
     metadata: dict = field(default_factory=dict)
-
-
-def annulus_radius(green_plus: float, c: float) -> Optional[float]:
-    """e^{G+} in (1, e^c) when 0 < G+ < c, else None."""
-    if green_plus < 0:
-        raise ValueError("greenPlus must be nonnegative")
-    if 0.0 < green_plus < c:
-        return math.exp(green_plus)
-    return None
 
 
 def _map_metadata(m: HenonMap) -> dict:

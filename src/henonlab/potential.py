@@ -13,9 +13,12 @@ rest of the backward orbit.
 One crude estimator serves G-, crude_green_plus and the grid: after entry
 the walk climbs until the leading coordinate reaches max(1e13, 2R) or the
 overflow limit and takes d^-n log of it.  The rest of the limit, the sum
-over j >= n of d^-(j+1) log|1+u_j|, is below d^-n 4u/d, u = _u_bound there:
-past 2R the doubling inequality gives |u_j| <= 1/2, so |log(1+u_j)| <=
-2|u_j|, and u_j at least halves per step.
+over j >= n of d^-(j+1) log|1+u_j|, is below d^-n 4u/d, u = _u_bound there,
+whenever u <= 1/2: then |log(1+u_j)| <= 2|u_j|, and u_j at least halves per
+step as the leading coordinate doubles on V_R+-.  A stop with u > 1/2 gets
+d^-n: past 2R the doubling inequality still gives |u_j| <= 1/2, so the
+tail is below d^-n 2/(2d-1); below 2R, on the overflow limit, that is the
+overflow rule.
 
 Membership in the non-escaping set is semi-decidable: the verdict
 "bounded-within-budget" is budget-stamped, never a claim about K+.
@@ -97,9 +100,11 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
 
 
 def _crude_bound(m: HenonMap, top, inverse: bool = False):
-    """d^n times the crude error bound at a stop height top >= 2R (see the
-    module docstring); top may be a numpy array."""
-    return 4.0 * _u_bound(m, top, inverse) / m.d
+    """d^n times the crude error bound at a stop height top in V_R+- (see the
+    module docstring): 4u/d when u = _u_bound(top) <= 1/2, else the overflow
+    rule's 1; top may be a numpy array."""
+    u = _u_bound(m, top, inverse)
+    return np.where(u <= 0.5, 4.0 * u / m.d, 1.0)
 
 
 def _crude(m: HenonMap, n: int, w, R: float, inverse: bool = False) -> GreenValue:
@@ -115,8 +120,7 @@ def _crude(m: HenonMap, n: int, w, R: float, inverse: bool = False) -> GreenValu
     top = abs(w[lead])
     shift = math.log(abs(m.a_complex)) / (m.d - 1) if inverse else 0.0
     g = (math.log(top) - shift) / m.d ** n
-    # stopped on the overflow limit below the height: the overflow rule
-    err = (_crude_bound(m, top, inverse) if top >= height else 1.0) / m.d ** n
+    err = float(_crude_bound(m, top, inverse)) / m.d ** n
     return GreenValue(g, err + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n, entry=n_entry)
 
 
@@ -272,14 +276,14 @@ def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
             if done.any():
                 stop_step[live[esc]] = step
                 top[live[esc]] = mag[esc]
-                overflowed[live[over]] = True
+                overflowed[live[over & ~inside]] = True
                 x, y, live = x[~done], y[~done], live[~done]
             x, y = y, horner(p_coeffs, y) - a * x
             step += 1
 
         escaped = stop_step >= 0
         scale = np.power(float(d), -stop_step)
-        # an overflowed walk gets the scalar engine's crude bound d^-n
+        # a walk that overflowed before entry gets the scalar engine's d^-n
         green = np.where(escaped, np.log(np.maximum(top, 1.0)) * scale, 0.0)
         bound = scale * np.where(overflowed, 1.0, _crude_bound(m, np.maximum(top, 2.0))) \
             + _FLOAT_NOISE * (1.0 + green)

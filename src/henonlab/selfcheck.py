@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import as_exact
 from .boettcher import LiftPolynomial, derive_lift_polynomial, phi, semiconjugacy_residual
 from .covering import (FiberAffineMap, RootOfUnity, c_alpha, deck_compose, deck_eval,
                        deck_rational, fiber_compose, fiber_invert, henon_lift, push,
@@ -26,7 +27,7 @@ from .dyadic import (RingElem, brute_force_inverse, subgroup_membership,
 from .grid import STATUS_OMEGA_PRIME, SliceSpec, export_bytes, sample_slice
 from .maps import FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate
 from .potential import green_plus, green_plus_grid, sample_escaping_points
-from .symmetry import detect_linear_symmetries, green_invariance_check
+from .symmetry import detect_linear_symmetries, verify_rigidity_family
 
 
 @dataclass
@@ -117,15 +118,12 @@ def check_symmetry_counts() -> CheckResult:
 # -- 4: Green invariance ----------------------------------------------------
 
 def check_green_invariance() -> CheckResult:
-    worst = 0.0
-    for i, (m, _) in enumerate(_SYMMETRY_CASES):
-        group = detect_linear_symmetries(m)
-        dev = green_invariance_check(m, group, sample_count=200, seed=400 + i)
-        worst = max(worst, dev)
-    ok = worst < 1e-7
+    worst = max(verify_rigidity_family(m, 0, samples=200, seed=400 + i)
+                for i, (m, _) in enumerate(_SYMMETRY_CASES))
     return CheckResult(
-        "green-invariance", ok,
-        f"max |G+(L z) - G+(z)| over 200 samples/map = {worst:.2e} (tol 1e-7)")
+        "green-invariance", worst <= 0.0,
+        f"max of |G+(L z) - G+(z)| less the sum of both error bounds over 200 "
+        f"samples/map = {worst:.2e} (need <= 0)")
 
 
 # -- 5: Q derivation --------------------------------------------------------
@@ -215,10 +213,9 @@ def check_deck_layer() -> CheckResult:
 
 def _gamma_eq(x, y) -> bool:
     """Exact comparison for exact scalar types, 1e-12 for inexact ones."""
-    from ._exact import QC
-    exact = (int, Fraction, QC)
-    if isinstance(x, exact) and isinstance(y, exact):
-        return complex(x) == complex(y)
+    ex, ey = as_exact(x), as_exact(y)
+    if ex is not None and ey is not None:
+        return ex == ey
     return abs(complex(x) - complex(y)) < 1e-12
 
 

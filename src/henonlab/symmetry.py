@@ -11,6 +11,7 @@ since eta^{d^2} = eta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,25 +86,6 @@ def detect_linear_symmetries(m: HenonMap) -> SymmetryGroup:
     return group
 
 
-def green_invariance_check(m: HenonMap, group: SymmetryGroup, sample_count: int = 200,
-                           seed: int = 11,
-                           filtration: Optional[FiltrationRadius] = None) -> float:
-    """max |G+(L_eta z) - G+(z)| over escaping samples and group elements."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    filt = filtration if filtration is not None else estimate_filtration_radius(m)
-    pts = sample_escaping_points(m, sample_count, seed=seed, filtration=filt)
-    worst = 0.0
-    base = [green_plus(m, z, filtration=filt).value for z in pts]
-    for e in group.exponents:
-        if e == 0:
-            continue
-        for z, g0 in zip(pts, base):
-            g1 = green_plus(m, apply_symmetry(m.d, e, z), filtration=filt).value
-            worst = max(worst, abs(g1 - g0))
-    return worst
-
-
 @dataclass(frozen=True)
 class Aut1Classification:
     case: str  # "i" | "ii" | "iii"
@@ -140,17 +122,24 @@ def classify_aut1(m: HenonMap, q: LiftPolynomial) -> Aut1Classification:
     return Aut1Classification(case, k, k_prime, k_prime % k == 0)
 
 
-def verify_rigidity_family(m: HenonMap, e: int, s: int, samples: int = 100,
+def verify_rigidity_family(m: HenonMap, s: int, exponents=None, samples: int = 100,
                            seed: int = 23,
                            filtration: Optional[FiltrationRadius] = None) -> float:
-    """max |G+(L_eta H^s z) - d^s G+(z)| over escaping samples, for a
-    member f = L_eta o H^s of the invariance family."""
+    """Worst excess of |G+(L_eta H^s z) - d^s G+(z)| over its certified bound
+    err(L_eta H^s z) + d^s err(z), across escaping samples z and the members
+    f = L_eta o H^s of the invariance family with eta in exponents (default:
+    the detected group).  A value <= 0 certifies G+ o f = d^s G+ at every
+    compared sample.  Samples whose orbit passes the overflow limit within
+    |s| steps are skipped (certain escape); DomainError when all of them are.
+    """
     group = detect_linear_symmetries(m)
-    if e % group.modulus not in group.exponents:
-        raise DomainError(f"exponent {e} is not a detected symmetry")
+    exps = group.exponents if exponents is None else [e % group.modulus for e in exponents]
+    for e in exps:
+        if e not in group.exponents:
+            raise DomainError(f"exponent {e} is not a detected symmetry")
     filt = filtration if filtration is not None else estimate_filtration_radius(m)
     pts = sample_escaping_points(m, samples, seed=seed, filtration=filt)
-    worst = 0.0
+    worst = -math.inf
     scale = float(m.d) ** s
     lim = overflow_limit(m.d)
     for z in pts:
@@ -160,8 +149,12 @@ def verify_rigidity_family(m: HenonMap, e: int, s: int, samples: int = 100,
             if not max(abs(hz[0]), abs(hz[1])) <= lim:  # certain escape: skip the sample
                 break
         else:
-            w = apply_symmetry(m.d, e, hz)
-            g1 = green_plus(m, w, filtration=filt).value
-            g0 = green_plus(m, z, filtration=filt).value
-            worst = max(worst, abs(g1 - scale * g0))
+            g0 = green_plus(m, z, filtration=filt)
+            for e in exps:
+                w = apply_symmetry(m.d, e, hz)
+                g1 = g0 if w == z else green_plus(m, w, filtration=filt)
+                dev = abs(g1.value - scale * g0.value)
+                worst = max(worst, dev - (g1.error_bound + scale * g0.error_bound))
+    if worst == -math.inf:
+        raise DomainError(f"every sample passes the overflow limit within {abs(s)} steps")
     return worst

@@ -10,10 +10,10 @@ import pytest
 from henonlab import (DomainError, HenonMap, compute_L_prime,
                       derive_lift_polynomial, push, push_iterated)
 from henonlab.boettcher import LiftPolynomial
-from henonlab.covering import (DeckRational, FiberAffineMap, RootOfUnity,
-                               c_alpha, deck_compose, deck_eval, deck_rational,
-                               fiber_compose, fiber_identity, fiber_invert,
-                               henon_lift, root_value)
+from henonlab.covering import (FiberAffineMap, RootOfUnity, c_alpha,
+                               deck_compose, deck_eval, deck_rational,
+                               fiber_compose, fiber_invert, henon_lift,
+                               root_value)
 
 QUAD = HenonMap(2, 3, (0,))
 CUBIC = HenonMap(3, 9, (0, 0))
@@ -49,7 +49,6 @@ def test_fiber_compose_and_invert():
     rhs = h.apply(z)
     assert abs(lhs[0] - rhs[0]) < 1e-12 and abs(lhs[1] - rhs[1]) < 1e-12
     assert fiber_compose(f, fiber_invert(f)).alpha.e == 0
-    assert fiber_identity(2).is_identity()
 
 
 def test_c_alpha_frozen_example():
@@ -129,15 +128,16 @@ def test_push_iterated_large_n_returns():
 
 def test_push_invalid_direction():
     q = LiftPolynomial(2, (0, 0))
-    f = fiber_identity(2)
+    f = FiberAffineMap(2, RootOfUnity(0, 3), 0)
     with pytest.raises(ValueError):
         push(f, "sideways", q, 3)
 
 
 def test_deck_rational_normalizes():
-    r = deck_rational(6, 2, 2)  # 6/4 == 3/2 -> 1/2 mod 1
-    assert (r.k, r.n) == (1, 1)
-    assert deck_rational(0, 3, 2).n == 0
+    r = deck_rational(6, 2, 2)  # 6/4 == 3/2 -> 1/2 mod 1, held as m/d^k = 1/2
+    assert (r.m, r.k) == (1, 1)
+    assert deck_rational(0, 3, 2).k == 0
+    assert deck_rational(-1, 2, 2) == deck_rational(3, 2, 2)
 
 
 def test_deck_frozen_example_half_turn():
@@ -154,13 +154,16 @@ def test_deck_requires_zeta_outside_unit_disk():
         deck_eval(deck_rational(1, 1, 2), (0.0, 0.5), q, 3.0)
 
 
-def test_deck_compose_denominators_bounded():
-    for d in (2, 3):
-        for k1 in range(d ** 2):
-            for k2 in range(d ** 3):
-                r = deck_compose(deck_rational(k1, 2, d), deck_rational(k2, 3, d))
-                assert r.n <= 3
-                assert r.k < d ** max(r.n, 1) or r.n == 0
+def test_deck_compose_matches_fraction_sum_mod_1():
+    for d in (2, 3, 6):
+        classes = [(k, n) for n in range(4) for k in range(d ** n)]
+        for k1, n1 in classes:
+            r1 = deck_rational(k1, n1, d)
+            for k2, n2 in classes:
+                r = deck_compose(r1, deck_rational(k2, n2, d))
+                assert r.value == (Fraction(k1, d ** n1) + Fraction(k2, d ** n2)) % 1
+                assert 0 <= r.m < d ** r.k or (r.m, r.k) == (0, 0)
+                assert r.k <= max(n1, n2)
 
 
 def test_deck_commutation_both_maps():

@@ -11,8 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from henonlab import (DomainError, HenonMap, SliceSpec, annulus_radius, export_grid, green_plus,
-                      sample_slice)
+from henonlab import DomainError, HenonMap, SliceSpec, export_grid, green_plus, sample_slice
 from henonlab.grid import (STATUS_BOUNDARY, STATUS_NAMES, STATUS_K_CANDIDATE,
                            STATUS_OMEGA_PRIME, STATUS_OUTSIDE, GridResult, export_bytes)
 from henonlab.selfcheck import _acceptance_slice
@@ -63,12 +62,15 @@ def test_nonpositive_level_rejected():
         sample_slice(QUAD, small_spec(8), c=0.0)
 
 
-def test_annulus_radius_ranges():
-    assert annulus_radius(0.0, 1.0) is None
-    assert annulus_radius(2.0, 1.0) is None
-    assert annulus_radius(0.5, 1.0) == pytest.approx(math.exp(0.5))
-    with pytest.raises(ValueError):
-        annulus_radius(-0.1, 1.0)
+def test_annulus_is_exp_green_inside_the_level(grid):
+    # the dissipative map adds pixels bounded within the budget (G+ = 0)
+    dissipative = sample_slice(HenonMap(2, 0.3, (-1.2,)), small_spec(16), c=1.0, budget=50)
+    for g in (grid, dissipative):
+        inside = (g.green > 0.0) & (g.green < 1.0)
+        assert inside.any() and (~inside).any()
+        assert np.array_equal(g.annulus[inside], np.exp(g.green[inside]))
+        assert np.isnan(g.annulus[~inside]).all()
+    assert (dissipative.green == 0.0).any()
 
 
 def test_statuses_and_annulus_consistent(grid):

@@ -224,15 +224,17 @@ def test_green_bounds_hold_against_mpmath_orbit():
     """|value - truth| <= error_bound, both finite, for G+, crude G+, the
     grid and G- at V_R+- entry, where |u| may be near 1 until the orbit
     passes 2R.  Walks that pass the overflow limit before entry, valued by
-    the overflow rule, are not drawn.  The two fixed cases have R = 31.6 and
-    R = 3.16e13.  Forward only: maps of degree 21..40 (the overflow limit
-    below 1e13) with coefficients to 1e30, and of degree 2..8 with
-    coefficients to 1e200 (R can lie past the limit), at |y| in
-    [R, 100R]."""
+    the overflow rule, are not drawn.  The three fixed cases have R = 31.6,
+    R = 3.16e13 and R = 2.4e87; the last lies past the overflow limit
+    4.6e86, so the walk stops below 2R, where u = 0.22 gives the bound 4u/d.
+    Forward only: maps of degree 21..40 (the overflow limit below 1e13)
+    with coefficients to 1e30, and of degree 2..8 with coefficients to
+    1e200 (R can lie past the limit), at |y| in [R, 100R]."""
     rng = random.Random(37)
     cases = []
-    for m in (HenonMap(4, 1, (0, 0, 1000)), HenonMap(4, 1, (0, 0, 1e27))):
-        z = (0j, 1.0001j * estimate_filtration_radius(m).R)
+    for m, y in ((HenonMap(4, 1, (0, 0, 1000)), 1.0001j), (HenonMap(4, 1, (0, 0, 1e27)), 1.0001j),
+                 (HenonMap(3, 1, (0, 3e174)), 1.5j)):
+        z = (0j, y * estimate_filtration_radius(m).R)
         cases.append((m, [z], [z[::-1]]))
     for d in range(2, 6):
         for amod in (0.3, 1.0, 3.0, 50.0):

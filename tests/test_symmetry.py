@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from henonlab import (HenonMap, classify_aut1, derive_lift_polynomial,
-                      detect_linear_symmetries, green_invariance_check,
-                      verify_rigidity_family)
+from henonlab import (DomainError, HenonMap, classify_aut1, derive_lift_polynomial,
+                      detect_linear_symmetries, verify_rigidity_family)
 from henonlab.symmetry import apply_symmetry, symbolic_symmetry_check
 
 QUAD_PLUS1 = HenonMap(2, 3, (1,))        # p = y^2 + 1
@@ -71,8 +70,8 @@ def test_apply_symmetry_is_diagonal_root_action():
 
 
 def test_green_invariance_small_sample():
-    g = detect_linear_symmetries(CUBIC)
-    assert green_invariance_check(CUBIC, g, sample_count=50, seed=53) < 1e-7
+    # s = 0 over the whole detected group: |G+(L z) - G+(z)| within both bounds
+    assert verify_rigidity_family(CUBIC, 0, samples=50, seed=53) <= 0.0
 
 
 def test_classification_cases():
@@ -93,13 +92,17 @@ def test_classification_cases():
 def test_rigidity_family_invariance():
     g = detect_linear_symmetries(CUBIC)
     e = sorted(g.exponents)[1]
-    dev = verify_rigidity_family(CUBIC, e, s=1, samples=30, seed=54)
-    assert dev < 1e-6
+    assert verify_rigidity_family(CUBIC, 1, [e], samples=30, seed=54) <= 0.0
+    with pytest.raises(DomainError):  # not a symmetry of y^2 + 1
+        verify_rigidity_family(QUAD_PLUS1, 1, [1], samples=3)
 
 
 @pytest.mark.parametrize("s", [-1, 2, 8])
 def test_rigidity_family_steps_either_way_and_skips_overflow(s):
-    # at s = 8 every box sample passes the overflow limit and is skipped
+    # at s = 8 every box sample passes the overflow limit: nothing is compared
     e = sorted(detect_linear_symmetries(CUBIC).exponents)[1]
-    dev = verify_rigidity_family(CUBIC, e, s=s, samples=30, seed=54)
-    assert dev == 0.0 if s == 8 else dev < 1e-6
+    if s == 8:
+        with pytest.raises(DomainError):
+            verify_rigidity_family(CUBIC, s, [e], samples=30, seed=54)
+    else:
+        assert verify_rigidity_family(CUBIC, s, [e], samples=30, seed=54) <= 0.0
