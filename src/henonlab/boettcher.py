@@ -61,8 +61,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath as mp
-
 from ._exact import as_exact, field, support, zero_of
 from .errors import DomainError, InconsistencyError, PrecisionError
 from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate, horner,
@@ -162,6 +160,7 @@ _PHI_REL = 2.0 ** -52 + 10.0 ** -(_PHI_DPS - 10)
 def phi(m: HenonMap, z, filtration: Optional[FiltrationRadius] = None) -> BoettcherValue:
     """Boettcher coordinate at z in V_R+: phi_mp at 30 digits rounded to a
     complex double, with bound |phi| (2^-52 + 10^-20)."""
+    import mpmath as mp
     filt = filtration if filtration is not None else estimate_filtration_radius(m)
     if not in_v_plus(z, filt.R):
         raise DomainError("phi requires z in V_R+; iterate the point forward first")
@@ -173,6 +172,7 @@ def phi(m: HenonMap, z, filtration: Optional[FiltrationRadius] = None) -> Boettc
 def _mp(v):
     """v at the working mpmath precision: int, Fraction and QC exactly (a
     double would cut 1/3 to 53 bits), floats and complex as they are."""
+    import mpmath as mp
     if isinstance(v, (mp.mpf, mp.mpc)):
         return v
     q = as_exact(v)
@@ -193,6 +193,7 @@ def _ipow(w, n: int):
 def phi_mp(m: HenonMap, z, dps: int):
     """Arbitrary-precision phi = exp((Log y_J + 2 pi i k)/d^J), J chosen so the
     tail is below the working precision.  Call inside an mp.workdps context."""
+    import mpmath as mp
     x, y = _mp(z[0]), _mp(z[1])
     d = m.d
     a = _mp(m.a)
@@ -333,6 +334,7 @@ def fit_digits_needed(d: int, R: float) -> int:
 
 
 def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
+    import mpmath as mp
     d = m.d
     R = estimate_filtration_radius(m).R
     need = fit_digits_needed(d, R)
@@ -385,6 +387,7 @@ def digits_needed(m: HenonMap, z, depth: int) -> int:
 
 def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
     """(psi_depth, psi_{depth-1}, phi(z)) inside an mp context of dps digits."""
+    import mpmath as mp
     d = m.d
     a = _mp(m.a)
     p_coeffs = (*(_mp(c) for c in m.coeffs), 0, 1)
@@ -410,6 +413,7 @@ def psi(m: HenonMap, z, q: LiftPolynomial, depth: int,
         precision_digits: Optional[int] = None,
         filtration: Optional[FiltrationRadius] = None) -> PsiValue:
     """Telescoping psi_N with validated precision budget."""
+    import mpmath as mp
     if depth < 1:
         raise ValueError("depth must be >= 1")
     filt = filtration if filtration is not None else estimate_filtration_radius(m)
@@ -431,6 +435,7 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
 
     Depth-matched: the same depth N is used at z and H(z).
     """
+    import mpmath as mp
     if not sample_points:
         return 0.0
     filt = filtration if filtration is not None else estimate_filtration_radius(m)

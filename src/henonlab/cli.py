@@ -16,14 +16,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .boettcher import derive_lift_polynomial, phi
-from .covering import FiberAffineMap, RootOfUnity, deck_eval, deck_rational, push_iterated
-from .dyadic import ring_from_fraction, subgroup_membership, unit_decompose
 from .errors import HenonLabError, PrecisionError
 from .grid import SliceSpec, export_grid, sample_slice
 from .maps import HenonMap, normalize
 from .potential import classify_point, green_minus, green_plus
-from .symmetry import classify_aut1, detect_linear_symmetries
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +147,7 @@ def cmd_green(args) -> int:
 
 
 def cmd_boettcher(args) -> int:
+    from .boettcher import phi
     m = parse_map(args.map)
     bv = phi(m, parse_point(args.point))
     _emit({"value": _c(bv.value), "errorBound": bv.error_bound})
@@ -161,6 +158,7 @@ _STRATEGIES = {"formal": "formal-series", "fit": "bigfloat-fit"}
 
 
 def cmd_derive_q(args) -> int:
+    from .boettcher import derive_lift_polynomial
     m = parse_map(args.map)
     q = derive_lift_polynomial(m, _STRATEGIES[args.strategy], digits=args.digits)
     _emit({"d": q.d, "A": [_c(c) for c in q.A_complex],
@@ -169,6 +167,8 @@ def cmd_derive_q(args) -> int:
 
 
 def cmd_symmetries(args) -> int:
+    from .boettcher import derive_lift_polynomial
+    from .symmetry import classify_aut1, detect_linear_symmetries
     m = parse_map(args.map)
     group = detect_linear_symmetries(m)
     q = derive_lift_polynomial(m, "formal-series")
@@ -179,7 +179,7 @@ def cmd_symmetries(args) -> int:
     return 0
 
 
-def _fiber_doc(f: FiberAffineMap) -> dict:
+def _fiber_doc(f) -> dict:
     return {"d": f.d, "e": f.alpha.e, "modulus": f.alpha.modulus,
             "beta": _c(f.beta), "gamma": _c(f.gamma)}
 
@@ -194,6 +194,8 @@ def _parse_gamma(s: str):
 
 
 def cmd_lift_iterate(args) -> int:
+    from .boettcher import derive_lift_polynomial
+    from .covering import FiberAffineMap, RootOfUnity, push_iterated
     m = parse_map(args.map)
     q = derive_lift_polynomial(m, "formal-series")
     f = FiberAffineMap(m.d, RootOfUnity.for_degree(m.d, args.e),
@@ -203,6 +205,8 @@ def cmd_lift_iterate(args) -> int:
 
 
 def cmd_lift_deck(args) -> int:
+    from .boettcher import derive_lift_polynomial
+    from .covering import deck_eval, deck_rational
     m = parse_map(args.map)
     q = derive_lift_polynomial(m, "formal-series")
     r = deck_rational(args.k, args.n, m.d)
@@ -213,6 +217,7 @@ def cmd_lift_deck(args) -> int:
 
 
 def cmd_units(args) -> int:
+    from .dyadic import ring_from_fraction, subgroup_membership, unit_decompose
     num, slash, den = args.elem.strip().partition("/")
     try:
         value = Fraction(int(num), int(den) if slash else 1)

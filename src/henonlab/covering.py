@@ -148,20 +148,21 @@ def push(f: FiberAffineMap, direction: str, q: LiftPolynomial, a) -> FiberAffine
 
 def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
                   a) -> FiberAffineMap:
-    """Closed form of n pushes, gamma -> r gamma + c each:
-    gamma_n = r^n gamma + c (r^n - 1)/(r - 1)  (n c when r = 1), with
-    r = d/a, c = c_alpha (minus) or r = a/d, c = -c_alpha (plus);
-    exponent e -> d^n e mod d^2-1 (valid because c_{alpha^d} = c_alpha)."""
+    """Closed form of n pushes, gamma -> r gamma + c each: gamma_n =
+    r^n gamma + c (r^n - 1)/(r - 1)  (n c when r = 1), with r = d/a,
+    c = c_alpha (minus) or r = a/d, c = -c_alpha (plus, subtracted as push
+    does: -0.0 + 0 is 0.0); e -> d^n e mod d^2-1 (as c_{alpha^d} = c_alpha)."""
     if direction not in ("plus", "minus"):
         raise ValueError("direction must be 'plus' or 'minus'")
     if n < 0:
         raise ValueError("n must be >= 0")
     d = f.d
     c = c_alpha(f.alpha, q)
-    r, c = (_ratio(d, a), c) if direction == "minus" else (_ratio(a, d), -c)
+    r = _ratio(d, a) if direction == "minus" else _ratio(a, d)
     rn = r ** n
-    geo = n if r == 1 else (rn - 1) / (r - 1)
-    gamma = rn * f.gamma + c * geo if n else f.gamma
+    geo = n if r == 1 or n == 1 else (rn - 1) / (r - 1)  # z/z need not be 1 for complex z
+    step = rn * f.gamma
+    gamma = f.gamma if not n else step + c * geo if direction == "minus" else step - c * geo
     return FiberAffineMap(d, f.alpha ** pow(d, n, d * d - 1), gamma)
 
 

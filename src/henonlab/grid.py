@@ -12,6 +12,10 @@ misclassified.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,54 +145,109 @@ def sample_slice(m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
 # Export
 # ---------------------------------------------------------------------------
 
-def _csv_bytes(grid: GridResult) -> bytes:
+# A forked piece costs about 3 ms (fork, temp file, copy) and a cell about
+# 2 us: on 2 cores two pieces lose at 64^2 and win from 96^2, so no piece is
+# smaller than this many cells and the 32^2 far-field window stays whole
+_MIN_PIECE = 8192
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fan_out(out, n: int, cells: int, work) -> None:
+    """Write to out, in order, the bytes work(lo, hi) yields over spans of
+    range(n), `cells` cells an index: one span per usable core, none under
+    _MIN_PIECE cells.  Forked children write all spans but the first to
+    unlinked temp files (a full pipe would stall them); the parent redoes a
+    failed child's span, so errors surface as in one process."""
+    k = max(1, min(_usable_cores(), n * cells // _MIN_PIECE))
+    spans = [(n * i // k, n * (i + 1) // k) for i in range(k)]
+    children = []
+    with ExitStack() as files:
+        try:
+            for lo, hi in spans[1:]:
+                fh, pid = files.enter_context(tempfile.TemporaryFile()), None
+                with suppress(OSError, AttributeError):  # no fork, or no process to spare
+                    pid = os.fork()
+                if pid == 0:
+                    try:
+                        fh.writelines(work(lo, hi))
+                        fh.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                children.append((lo, hi, pid, fh))
+            out.writelines(work(*spans[0]))
+        finally:  # on an error too, so that no child is left running
+            ok = [pid is not None and os.waitpid(pid, 0)[1] == 0 for _, _, pid, _ in children]
+        for (lo, hi, _, fh), written in zip(children, ok):
+            if written:
+                fh.seek(0)
+                shutil.copyfileobj(fh, out)
+            else:
+                out.writelines(work(lo, hi))
+
+
+def _write_csv(grid: GridResult, out) -> None:
     # RFC-4180 with CRLF line endings; no field ever needs quoting (floats,
     # status names, empty strings), so each row is one f-string join
     us = [repr(u) for u in grid.us.tolist()]
-    blocks = [b"u,v,greenPlus,status,annulusRadius\r\n"]
-    for r, v in enumerate(grid.vs.tolist()):
-        v = repr(v)
-        cells = zip(us, grid.green[r].tolist(), grid.status[r].tolist(), grid.annulus[r].tolist())
-        blocks.append("".join([
-            f"{u},{v},{g!r},{STATUS_NAMES[s]},{'' if a != a else repr(a)}\r\n"
-            for u, g, s, a in cells]).encode("ascii"))
-    return b"".join(blocks)
+    vs = grid.vs.tolist()
+
+    def rows(lo, hi):
+        for r in range(lo, hi):
+            v = repr(vs[r])
+            cells = zip(us, grid.green[r].tolist(), grid.status[r].tolist(),
+                        grid.annulus[r].tolist())
+            yield "".join([f"{u},{v},{g!r},{STATUS_NAMES[s]},{'' if a != a else repr(a)}\r\n"
+                           for u, g, s, a in cells]).encode("ascii")
+
+    out.write(b"u,v,greenPlus,status,annulusRadius\r\n")
+    _fan_out(out, len(vs), len(us), rows)
 
 
-def _pgm_bytes(grid: GridResult) -> bytes:
+def _write_pgm(grid: GridResult, out) -> None:
     c = grid.metadata.get("c", 1.0)
     H, W = grid.green.shape
     scaled = np.clip(grid.green / c, 0.0, 1.0)
-    pixels = np.round(scaled * 65535.0).astype(">u2")  # big-endian sample order
-    header = f"P5\n{W} {H}\n65535\n".encode("ascii")
-    return header + pixels.tobytes()
+    out.write(f"P5\n{W} {H}\n65535\n".encode("ascii"))
+    out.write(np.round(scaled * 65535.0).astype(">u2").tobytes())  # big-endian sample order
 
 
-def _json_fields(grid: GridResult):
-    """Top-level (key, value) pairs of the JSON export, built one at a time."""
-    yield "metadata", grid.metadata
-    yield "u", grid.us.tolist()
-    yield "v", grid.vs.tolist()
-    yield "greenPlus", grid.green.ravel().tolist()
-    yield "status", [STATUS_NAMES[s] for s in grid.status.ravel().tolist()]
-    yield "annulusRadius", [None if x != x else x for x in grid.annulus.ravel().tolist()]
+def _write_json(grid: GridResult, out) -> None:
+    # allow_nan=False makes a non-finite G+ raise ValueError
+    def dumps(value):
+        return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+    out.write(f'{{"metadata":{dumps(grid.metadata)},"u":{dumps(grid.us.tolist())},'
+              f'"v":{dumps(grid.vs.tolist())}'.encode("ascii"))
+    for key, values, items in (
+            ("greenPlus", grid.green, lambda v: v),
+            ("status", grid.status, lambda v: [STATUS_NAMES[s] for s in v]),
+            ("annulusRadius", grid.annulus, lambda v: [None if x != x else x for x in v])):
+        out.write(f',"{key}":['.encode("ascii"))
+        flat = values.ravel()
+        _fan_out(out, flat.size, 1, lambda lo, hi: [  # each piece without its brackets
+            b"," * (lo > 0), memoryview(dumps(items(flat[lo:hi].tolist())).encode())[1:-1]])
+        out.write(b"]")
+    out.write(b"}")
 
 
-def _json_bytes(grid: GridResult) -> bytes:
-    # one key at a time keeps one large list alive; allow_nan=False makes a
-    # non-finite G+ raise ValueError
-    body = ",".join(f'"{key}":{json.dumps(value, separators=(",", ":"), allow_nan=False)}'
-                    for key, value in _json_fields(grid))
-    return ("{" + body + "}").encode("ascii")
-
-
-_EXPORTERS = {"csv": _csv_bytes, "pgm": _pgm_bytes, "json": _json_bytes}
+_EXPORTERS = {"csv": _write_csv, "pgm": _write_pgm, "json": _write_json}
 
 
 def export_bytes(grid: GridResult, fmt: str) -> bytes:
+    """The export, read back as one buffer from the temp file it is written
+    to, so that no part of it is held next to the whole."""
     if fmt not in _EXPORTERS:
         raise ValueError(f"unknown export format {fmt!r} (choose csv, pgm, or json)")
-    return _EXPORTERS[fmt](grid)
+    with tempfile.TemporaryFile() as out:
+        _EXPORTERS[fmt](grid, out)
+        out.seek(0)
+        return out.read()
 
 
 def export_grid(grid: GridResult, fmt: str, path) -> None:

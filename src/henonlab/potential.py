@@ -94,7 +94,8 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
             return n, cur, None
         if not mag <= lim:  # past the limit, inf or nan: escape is certain
             g = math.log(max(mag, 1.0)) / m.d ** n
-            return n, cur, GreenValue(g, m.d ** (-n) + _FLOAT_NOISE, "crude", n, entry=n)
+            return n, cur, GreenValue(g, m.d ** (-n) + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n,
+                                      entry=n)
         cur = evaluate(m, cur, inverse=inverse)
     return None, cur, GreenValue(0.0, 0.0, "crude", budget, budget_exhausted=True)
 

@@ -385,3 +385,34 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["unit"] is True
+
+
+_NO_MPMATH = """
+import sys
+import henonlab.cli as cli
+assert "mpmath" not in sys.modules, "import henonlab.cli"
+cfg, out, m = sys.argv[1], sys.argv[2], sys.argv[3]
+for argv in (["slice", "--config", cfg, "--c", "1", "--out", out, "--format", "csv"],
+             ["green", "--map", m, "--point", "0,100"],
+             ["classify", "--map", m, "--point", "0,0"],
+             ["units", "--d", "6", "--elem", "4/6"],
+             ["symmetries", "--map", m], ["derive-q", "--map", m],
+             ["lift", "iterate", "--map", m, "--e", "1", "--gamma", "1/2", "--n", "3"]):
+    assert cli.main(argv) == 0, argv
+    assert "mpmath" not in sys.modules, argv[0]
+import henonlab
+assert sorted(henonlab.__all__) == henonlab.__all__ and len(henonlab.__all__) > 40
+missing = [name for name in henonlab.__all__ if getattr(henonlab, name, None) is None]
+assert missing == [], missing
+"""
+
+
+def test_commands_without_mpmath_work_do_not_load_it(tmp_path):
+    cfg = tmp_path / "slice.json"
+    cfg.write_text(json.dumps({"map": json.loads(M2), "slice": {
+        "origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1], "gridW": 16, "gridH": 16}}))
+    out = tmp_path / "o.csv"
+    proc = subprocess.run([sys.executable, "-c", _NO_MPMATH, str(cfg), str(out), M2],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert out.stat().st_size > 0

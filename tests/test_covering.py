@@ -2,6 +2,7 @@
 formulas, deck transformations, and the lift-compatible exponent set."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -115,6 +116,32 @@ def test_push_iterated_plus_float_roots():
                 assert h.alpha == hc.alpha
                 err = abs(complex(h.gamma) - complex(hc.gamma))
                 assert err <= 1e-12 * max(1.0, abs(complex(h.gamma))), (e, a, n)
+
+
+def test_push_iterated_once_is_push_to_the_bit():
+    # a = -1: (a/d) * 1.5j has real part -0.0, and c_alpha is an exact 0 that
+    # push subtracts; adding it would turn -0.0 into 0.0.  With a complex a,
+    # (r - 1)/(r - 1) can be 1 + 2e-17j, so n = 1 must not divide.
+    rng = random.Random(2)
+    cases = [(derive_lift_polynomial(HenonMap(2, -1, (0,)), "formal-series"), -1, gamma)
+             for gamma in (1.5j, complex(-0.0, 1.5), -1.5j, complex(-0.0, -0.0))]
+    # d = 3, where c_alpha = (alpha^4 - 1) A_0 is nonzero for odd e
+    cases += [(LiftPolynomial(3, (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), 0, 0)),
+               complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+               complex(rng.uniform(-2, 2), rng.uniform(-2, 2))) for _ in range(40)]
+    signed_zeros = 0
+    for q, a, gamma in cases:
+        for e in range(q.d * q.d - 1):
+            f = FiberAffineMap(q.d, RootOfUnity.for_degree(q.d, e), gamma)
+            for direction in ("plus", "minus"):
+                one = push(f, direction, q, a).gamma
+                closed = push_iterated(f, direction, 1, q, a).gamma
+                assert one == closed, (q, a, gamma, e, direction)
+                for part in ("real", "imag"):
+                    assert math.copysign(1.0, getattr(one, part)) == \
+                        math.copysign(1.0, getattr(closed, part)), (a, gamma, e, direction)
+                signed_zeros += one.real == 0 and math.copysign(1.0, one.real) < 0
+    assert signed_zeros > 0
 
 
 def test_push_iterated_large_n_returns():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from henonlab import DomainError, HenonMap, SliceSpec, export_grid, green_plus, sample_slice
-from henonlab.grid import (STATUS_BOUNDARY, STATUS_NAMES, STATUS_K_CANDIDATE,
+from henonlab import grid as grid_module
+from henonlab.grid import (_MIN_PIECE, STATUS_BOUNDARY, STATUS_NAMES, STATUS_K_CANDIDATE,
                            STATUS_OMEGA_PRIME, STATUS_OUTSIDE, GridResult, export_bytes)
 from henonlab.selfcheck import _acceptance_slice
 
@@ -208,6 +210,70 @@ def test_json_bytes_match_per_cell_oracle():
 def test_json_rejects_nonfinite_green():
     with pytest.raises(ValueError):
         export_bytes(edge_grid(), "json")
+
+
+# -- export on every usable core ---------------------------------------------
+
+def tiled_grid():
+    """edge_grid (finite G+) tiled to 17 rows, a count 3 does not divide, and
+    enough columns for three pieces of at least _MIN_PIECE cells."""
+    g, rows = edge_grid(far=1.5), 17
+    reps = (-(-rows // 3), -(-3 * _MIN_PIECE // (rows * 5)))
+    green, status = np.tile(g.green, reps)[:rows], np.tile(g.status, reps)[:rows]
+    annulus = np.tile(g.annulus, reps)[:rows]
+    us = np.linspace(-3.0, 3.0, green.shape[1])
+    vs = np.tile(g.vs, reps[0])[:rows]
+    return GridResult(green, np.zeros_like(green), status, annulus, us, vs, g.metadata)
+
+
+@pytest.fixture
+def three_cores(monkeypatch):
+    """Three usable cores; returns the list the fork calls are counted in."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(grid_module, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield forks
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fanned_out_export_matches_per_cell_oracle(three_cores):
+    g = tiled_grid()
+    assert g.green.size >= 3 * _MIN_PIECE and g.green.shape[0] % 3 != 0
+    assert export_bytes(g, "csv") == _oracle_csv(g)
+    assert len(three_cores) == 2  # the parent formats the first of 3 pieces
+    assert export_bytes(g, "json") == _oracle_json(g)
+    assert len(three_cores) == 2 + 3 * 2  # one fan-out per large JSON list
+
+
+def test_fanned_out_json_raises_on_inf_in_the_last_piece(three_cores):
+    g = tiled_grid()
+    g.green[-1, -1] = math.inf  # formatted by the last child, which fails
+    with pytest.raises(ValueError):
+        export_bytes(g, "json")
+    assert len(three_cores) == 2
+
+
+def test_export_without_a_process_to_spare_matches_oracle(three_cores, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    g = tiled_grid()
+    assert export_bytes(g, "csv") == _oracle_csv(g)
+    assert export_bytes(g, "json") == _oracle_json(g)
+
+
+def test_small_window_is_formatted_in_one_process(three_cores):
+    g = sample_slice(QUAD, small_spec(32), c=1.0)
+    assert g.green.size < 2 * _MIN_PIECE
+    for fmt in ("csv", "json"):
+        export_bytes(g, fmt)
+    assert three_cores == []
 
 
 def test_cli_far_field_json_exports(tmp_path):

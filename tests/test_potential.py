@@ -331,6 +331,17 @@ def test_crude_agrees_with_refined_on_overflow():
     assert not c.budget_exhausted
 
 
+def test_pre_entry_overflow_has_one_bound_in_both_engines():
+    # the walk overflows at step 0 outside V_R+: both engines add
+    # _FLOAT_NOISE (1 + G) to the overflow rule's d^-n
+    z = (1e200, 1e199)
+    g = green_plus(QUAD, z)
+    green, err, escaped = green_plus_grid(QUAD, np.array([z[0]]), np.array([z[1]]))
+    assert escaped[0] and g.entry == 0
+    assert (g.value, g.error_bound) == (green[0], err[0])
+    assert g.error_bound == 1.0 + _FLOAT_NOISE * (1.0 + g.value)
+
+
 @pytest.mark.parametrize("k", [1.01, 1.5j])
 def test_green_plus_is_crude_when_entry_is_past_the_overflow_limit(k):
     # R = 2.4e87 is past the overflow limit 4.6e86 of d = 3: no product
