@@ -73,11 +73,11 @@ from .series import LaurentSeries2
 # ---------------------------------------------------------------------------
 
 def _u_bound(m: HenonMap, yabs: float, inverse: bool = False) -> float:
-    """Upper bound for |q(x,y)/y^d| on |x| <= |y|, |y| >= 1, or backwards for
-    |(q(x) - y)/x^d| on |y| <= |x|, |x| = yabs >= 1 (so B = 1 there); yabs
-    may be a numpy array or an mpf."""
-    A = sum(abs(c) for c in m.coeffs_complex)
-    B = 1.0 if inverse else abs(complex(m.a))
+    """Upper bound A/|y|^2 + B/|y|^{d-1} for |q(x,y)/y^d| on |x| <= |y|,
+    |y| = yabs >= 1, or backwards for |(q(x) - y)/x^d| on |y| <= |x|,
+    |x| = yabs >= 1; A = sum |a_j| and B = |a| are the map's cached
+    q_constants, and B = 1 backwards.  yabs may be a numpy array or an mpf."""
+    A, B = (m.q_constants[0], 1.0) if inverse else m.q_constants
     try:
         return A / yabs ** 2 + B / yabs ** (m.d - 1)
     except OverflowError:  # |y|^k past the float range; the negative powers underflow

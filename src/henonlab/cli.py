@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 
 from .errors import HenonLabError, PrecisionError
-from .grid import SliceSpec, export_grid, sample_slice
 from .maps import HenonMap, normalize
 from .potential import classify_point, green_minus, green_plus
 
@@ -237,6 +236,7 @@ def cmd_units(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    from .grid import SliceSpec, export_grid, sample_slice
     _finite(args.c, args.c)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -260,7 +260,10 @@ def cmd_slice(args) -> int:
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise UsageError(f"budget must be a non-negative integer, got {budget!r}")
     grid = sample_slice(m, spec, args.c, budget=budget)
-    export_grid(grid, args.format, args.out)
+    try:
+        export_grid(grid, args.format, args.out)
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
     _emit({"out": args.out, "format": args.format,
            "gridW": spec.grid_w, "gridH": spec.grid_h, "c": args.c})
     return 0

@@ -21,6 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._exact import QC, as_exact, field, is_zero, support, zero_of
 from .errors import InvalidMapError
@@ -63,10 +64,17 @@ class HenonMap:
     def coeffs_complex(self) -> tuple:
         return tuple(complex(c) for c in self.coeffs)
 
+    @cached_property
+    def q_constants(self) -> tuple:
+        """(A, B) = (sum |a_j|, |a|), so |q(x,y)| <= A|y|^{d-2} + B|x| for |y| >= 1;
+        computed once per map (the cache leaves equality and hashing alone)."""
+        return sum(abs(c) for c in self.coeffs_complex), abs(self.a_complex)
+
     @property
     def coeff_bound(self) -> float:
         """S = |a| + sum |a_j|; controls |q(x,y)| <= S*max(|y|,1)^{d-1} on |x| <= |y|."""
-        return abs(self.a_complex) + sum(abs(c) for c in self.coeffs_complex)
+        A, B = self.q_constants
+        return B + A
 
     # -- evaluation ----------------------------------------------------
     def p(self, y):

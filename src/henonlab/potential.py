@@ -22,6 +22,9 @@ overflow rule.
 
 Membership in the non-escaping set is semi-decidable: the verdict
 "bounded-within-budget" is budget-stamped, never a claim about K+.
+
+The scalar functions use the standard library only; green_plus_grid
+imports numpy itself, so only the slice sampler and selftest load it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .boettcher import _u_bound, phi_product, phi_tail_bound
 from .errors import DomainError
@@ -103,9 +104,10 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
 def _crude_bound(m: HenonMap, top, inverse: bool = False):
     """d^n times the crude error bound at a stop height top in V_R+- (see the
     module docstring): 4u/d when u = _u_bound(top) <= 1/2, else the overflow
-    rule's 1; top may be a numpy array."""
+    rule's 1; top may be a numpy array, selected by the comparison masks
+    (exact: x*1 + 0 = x, x*0 + 1 = 1 for the finite x = 4u/d)."""
     u = _u_bound(m, top, inverse)
-    return np.where(u <= 0.5, 4.0 * u / m.d, 1.0)
+    return 4.0 * u / m.d * (u <= 0.5) + (u > 0.5)
 
 
 def _crude(m: HenonMap, n: int, w, R: float, inverse: bool = False) -> GreenValue:
@@ -121,7 +123,7 @@ def _crude(m: HenonMap, n: int, w, R: float, inverse: bool = False) -> GreenValu
     top = abs(w[lead])
     shift = math.log(abs(m.a_complex)) / (m.d - 1) if inverse else 0.0
     g = (math.log(top) - shift) / m.d ** n
-    err = float(_crude_bound(m, top, inverse)) / m.d ** n
+    err = _crude_bound(m, top, inverse) / m.d ** n
     return GreenValue(g, err + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n, entry=n_entry)
 
 
@@ -239,16 +241,17 @@ def sample_escaping_points(m: HenonMap, count: int, seed: int = 0, box: float = 
 # Vectorized grid evaluation (used by the slice sampler)
 # ---------------------------------------------------------------------------
 
-def green_plus_grid(m: HenonMap, X: np.ndarray, Y: np.ndarray,
-                    budget: int = DEFAULT_BUDGET,
+def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
                     filtration: Optional[FiltrationRadius] = None):
     """G+ over flat complex arrays (X, Y) of equal shape.
 
-    Returns (green, err, escaped) float/bool arrays.  Escaped points are
-    iterated in V_R+ to height max(1e13, 2R) and get the crude value and
+    Returns (green, err, escaped) float/bool numpy arrays.  Escaped points
+    are iterated in V_R+ to height max(1e13, 2R) and get the crude value and
     bound of crude_green_plus, or stop on overflow and are valued as in the
-    scalar walk; bounded-within-budget points get green = 0.
+    scalar walk; bounded-within-budget points get green = 0.  numpy is
+    imported here, not with the module, so the scalar path never loads it.
     """
+    import numpy as np
     R = _filtration(m, filtration).R
     height = max(_DEEP, 2.0 * R)
     d = m.d

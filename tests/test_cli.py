@@ -325,6 +325,21 @@ def test_slice_budget_must_be_a_non_negative_integer(tmp_path, capsys, budget):
                          "--out", str(tmp_path / "g.csv"), "--format", "csv"), 2, "usage")
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_slice_out_that_cannot_be_opened_is_exit_2(tmp_path, capsys, where):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "map": {"d": 2, "p": [0], "a": 3},
+        "slice": {"origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1],
+                  "gridW": 4, "gridH": 4, "extent": 3},
+    }))
+    out_path = tmp_path / "no-such-dir" / "g.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "slice", "--config", str(cfg), "--c", "1",
+                         "--out", str(out_path), "--format", "csv")
+    _one_line_error(code, out, err, 2, "usage")
+    assert str(out_path) in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("point", ["inf,0", "1e400,0", "0,infi", "nan,1"])
 def test_non_finite_point_is_exit_2(capsys, point):
     code, out, err = run(capsys, "green", "--map", M2, "--point", point)
@@ -390,16 +405,18 @@ def test_console_entry_point_runs():
 _NO_MPMATH = """
 import sys
 import henonlab.cli as cli
-assert "mpmath" not in sys.modules, "import henonlab.cli"
+assert "mpmath" not in sys.modules and "numpy" not in sys.modules, "import henonlab.cli"
 cfg, out, m = sys.argv[1], sys.argv[2], sys.argv[3]
-for argv in (["slice", "--config", cfg, "--c", "1", "--out", out, "--format", "csv"],
-             ["green", "--map", m, "--point", "0,100"],
+for argv in (["green", "--map", m, "--point", "0,100"],
+             ["green", "--minus", "--map", m, "--point", "100,0"],
              ["classify", "--map", m, "--point", "0,0"],
              ["units", "--d", "6", "--elem", "4/6"],
              ["symmetries", "--map", m], ["derive-q", "--map", m],
              ["lift", "iterate", "--map", m, "--e", "1", "--gamma", "1/2", "--n", "3"]):
     assert cli.main(argv) == 0, argv
-    assert "mpmath" not in sys.modules, argv[0]
+    assert "mpmath" not in sys.modules and "numpy" not in sys.modules, argv
+assert cli.main(["slice", "--config", cfg, "--c", "1", "--out", out, "--format", "csv"]) == 0
+assert "mpmath" not in sys.modules and "numpy" in sys.modules, "slice"
 import henonlab
 assert sorted(henonlab.__all__) == henonlab.__all__ and len(henonlab.__all__) > 40
 missing = [name for name in henonlab.__all__ if getattr(henonlab, name, None) is None]
@@ -408,6 +425,7 @@ assert missing == [], missing
 
 
 def test_commands_without_mpmath_work_do_not_load_it(tmp_path):
+    """In a fresh interpreter; of these commands only slice loads numpy."""
     cfg = tmp_path / "slice.json"
     cfg.write_text(json.dumps({"map": json.loads(M2), "slice": {
         "origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1], "gridW": 16, "gridH": 16}}))

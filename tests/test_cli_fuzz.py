@@ -81,8 +81,9 @@ def argv(draw, slice_dir):
     path = slice_dir / "run.json"
     path.write_text(json.dumps(cfg))
     fmt = draw(st.sampled_from(["csv", "pgm", "json"]))
+    out_dir = draw(st.sampled_from([slice_dir, slice_dir / "missing"]))
     return ["slice", "--config", str(path), f"--c={draw(positive)}",
-            "--out", str(slice_dir / f"grid.{fmt}"), "--format", fmt]
+            "--out", str(out_dir / f"grid.{fmt}"), "--format", fmt]
 
 
 def test_cli_exit_codes_and_one_json_line(tmp_path_factory):

@@ -234,3 +234,21 @@ def test_horner_matches_the_loops_it_replaced():
         got = horner((*coeffs, 0, 1), v)
         want = _monic_loop(coeffs, v, np.ones_like(v), 0.0)
     assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [
+    HenonMap(3, 9, (1, -2)),
+    HenonMap(3, Fraction(1, 3), (Fraction(-2, 7), Fraction(5, 3))),
+    HenonMap(2, QC(Fraction(3, 2), Fraction(1, 3)), (QC(1, -2),)),
+    HenonMap(5, 0.5 + 0.2j, (0.3, 0, 1, -1j)),
+], ids=["int", "fraction", "qc", "complex"])
+def test_q_constants_are_cached_bit_for_bit_without_changing_identity(m):
+    twin = HenonMap(m.d, m.a, m.coeffs)
+    h = hash(m)
+    A, B = m.q_constants
+    assert A.hex() == sum(abs(c) for c in m.coeffs_complex).hex()
+    assert B.hex() == abs(complex(m.a)).hex()
+    assert m.coeff_bound.hex() == (abs(m.a_complex) + sum(abs(c) for c in m.coeffs_complex)).hex()
+    assert m.q_constants is m.q_constants
+    assert m == twin and hash(m) == h == hash(twin) and {m: 1}[twin] == 1
+    assert m != HenonMap(m.d, m.a, (*m.coeffs[:-1], 7))

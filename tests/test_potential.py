@@ -11,9 +11,10 @@ import pytest
 
 from henonlab import (DomainError, HenonMap, classify_point, evaluate, green_minus,
                       green_plus)
+from henonlab.boettcher import _u_bound
 from henonlab.maps import FiltrationRadius, doubling_radius, estimate_filtration_radius, horner
-from henonlab.potential import (_DEEP, _FLOAT_NOISE, crude_green_plus, green_plus_grid,
-                                sample_escaping_points)
+from henonlab.potential import (_DEEP, _FLOAT_NOISE, _crude_bound, crude_green_plus,
+                                green_plus_grid, sample_escaping_points)
 
 QUAD = HenonMap(2, 3, (0,))
 CUBIC = HenonMap(3, 9, (0, 0))
@@ -311,6 +312,22 @@ def test_grid_agrees_with_scalar_crude_estimator():
             c = crude_green_plus(m, z, filtration=filt)
             assert escaped[i] == (not c.budget_exhausted), (m, z)
             assert abs(green[i] - c.value) <= 1e-14 * max(1.0, abs(c.value)), (m, z)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "backward"])
+def test_crude_bound_gives_the_same_bits_for_floats_and_arrays(inverse):
+    # for (y^3 + 1, a=1) u = 2/top^2 both ways: below, exactly at and above 1/2, where
+    # d = 3 makes 4u/d = 2/3 differ from the overflow rule's 1
+    m = HenonMap(3, 1, (1, 0))
+    tops = (4.0, 2.0, 1.5)
+    us = [_u_bound(m, top, inverse) for top in tops]
+    assert us[0] < 0.5 == us[1] < us[2]
+    for top, u in zip(tops, us):
+        scalar = _crude_bound(m, top, inverse)
+        array = _crude_bound(m, np.array([top]), inverse)
+        rule = np.where(u <= 0.5, 4.0 * u / m.d, 1.0)  # the rule as first written
+        assert type(scalar) is float and array.shape == (1,) and array.dtype == np.float64
+        assert scalar.hex() == float(array[0]).hex() == float(rule).hex()
 
 
 def test_sup_norm_definition_at_large_points():
