@@ -59,6 +59,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from ._exact import as_exact, field, support, zero_of
@@ -76,7 +77,7 @@ def _u_bound(m: HenonMap, yabs: float, inverse: bool = False) -> float:
     """Upper bound A/|y|^2 + B/|y|^{d-1} for |q(x,y)/y^d| on |x| <= |y|,
     |y| = yabs >= 1, or backwards for |(q(x) - y)/x^d| on |y| <= |x|,
     |x| = yabs >= 1; A = sum |a_j| and B = |a| are the map's cached
-    q_constants, and B = 1 backwards.  yabs may be a numpy array or an mpf."""
+    q_constants, and B = 1 backwards.  yabs is a float or a numpy array."""
     A, B = (m.q_constants[0], 1.0) if inverse else m.q_constants
     try:
         return A / yabs ** 2 + B / yabs ** (m.d - 1)
@@ -182,6 +183,13 @@ def _mp(v):
                   mp.mpf(q.im.numerator) / q.im.denominator)
 
 
+@lru_cache(maxsize=128)
+def _mp_all(values: tuple, prec: int) -> tuple:
+    """_mp of each value at prec = mp.mp.prec bits, once per precision; values
+    are a map's (a, a_0, ..., a_{d-2}) or a lift polynomial's A."""
+    return tuple(map(_mp, values))
+
+
 def _ipow(w, n: int):
     """w**n, n >= 1, by multiplication (mpmath's mpc**n may take a log)."""
     out = w
@@ -196,14 +204,16 @@ def phi_mp(m: HenonMap, z, dps: int):
     import mpmath as mp
     x, y = _mp(z[0]), _mp(z[1])
     d = m.d
-    a = _mp(m.a)
-    coeffs = [_mp(c) for c in m.coeffs]
-    # a float A in _u_bound is well inside the 10-digit margin of the cutoff
-    cutoff = mp.mpf(10) ** (-(dps + 10))
+    a, *coeffs = _mp_all((m.a, *m.coeffs), mp.mp.prec)
+    # stop once _u_bound(|y|), which bounds this and every later factor, is
+    # below 10^-(dps+10), read in doubles from binary exponents: L = max(mag
+    # Re y, mag Im y) - 1 <= log2|y| gives _u_bound <= 2 max(A 2^-2L, B 2^-(d-1)L)
+    log_a, log_b = (math.log2(c) if c else -math.inf for c in m.q_constants)
+    stop = -(dps + 10) * math.log2(10) - 1
     theta, J = cmath.phase(complex(y)), 0
     while J < 4 * dps + 60:
-        # certified bound on this and all later factors (|y| keeps doubling)
-        if _u_bound(m, abs(y)) < cutoff:
+        L = max(mp.mag(y.real), mp.mag(y.imag)) - 1
+        if max(log_a - 2 * L, log_b - (d - 1) * L) < stop:
             break
         q = horner(coeffs, y) - a * x
         yd = _ipow(y, d)
@@ -344,7 +354,7 @@ def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
     N = 2 * d + 10  # aliasing error (R/rho)^N
     with mp.workdps(digits):
         rho = 1000 * mp.mpf(R)
-        p_coeffs = (*(_mp(c) for c in m.coeffs), 0, 1)
+        p_coeffs = (*_mp_all((m.a, *m.coeffs), mp.mp.prec)[1:], 0, 1)
         T = [0] * d  # T[j]: coefficient of y^j in y*p(y) - phi^{d+1}
         P = [[0] * d for _ in range(d)]  # P[k][j]: coefficient of y^j in phi^k
         for n in range(N):
@@ -389,12 +399,12 @@ def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
     """(psi_depth, psi_{depth-1}, phi(z)) inside an mp context of dps digits."""
     import mpmath as mp
     d = m.d
-    a = _mp(m.a)
-    p_coeffs = (*(_mp(c) for c in m.coeffs), 0, 1)
+    a, *coeffs = _mp_all((m.a, *m.coeffs), mp.mp.prec)
+    p_coeffs = (*coeffs, 0, 1)
     doa = mp.mpf(d) / a
     cur = (_mp(z[0]), _mp(z[1]))
     phi0 = phi_mp(m, cur, dps)
-    q_coeffs = (*(_mp(c) for c in q.A), 0, 1)
+    q_coeffs = (*_mp_all(q.A, mp.mp.prec), 0, 1)
     qsum = mp.mpf(0)
     scale, phij = mp.mpf(1), phi0  # (d/a)^j and phi(H^j z) = phi0^(d^j)
     prev = None
@@ -449,10 +459,10 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
             raise PrecisionError(
                 f"depth {depth} needs about {need} digits, got {precision_digits}")
         with mp.workdps(precision_digits):
-            aod = _mp(m.a) / m.d
+            aod = _mp_all((m.a, *m.coeffs), mp.mp.prec)[0] / m.d
             psi_z, _, phi_z = _psi_partials(m, z, q, depth, precision_digits)
             psi_hz, _, phi_hz = _psi_partials(m, hz, q, depth, precision_digits)
-            q_phi = horner((*(_mp(c) for c in q.A), 0, 1), phi_z)
+            q_phi = horner((*_mp_all(q.A, mp.mp.prec), 0, 1), phi_z)
             r1 = abs(aod * psi_z + q_phi - psi_hz)
             r2 = abs(_ipow(phi_z, m.d) - phi_hz)
             worst = max(worst, float(r1), float(r2))

@@ -127,16 +127,16 @@ class UnitDecomposition:
 
 def unit_decompose(x: RingElem) -> Optional[UnitDecomposition]:
     """Decompose a unit as sign * prod p_i^{n_i}; None if x is not a unit
-    (including x = 0).  x is a unit iff |m| factors over the primes of d."""
+    (including x = 0); x is a unit iff dividing out the primes of d leaves 1."""
     if x.m == 0:
         return None
-    base = dict(factorize(x.d))
-    primes = sorted(base)
-    mfac = dict(factorize(abs(x.m)))
-    if any(p not in base for p in mfac):
-        return None
-    exps = tuple(mfac.get(p, 0) - x.k * base[p] for p in primes)
-    return UnitDecomposition(x.d, 1 if x.m > 0 else -1, exps)
+    rest, exps = abs(x.m), []
+    for p, e in factorize(x.d):
+        n = 0
+        while rest % p == 0:
+            rest, n = rest // p, n + 1
+        exps.append(n - x.k * e)
+    return UnitDecomposition(x.d, 1 if x.m > 0 else -1, tuple(exps)) if rest == 1 else None
 
 
 def subgroup_membership(u: UnitDecomposition) -> Optional[int]:

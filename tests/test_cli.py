@@ -148,6 +148,18 @@ def test_units_non_unit(capsys):
     assert json.loads(out) == {"unit": False}
 
 
+@pytest.mark.parametrize("num,want", [
+    (-2 ** 69 * 3 ** 40, {"unit": True, "sign": -1, "exponents": [68, 39], "subgroupT": None}),
+    (6 * (2 ** 127 - 1), {"unit": False}),
+], ids=["unit", "prime-factor"])
+def test_units_forty_digit_numerator(capsys, num, want):
+    # |m| is never factored: trial division of 6 (2^127 - 1) would not end
+    assert len(str(abs(num))) == 40
+    code, out, _ = run(capsys, "units", "--d", "6", f"--elem={num}/6")
+    assert code == 0
+    assert json.loads(out) == want
+
+
 def test_lift_deck(capsys):
     code, out, _ = run(capsys, "lift", "deck", "--map", M2, "--k", "1",
                        "--n", "1", "--point", "0,2")

@@ -69,7 +69,7 @@ def argv(draw, slice_dir):
         return ["lift", "deck", "--map", m, f"--k={draw(st.integers(-5, 40))}",
                 f"--n={draw(st.integers(0, 6))}", f"--point={draw(point)}"]
     if cmd == "units":
-        num, den = draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(0, 10 ** 4))
+        num, den = draw(st.integers(-10 ** 40, 10 ** 40)), draw(st.integers(0, 10 ** 4))
         return ["units", f"--d={draw(st.integers(-1, 13))}", f"--elem={num}/{den}"]
     cfg = {"map": json.loads(m),
            "slice": {"origin": [draw(window), draw(window)],

@@ -129,12 +129,15 @@ def _complex_maps():
                                    for _ in range(d - 1)))
 
 
-@pytest.mark.parametrize("dps", [30, 80, 400])
+@pytest.mark.parametrize("dps", [30, 80, 400, 1800])
 def test_phi_mp_matches_per_factor_product(dps):
     """phi_mp = y_J^(1/d^J) with a tracked winding agrees with the per-factor
-    product, including arg y within 1e-3 of +-pi and windings of several turns."""
+    product, including arg y within 1e-3 of +-pi and windings of several turns.
+    At 1800 digits, the precision of the deepest psi, two maps are enough to
+    hold phi_mp's exponent stop rule to the reference's mpf cutoff."""
     windings = set()
-    for m in _complex_maps():
+    maps = list(_complex_maps())
+    for m in maps[:2] if dps > 400 else maps:
         r = 3 * estimate_filtration_radius(m).R
         for t in (math.pi - 5e-4, -math.pi + 5e-4, 2.5, -0.7):
             z = (cmath.rect(0.5 * r, 1.0 - t), cmath.rect(r, t))
