@@ -6,13 +6,20 @@ lift (push|iterate|deck), units, slice, selftest.
 Exit codes: 0 success, 2 bad arguments, 3 domain error,
 4 precision error, 5 selftest failure.  All outputs are single-line JSON
 with stable key order; complex numbers are emitted as [re, im] pairs.
+
+A CLI process (`python -m henonlab.cli`, the `henonlab` script) ends in `run`:
+atexit handlers run, stdout and stderr are flushed, `os._exit` skips the
+interpreter teardown, and a write error on stdout is exit 2 with one JSON line.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import cmath
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -115,8 +122,15 @@ def _c(z) -> list:
     return [z.real, z.imag]
 
 
+def _write(line: str) -> None:
+    try:
+        sys.stdout.write(line + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write to stdout: {exc}") from None
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, separators=(", ", ": "), allow_nan=True) + "\n")
+    _write(json.dumps(doc, separators=(", ", ": "), allow_nan=True))
 
 
 def _green_doc(g) -> dict:
@@ -271,7 +285,7 @@ def cmd_slice(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .selfcheck import run_all
-    return 0 if run_all() else 5
+    return 0 if run_all(_write) else 5
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(code: int, kind: str, exc: Exception) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
+    with contextlib.suppress(OSError):  # with stderr gone too, the code is all that is left
+        sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
     return code
 
 
@@ -395,5 +410,18 @@ def main(argv=None) -> int:
         return _fail(2, "usage", exc)
 
 
+def run() -> None:
+    """Process entry: `main`, every atexit handler, a flush, then `os._exit`."""
+    code = main()
+    atexit._run_exitfuncs()  # os._exit skips atexit, so every handler runs here
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = code or _fail(2, "usage", UsageError(f"cannot write to stdout: {exc}"))
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,6 +9,7 @@ t * (m1, ..., ml) where d = p1^{m1}...pl^{ml}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,24 +17,56 @@ from functools import lru_cache
 from typing import Optional
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981  # Miller-Rabin on _MR_BASES is exact below this
+_RHO_CAP = 1 << 16  # rho steps per cofactor
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple:
-    """Prime factorization by trial division (desk scale), ((p, e), ...)."""
+    """Prime factorization ((p, e), ...): trial division by the primes below
+    10^4, then Miller-Rabin and Brent's rho; ValueError past _MR_EXACT or _RHO_CAP."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    out = {}
+    for p in itertools.chain((2,), range(3, 10 ** 4, 2)):  # a composite p never divides
+        if p * p > n:
+            break
+        while n % p == 0:
+            n, out[p] = n // p, out.get(p, 0) + 1
+    rest = [n] if n > 1 else []
+    while rest:  # no factor left has a prime below 10^4, so below 10^8 it is prime
+        n = rest.pop()
+        if n >= 10 ** 8 and _composite(n):
+            rest += _rho(n)
+        elif n >= _MR_EXACT:
+            raise ValueError(f"cannot prove {n} prime: Miller-Rabin is exact below {_MR_EXACT}")
+        else:
+            out[n] = out.get(n, 0) + 1
+    return tuple(sorted(out.items()))
+
+
+def _composite(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES for odd n > 41; True is a proof."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    return any(pow(a, (n - 1) >> s, n) != 1
+               and all(pow(a, (n - 1) >> s << i, n) != n - 1 for i in range(s))
+               for a in _MR_BASES)
+
+
+def _rho(n: int) -> tuple:
+    """Split the composite n into two proper factors by Brent's rho, within _RHO_CAP steps."""
+    c, k, x, y = 1, 0, 2, 2
+    for _ in range(_RHO_CAP):
+        y, k = (y * y + c) % n, k + 1
+        g = math.gcd(x - y, n)
+        if 1 < g < n:
+            return g, n // g
+        if g == n:  # the orbit closed modulo n: take another polynomial
+            c, k, x, y = c + 1, 0, 2, 2
+        elif k & (k - 1) == 0:  # Brent: the slow point jumps to the fast one at powers of 2
+            x = y
+    raise ValueError(f"no factor of {n} found within {_RHO_CAP} rho steps")
 
 
 @dataclass(frozen=True)
@@ -105,8 +138,7 @@ class UnitDecomposition:
     exponents: tuple  # over sorted primes of d
 
     def value(self) -> RingElem:
-        primes = [p for p, _ in factorize(self.d)]
-        mults = [e for _, e in factorize(self.d)]
+        primes, mults = zip(*factorize(self.d))
         # lift to m/d^k: choose k so all shifted exponents are >= 0
         k = 0
         for n, mu in zip(self.exponents, mults):

@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,27 @@ def test_units_forty_digit_numerator(capsys, num, want):
     code, out, _ = run(capsys, "units", "--d", "6", f"--elem={num}/6")
     assert code == 0
     assert json.loads(out) == want
+
+
+def test_units_25_digit_prime_d_answers_at_once(capsys):
+    d = 10 ** 24 + 7  # prime, below the exact Miller-Rabin range
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "units", f"--d={d}", f"--elem=1/{d}")
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert json.loads(out) == {"unit": True, "sign": 1, "exponents": [-1], "subgroupT": -1}
+
+
+@pytest.mark.parametrize("d,cap", [
+    (100000000000031 * 100000000000067, "rho steps"),
+    (2 ** 89 - 1, "Miller-Rabin is exact below"),
+], ids=["two-15-digit-primes", "27-digit-prime"])
+def test_units_d_past_the_factoring_caps_is_exit_2(capsys, d, cap):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "units", f"--d={d}", "--elem=1")
+    assert time.perf_counter() - t0 < 2
+    _one_line_error(code, out, err, 2, "usage")
+    assert cap in json.loads(err)["message"]
 
 
 def test_lift_deck(capsys):
@@ -406,12 +430,84 @@ def test_valid_threads_env_ok(capsys, monkeypatch):
     assert run(capsys, "units", "--d", "2", "--elem", "2")[0] == 0
 
 
+def _cli(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "henonlab.cli", *argv],
+                          text=True, timeout=60, **kwargs)
+
+
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "henonlab.cli", "units", "--d", "6", "--elem", "4/6"],
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["unit"] is True
+    """Each exit code through `run`: one JSON line, on stdout for 0, else on stderr."""
+    sextic = '{"d":6,"p":[0,0,0,0,1],"a":3}'
+    for want, kind, argv in [
+            (0, None, ["units", "--d", "6", "--elem", "4/6"]),
+            (2, "usage", ["units", "--d", "6", "--elem", "1/5"]),
+            (3, "overflow", ["lift", "deck", "--map", M2, "--k", "1", "--n", "40",
+                             "--point", "0,2"]),
+            (4, "precision", ["derive-q", "--map", sextic, "--strategy", "fit",
+                              "--digits", "20"])]:
+        proc = _cli(*argv, capture_output=True)
+        if want == 0:
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            assert len(proc.stdout.splitlines()) == 1
+            assert json.loads(proc.stdout)["unit"] is True
+        else:
+            _one_line_error(proc.returncode, proc.stdout, proc.stderr, want, kind)
+
+
+def test_run_keeps_atexit_handlers_and_flushes_after_them(tmp_path):
+    marker = tmp_path / "marker"
+    child = ("import atexit, sys\n"
+             "atexit.register(lambda path=sys.argv[1]: open(path, 'w').close())\n"
+             "atexit.register(print, 'handler')\n"
+             "sys.argv[1:] = ['units', '--d', '6', '--elem', '4/6']\n"
+             "import henonlab.cli\n"
+             "henonlab.cli.run()\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", child, str(marker)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    first, last = proc.stdout.splitlines()
+    assert json.loads(first)["unit"] is True and last == "handler"
+    assert marker.exists()
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"]["henonlab"] == "henonlab.cli:run"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["units", "slice"])
+def test_closed_stdout_is_exit_2_with_one_json_line(tmp_path, command, buffered):
+    # buffered, the result waits for the final flush in `run`; unbuffered, `_emit` fails
+    cfg = tmp_path / "slice.json"
+    cfg.write_text(json.dumps({"map": json.loads(M2), "slice": {
+        "origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1], "gridW": 16, "gridH": 16}}))
+    argv = {"units": ["units", "--d", "6", "--elem", "4/6"],
+            "slice": ["slice", "--config", str(cfg), "--c", "1",
+                      "--out", str(tmp_path / "o.csv"), "--format", "csv"]}[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli(*argv, stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    _one_line_error(proc.returncode, "", proc.stderr, 2, "usage")
+    assert "Broken pipe" in json.loads(proc.stderr)["message"]
+
+
+def test_closed_stdout_and_stderr_is_a_silent_exit_2():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli("units", "--d", "6", "--elem", "4/6", stdout=write, stderr=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
 
 
 _NO_MPMATH = """

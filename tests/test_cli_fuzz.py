@@ -106,3 +106,18 @@ def test_cli_exit_codes_and_one_json_line(tmp_path_factory):
             assert math.isfinite(green["errorBound"]), (args, doc)
 
     check()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(-1, 13), st.integers(14, 10 ** 30)),
+       st.integers(-10 ** 40, 10 ** 40), st.one_of(st.just(1), st.integers(0, 10 ** 4)))
+def test_units_with_ring_d_up_to_1e30_is_one_json_line(d, num, den):
+    """Past the factoring caps (a probable prime from 3.3e24 up, or a composite
+    rho does not split) units is exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["units", f"--d={d}", f"--elem={num}/{den}"])
+    assert code in (0, 2), (d, num, den, code, err.getvalue())
+    lines = (out.getvalue() + err.getvalue()).splitlines()
+    assert len(lines) == 1, (d, num, den, lines)
+    json.loads(lines[0])
