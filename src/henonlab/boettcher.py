@@ -309,10 +309,13 @@ def _derive_formal(m: HenonMap) -> LiftPolynomial:
     d = m.d
     a, *coeffs = field([m.a, *m.coeffs])
 
-    # the conditions read E0 and G_k = y^k F^k, k <= d+1, at grades >= 1
-    # only; the grades of F are all <= 0, so its truncated powers are exact
+    # the conditions read E0 and G_k = y^k F^k, k <= d+1, at grades >= 1 only;
+    # F has grades <= 0, so its truncated powers, F^{k+1} = F^k F, are exact
     F = _phi_over_y(m)
-    G = [(F ** k).shifted(0, k) for k in range(d + 2)]
+    Fk = [LaurentSeries2.const(1, F.dmin)]
+    for _ in range(d + 1):
+        Fk.append(Fk[-1] * F)
+    G = [f.shifted(0, k) for k, f in enumerate(Fk)]
 
     # E0 = y*p(y) - (a + a/d)*x*y - G_{d+1}
     E0 = LaurentSeries2(-d, {(0, j + 1): c for j, c in enumerate((*coeffs, 0, 1))})

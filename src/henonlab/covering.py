@@ -5,7 +5,8 @@ with alpha a (d^2-1)-th root of unity and beta = alpha^{d+1}; the push
 operations transporting them through the covering model in both
 directions; deck transformations indexed by classes k/d^n of Z[1/d]/Z,
 each held as the dyadic.RingElem m/d^k with 0 <= m < d^k; and the
-constraint set of exponents compatible with a given lift polynomial.
+constraint set of exponents compatible with a given lift polynomial,
+solved in closed form by congruence_subgroup.
 
 Roots of unity are exact integer exponents modulo d^2-1 throughout;
 complex embedding happens only at evaluation boundaries, from the exact
@@ -209,13 +210,20 @@ def henon_lift(point, q: LiftPolynomial, a) -> tuple:
 # The exponent constraint set of Q
 # ---------------------------------------------------------------------------
 
+def congruence_subgroup(M: int, multipliers) -> range:
+    """The exponents e mod M with c*e = 0 mod M for every c in multipliers.
+
+    c*e = 0 mod M exactly when M/gcd(M, c) divides e, so the solutions are
+    the multiples of the lcm of those quotients: a cyclic subgroup of Z_M.
+    """
+    return range(0, M, math.lcm(*(M // math.gcd(M, c) for c in multipliers)))
+
+
 def compute_L_prime(q: LiftPolynomial) -> list:
     """All exponents e with (d+1-j)e = 0 mod d^2-1 for every nonzero A_j,
     1 <= j <= d-1 (the zeta^{d+1} term is automatic and A_0 is absorbed by
-    c_alpha).  Always a subgroup of Z_{d^2-1}: the solutions of
-    homogeneous congruences."""
+    c_alpha)."""
     d = q.d
     M = d * d - 1
-    idx = q.nonzero_indices()
-    return [RootOfUnity(e, M) for e in range(M)
-            if all((d + 1 - j) * e % M == 0 for j in idx)]
+    return [RootOfUnity(e, M)
+            for e in congruence_subgroup(M, [d + 1 - j for j in q.nonzero_indices()])]

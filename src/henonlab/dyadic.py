@@ -116,13 +116,18 @@ class RingElem:
         return RingElem(self.d, self.m * other.m, self.k + other.k)
 
 
+def _peel(n: int, d: int) -> int:
+    """n with every prime of d divided out, by gcd steps: d is never factored."""
+    while (g := math.gcd(n, d)) > 1:
+        n //= g
+    return n
+
+
 def ring_from_fraction(d: int, value: Fraction) -> Optional[RingElem]:
     """Represent an exact fraction in Z[1/d], or None when a prime of its
     denominator does not divide d."""
-    den = rest = value.denominator
-    while (g := math.gcd(rest, d)) > 1:
-        rest //= g
-    if rest != 1:
+    den = value.denominator
+    if _peel(den, d) != 1:
         return None
     k, dk = 0, 1
     while dk % den:
@@ -159,8 +164,9 @@ class UnitDecomposition:
 
 def unit_decompose(x: RingElem) -> Optional[UnitDecomposition]:
     """Decompose a unit as sign * prod p_i^{n_i}; None if x is not a unit
-    (including x = 0); x is a unit iff dividing out the primes of d leaves 1."""
-    if x.m == 0:
+    (including x = 0); x is a unit iff dividing out the primes of d leaves 1,
+    which is decided before d is factored."""
+    if x.m == 0 or _peel(abs(x.m), x.d) != 1:
         return None
     rest, exps = abs(x.m), []
     for p, e in factorize(x.d):
@@ -168,7 +174,7 @@ def unit_decompose(x: RingElem) -> Optional[UnitDecomposition]:
         while rest % p == 0:
             rest, n = rest // p, n + 1
         exps.append(n - x.k * e)
-    return UnitDecomposition(x.d, 1 if x.m > 0 else -1, tuple(exps)) if rest == 1 else None
+    return UnitDecomposition(x.d, 1 if x.m > 0 else -1, tuple(exps))
 
 
 def subgroup_membership(u: UnitDecomposition) -> Optional[int]:

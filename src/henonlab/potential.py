@@ -80,9 +80,10 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
     """Iterate until the orbit enters V_R+ (or V_R- backwards).
 
     Returns (n, point, None) at entry, or (n, point, final) when the walk
-    stops first: on overflow (certain escape) final is the crude log of the
-    sup-norm with error d^-n; when the budget runs out n is None and final
-    is 0 with the budget flag set.
+    stops first: past the overflow limit (certain escape) final is the crude
+    log of the sup-norm with error d^-n; when the budget runs out n is None
+    and final is 0 with the budget flag set.  OverflowError on inf or nan,
+    from which no bound can be certified.
     """
     cur = (complex(z[0]), complex(z[1]))
     if not (cmath.isfinite(cur[0]) and cmath.isfinite(cur[1])):
@@ -91,10 +92,12 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
     member = in_v_minus if inverse else in_v_plus
     for n in range(budget + 1):
         mag = max(abs(cur[0]), abs(cur[1]))
-        if math.isfinite(mag) and member(cur, R):
+        if not math.isfinite(mag):  # escape is certain, but there is no height to take
+            raise OverflowError(f"the orbit leaves the float range at step {n}")
+        if member(cur, R):
             return n, cur, None
-        if not mag <= lim:  # past the limit, inf or nan: escape is certain
-            g = math.log(max(mag, 1.0)) / m.d ** n
+        if mag > lim:  # past the limit escape is certain
+            g = math.log(mag) / m.d ** n
             return n, cur, GreenValue(g, m.d ** (-n) + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n,
                                       entry=n)
         cur = evaluate(m, cur, inverse=inverse)

@@ -27,7 +27,8 @@ from .dyadic import (RingElem, brute_force_inverse, subgroup_membership,
 from .grid import STATUS_OMEGA_PRIME, SliceSpec, export_bytes, sample_slice
 from .maps import FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate
 from .potential import green_plus, green_plus_grid, sample_escaping_points
-from .symmetry import detect_linear_symmetries, verify_rigidity_family
+from .symmetry import (detect_linear_symmetries, symbolic_symmetry_check,
+                       verify_rigidity_family)
 
 
 @dataclass
@@ -105,14 +106,21 @@ _SYMMETRY_CASES = (
 # -- 3: symmetry counts -----------------------------------------------------
 
 def check_symmetry_counts() -> CheckResult:
-    got = []
+    """The closed-form group against exact composition at every exponent:
+    members must pass symbolic_symmetry_check and non-members fail it."""
+    got, checked, mismatched = [], 0, 0
     for m, expected in _SYMMETRY_CASES:
-        group = detect_linear_symmetries(m)  # every element is composition-verified
+        group = detect_linear_symmetries(m)
+        for e in range(group.modulus):
+            mismatched += (e in group.exponents) != symbolic_symmetry_check(m, e)
+        checked += group.modulus
         got.append((group.order, expected))
-    ok = all(o == e for o, e in got)
+    ok = all(o == e for o, e in got) and not mismatched
     return CheckResult(
         "symmetry-counts", ok,
-        "orders " + ", ".join(f"{o} (want {e})" for o, e in got))
+        "orders " + ", ".join(f"{o} (want {e})" for o, e in got)
+        + f"; closed form vs symbolic composition at all {checked} exponents: "
+        f"{mismatched} disagree (need 0)")
 
 
 # -- 4: Green invariance ----------------------------------------------------

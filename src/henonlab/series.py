@@ -96,19 +96,6 @@ class LaurentSeries2:
     def __rmul__(self, other):
         return self._coerce(other) * self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative integer power; use binomial_pow for a series")
-        out = LaurentSeries2.const(1, self.dmin)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries2):
             return NotImplemented

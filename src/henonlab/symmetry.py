@@ -2,11 +2,11 @@
 non-escaping set, certification at the potential level, and the
 automorphism-group bookkeeping around the lift constraint set.
 
-Detection is exact: eta = exp(2*pi*i*e/(d^2-1)) is a symmetry iff
-d(d-j)e = 0 mod d^2-1 for every nonzero coefficient a_j of p, and every
-candidate is additionally verified by symbolic composition
-H o L_eta = L_{eta^d} o H (which implies H^2 o L_eta = L_eta o H^2
-since eta^{d^2} = eta).
+eta = exp(2*pi*i*e/(d^2-1)) is a symmetry, H o L_eta = L_{eta^d} o H, iff
+d(d-j)e = 0 mod d^2-1 for every nonzero coefficient a_j of p.  Detection
+solves these congruences in closed form (covering.congruence_subgroup)
+and composes nothing; symbolic_symmetry_check composes the maps exactly
+and is kept as the independent oracle of the self-check and the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 from ._exact import support
 from .boettcher import LiftPolynomial
-from .covering import compute_L_prime, root_value
+from .covering import compute_L_prime, congruence_subgroup, root_value
 from .errors import DomainError, InconsistencyError
 from .maps import (FiltrationRadius, HenonMap, PolyMap2, compose_poly_maps,
                    estimate_filtration_radius, evaluate, overflow_limit, poly_map_of)
@@ -70,20 +70,10 @@ def symbolic_symmetry_check(m: HenonMap, e: int, tol: float = 1e-12) -> bool:
 
 
 def detect_linear_symmetries(m: HenonMap) -> SymmetryGroup:
-    """Congruence enumeration plus symbolic verification of each candidate."""
+    """The exponents solving d(d-j)e = 0 mod d^2-1 over the support of p."""
     d = m.d
-    M = d * d - 1
     idx = support(m.coeffs, _COEFF_ZERO)
-    candidates = [e for e in range(M)
-                  if all(d * (d - j) * e % M == 0 for j in idx)]
-    verified = [e for e in candidates if symbolic_symmetry_check(m, e)]
-    group = SymmetryGroup(d, tuple(verified))
-    members = set(group.exponents)
-    for e1 in members:  # subgroup sanity
-        for e2 in members:
-            if (e1 + e2) % M not in members:
-                raise InconsistencyError("detected symmetry set is not closed under addition")
-    return group
+    return SymmetryGroup(d, tuple(congruence_subgroup(d * d - 1, [d * (d - j) for j in idx])))
 
 
 @dataclass(frozen=True)
@@ -98,21 +88,15 @@ def classify_aut1(m: HenonMap, q: LiftPolynomial) -> Aut1Classification:
     """Case i: p(0) != 0; case ii: p = y^d; case iii: otherwise.
 
     k counts the detected linear symmetries, k' the lift-compatible
-    exponents of Q; raises InconsistencyError unless k <= k' and both
-    divide d^2 - 1.
+    exponents of Q (both divide d^2 - 1 by construction); raises
+    InconsistencyError unless k <= k' and the case's counts hold.
     """
-    d = m.d
     idx = support(m.coeffs, _COEFF_ZERO)
-    if 0 in idx:
-        case = "i"
-    elif not idx:
-        case = "ii"
-    else:
-        case = "iii"
+    case = "i" if 0 in idx else "iii" if idx else "ii"
     k = detect_linear_symmetries(m).order
     k_prime = len(compute_L_prime(q))
-    M = d * d - 1
-    if not (k <= k_prime and M % k == 0 and M % k_prime == 0):
+    M = m.d * m.d - 1
+    if k > k_prime:
         raise InconsistencyError(
             f"classification invariants violated: k={k}, k'={k_prime}, d^2-1={M}")
     if case == "i" and k != 1:

@@ -184,6 +184,37 @@ def test_units_d_past_the_factoring_caps_is_exit_2(capsys, d, cap):
     assert cap in json.loads(err)["message"]
 
 
+D_PAST_RHO = 30000000000018200000000002759  # two 15-digit primes: rho does not split it
+
+
+def test_units_non_unit_of_an_unfactored_d(capsys):
+    # gcd peeling proves 7 a non-unit without factoring d
+    code, out, _ = run(capsys, "units", f"--d={D_PAST_RHO}", "--elem=7")
+    assert code == 0
+    assert json.loads(out) == {"unit": False}
+
+
+def test_units_unit_of_an_unfactored_d_is_exit_2(capsys):
+    code, out, err = run(capsys, "units", f"--d={D_PAST_RHO}", f"--elem={D_PAST_RHO}")
+    _one_line_error(code, out, err, 2, "usage")
+    assert "rho steps" in json.loads(err)["message"]
+
+
+def test_symmetries_of_y80_compose_no_maps(capsys, monkeypatch):
+    # the group comes from the congruences alone; composition is only the oracle
+    from henonlab import maps, symmetry
+
+    def refuse(*args):
+        raise AssertionError("symmetry detection composed polynomial maps")
+    monkeypatch.setattr(maps, "compose_poly_maps", refuse)
+    monkeypatch.setattr(symmetry, "compose_poly_maps", refuse)
+    code, out, _ = run(capsys, "symmetries", "--map", json.dumps({"d": 80, "p": [0] * 79, "a": 3}))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["k"], doc["kPrime"], doc["case"], doc["modulus"]) == (6399, 6399, "ii", 6399)
+    assert doc["exponents"] == list(range(6399))
+
+
 def test_lift_deck(capsys):
     code, out, _ = run(capsys, "lift", "deck", "--map", M2, "--k", "1",
                        "--n", "1", "--point", "0,2")
@@ -313,6 +344,19 @@ def test_overflow_is_exit_3(capsys):
     assert code == 3 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "overflow"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--map", '{"d": 4, "p": [[0.0, 0.0], [0.0, 0.0], [0.0, 1e+300]], '
+     '"a": [0.0, 2.756705697074009e-211]}', "--point=0.0+1.0i,0.0"],
+    ["green", "--minus", "--map", '{"d": 8, "p": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+     '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1e+300], [0.0, 1.0], [0.0, 1.0]], '
+     '"a": [1e-19, 0.0]}', "--point=0.0,0.0", "--budget=1"],
+], ids=["classify", "green-minus"])
+def test_walk_past_the_float_range_is_exit_3(capsys, argv):
+    # one step overflows to inf: no finite bound exists, so no potential is reported
+    code, out, err = run(capsys, *argv)
+    _one_line_error(code, out, err, 3, "overflow")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "pgm"])

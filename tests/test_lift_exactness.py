@@ -3,6 +3,8 @@ rule of henonlab._exact, the triangular formal solve for Q against the
 factor chain and pivoting solver it replaced, the Fourier fit against the
 formal Q, exact normalization, and the exact k' count."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -69,7 +71,7 @@ def _phi_factor_bases(m: HenonMap, dmin: int):
         if uj.is_zero():
             break
         bases.append((one + uj, d ** (j + 1)))
-        Yprev, Ycur = Ycur, Ycur ** d * (one + uj)
+        Yprev, Ycur = Ycur, functools.reduce(operator.mul, [Ycur] * d) * (one + uj)
     return bases
 
 

@@ -5,12 +5,30 @@ import random
 import pytest
 
 from henonlab import (DomainError, HenonMap, classify_aut1, derive_lift_polynomial,
-                      detect_linear_symmetries, verify_rigidity_family)
+                      detect_linear_symmetries, estimate_filtration_radius, green_plus,
+                      verify_rigidity_family)
+from henonlab.covering import congruence_subgroup
+from henonlab.potential import sample_escaping_points
+from henonlab.selfcheck import _SYMMETRY_CASES
 from henonlab.symmetry import apply_symmetry, symbolic_symmetry_check
 
 QUAD_PLUS1 = HenonMap(2, 3, (1,))        # p = y^2 + 1
 CUBIC = HenonMap(3, 9, (0, 0))           # p = y^3
 QUARTIC = HenonMap(4, 16, (0, 1, 0))     # p = y^4 + y
+
+
+def _sparse_map(rng, d, kind):
+    """p = y^d plus a sparse tail, so that some groups are larger than {0}."""
+    def coeff():
+        if rng.random() < 0.6:
+            return 0
+        if kind == "float":
+            return rng.uniform(-2, 2)
+        if kind == "complex":
+            return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        return rng.choice([1, -1, 2])
+    a = {"float": 0.3, "complex": 1.5 - 0.5j}.get(kind, 3)
+    return HenonMap(d, a, tuple(coeff() for _ in range(d - 1)))
 
 
 def test_symmetry_orders():
@@ -48,18 +66,17 @@ def test_order_divides_d_squared_minus_one():
 
 
 def test_congruence_matches_symbolic_for_random_patterns():
-    """Exponents passing the divisibility congruence are exactly those
-    passing exact polynomial composition (50 random coefficient patterns)."""
+    """The closed-form group holds exactly the exponents passing exact
+    polynomial composition: 48 sparse maps, d = 2..9, with integer, float
+    and complex coefficients."""
     rng = random.Random(52)
-    for _ in range(50):
-        d = rng.choice([2, 3, 4])
-        coeffs = tuple(rng.choice([0, 1, -1, 2]) for _ in range(d - 1))
-        m = HenonMap(d, 5, coeffs)
-        M = d * d - 1
-        idx = [j for j, c in enumerate(coeffs) if c != 0]
-        for e in range(M):
-            congruent = all((d * (d - j) * e) % M == 0 for j in idx)
-            assert congruent == symbolic_symmetry_check(m, e)
+    for d in range(2, 10):
+        for kind in ("int", "float", "complex"):
+            for _ in range(2):
+                m = _sparse_map(rng, d, kind)
+                members = set(detect_linear_symmetries(m).exponents)
+                for e in range(d * d - 1):
+                    assert (e in members) == symbolic_symmetry_check(m, e), (m, e)
 
 
 def test_apply_symmetry_is_diagonal_root_action():
@@ -106,3 +123,44 @@ def test_rigidity_family_steps_either_way_and_skips_overflow(s):
             verify_rigidity_family(CUBIC, s, [e], samples=30, seed=54)
     else:
         assert verify_rigidity_family(CUBIC, s, [e], samples=30, seed=54) <= 0.0
+
+
+def test_congruence_subgroup_matches_brute_force():
+    rng = random.Random(61)
+    for _ in range(40):
+        M = rng.randint(1, 10 ** 4)
+        divisors = [c for c in range(1, M + 1) if M % c == 0]
+        cs = [rng.choice(divisors) * rng.randint(1, 9) for _ in range(rng.randint(0, 4))]
+        want = [e for e in range(M) if all(c * e % M == 0 for c in cs)]
+        assert list(congruence_subgroup(M, cs)) == want
+
+
+def _rigidity_maps():
+    rng = random.Random(80)
+    return [m for m, _ in _SYMMETRY_CASES] + [
+        _sparse_map(rng, d, kind) for d in range(2, 7) for kind in ("int", "float", "complex")]
+
+
+def _moves_green_plus(m, e, pts, g0, filt):
+    """Whether |G+(L_e z) - G+(z)| exceeds the sum of both bounds at some z."""
+    for z, g in zip(pts, g0):
+        g1 = green_plus(m, apply_symmetry(m.d, e, z), filtration=filt)
+        if abs(g1.value - g.value) > g1.error_bound + g.error_bound:
+            return True
+    return False
+
+
+def test_every_non_symmetry_moves_green_plus_beyond_both_bounds():
+    """Rigidity the other way: for each exponent outside the detected group
+    some escaping z has |G+(L_e z) - G+(z)| above the sum of both bounds, so
+    L_e preserves neither G+ nor any sub-level set {G+ < c}."""
+    non_members = 0
+    for m in _rigidity_maps():
+        filt = estimate_filtration_radius(m)
+        pts = sample_escaping_points(m, 5, seed=81, filtration=filt)
+        g0 = [green_plus(m, z, filtration=filt) for z in pts]
+        members = set(detect_linear_symmetries(m).exponents)
+        for e in set(range(m.d * m.d - 1)) - members:
+            non_members += 1
+            assert _moves_green_plus(m, e, pts, g0, filt), (m, e)
+    assert non_members >= 100
