@@ -64,26 +64,14 @@ from typing import Optional, Sequence
 
 from ._exact import as_exact, field, support, zero_of
 from .errors import DomainError, InconsistencyError, PrecisionError
-from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate, horner,
-                   in_v_plus, overflow_limit)
+from .maps import (FiltrationRadius, HenonMap, _u_bound, estimate_filtration_radius, evaluate,
+                   horner, in_v_plus, overflow_limit)
 from .series import LaurentSeries2
 
 
 # ---------------------------------------------------------------------------
 # Tail and branch bounds
 # ---------------------------------------------------------------------------
-
-def _u_bound(m: HenonMap, yabs: float, inverse: bool = False) -> float:
-    """Upper bound A/|y|^2 + B/|y|^{d-1} for |q(x,y)/y^d| on |x| <= |y|,
-    |y| = yabs >= 1, or backwards for |(q(x) - y)/x^d| on |y| <= |x|,
-    |x| = yabs >= 1; A = sum |a_j| and B = |a| are the map's cached
-    q_constants, and B = 1 backwards.  yabs is a float or a numpy array."""
-    A, B = (m.q_constants[0], 1.0) if inverse else m.q_constants
-    try:
-        return A / yabs ** 2 + B / yabs ** (m.d - 1)
-    except OverflowError:  # |y|^k past the float range; the negative powers underflow
-        return A * yabs ** -2 + B * yabs ** (1 - m.d)
-
 
 def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
     """Certified bound on |log phi - log phi_J| using |y_j| >= 2^j |y_0|;

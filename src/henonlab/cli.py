@@ -408,6 +408,8 @@ def main(argv=None) -> int:
         return _fail(3, "overflow", exc)
     except ValueError as exc:
         return _fail(2, "usage", exc)
+    except MemoryError as exc:  # e.g. a slice grid too large to allocate
+        return _fail(2, "memory", UsageError(f"not enough memory: {exc}"))
 
 
 def run() -> None:

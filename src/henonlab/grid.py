@@ -7,10 +7,17 @@ claim of membership in the non-escaping set); escaped pixels with
 coordinate e^{G+} in (1, e^c).  Pixels whose Green value is within its
 error bound of the level c are tagged boundary-uncertain rather than
 misclassified.
+
+The sampler walks the window in tiles of rows, so the escape walk's
+temporaries are tile-sized and only the four result arrays are full-size.
+export_grid streams the export into its path: the rows (CSV) or the large
+JSON lists are formatted on every usable core and written in order, and
+every check that can fail runs before the path is opened.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
@@ -92,36 +99,54 @@ def _map_metadata(m: HenonMap) -> dict:
     }
 
 
+# pixels per tile of rows: every per-pixel temporary of the escape walk is
+# tile-sized and stays in cache (2-core Xeon, a=3 map: the 512^2 walk took
+# 36 ms in 16k-pixel tiles, 46 ms in 4k-pixel tiles and 91 ms whole)
+_TILE = 16384
+
+
+def _row_tiles(H: int, W: int):
+    """Slices of whole rows of an H x W grid, about _TILE pixels each."""
+    rows = max(1, _TILE // W)
+    return (slice(r0, min(r0 + rows, H)) for r0 in range(0, H, rows))
+
+
 def sample_slice(m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
                  filtration: Optional[FiltrationRadius] = None) -> GridResult:
-    """Classify every grid pixel of the slice; deterministic for fixed input."""
+    """Classify every grid pixel of the slice; deterministic for fixed input.
+
+    The window is walked in tiles of whole rows, about _TILE pixels each,
+    whose results go into the four preallocated result arrays; no pixel's
+    value depends on the tiling."""
     if c <= 0:
         raise DomainError("level c must be positive")
     filt = filtration if filtration is not None else estimate_filtration_radius(m)
     W, H = spec.grid_w, spec.grid_h
     us = np.linspace(-spec.extent[0], spec.extent[0], W)
     vs = np.linspace(-spec.extent[1], spec.extent[1], H)
-    UU, VV = np.meshgrid(us, vs)  # (H, W)
     o0, o1 = complex(spec.origin[0]), complex(spec.origin[1])
     su0, su1 = complex(spec.span_u[0]), complex(spec.span_u[1])
     sv0, sv1 = complex(spec.span_v[0]), complex(spec.span_v[1])
-    X = o0 + UU * su0 + VV * sv0
-    Y = o1 + UU * su1 + VV * sv1
 
-    green, err, escaped = green_plus_grid(m, X, Y, budget=budget, filtration=filt)
-    green = green.reshape(H, W)
-    err = err.reshape(H, W)
-    escaped = escaped.reshape(H, W)
+    green, err, annulus = np.empty((H, W)), np.empty((H, W)), np.empty((H, W))
+    status = np.empty((H, W), dtype=np.int8)
+    u = us[np.newaxis, :]
+    for tile in _row_tiles(H, W):
+        v = vs[tile, np.newaxis]
+        g, e, escaped = (r.reshape(-1, W) for r in green_plus_grid(
+            m, o0 + u * su0 + v * sv0, o1 + u * su1 + v * sv1, budget=budget, filtration=filt))
+        green[tile], err[tile] = g, e
 
-    status = np.full((H, W), STATUS_K_CANDIDATE, dtype=np.int8)
-    status[escaped & (green < c)] = STATUS_OMEGA_PRIME
-    status[escaped & (green >= c)] = STATUS_OUTSIDE
-    uncertain = escaped & (np.abs(green - c) <= np.maximum(err, 1e-9))
-    status[uncertain] = STATUS_BOUNDARY
+        st = status[tile]
+        st.fill(STATUS_K_CANDIDATE)
+        st[escaped & (g < c)] = STATUS_OMEGA_PRIME
+        st[escaped & (g >= c)] = STATUS_OUTSIDE
+        st[escaped & (np.abs(g - c) <= np.maximum(e, 1e-9))] = STATUS_BOUNDARY
 
-    annulus = np.full((H, W), np.nan)
-    mask = (green > 0.0) & (green < c)
-    annulus[mask] = np.exp(green[mask])
+        ann = annulus[tile]
+        ann.fill(np.nan)
+        mask = (g > 0.0) & (g < c)
+        ann[mask] = np.exp(g[mask])
 
     meta = {
         "map": _map_metadata(m),
@@ -212,18 +237,20 @@ def _write_csv(grid: GridResult, out) -> None:
 def _write_pgm(grid: GridResult, out) -> None:
     c = grid.metadata.get("c", 1.0)
     H, W = grid.green.shape
-    scaled = np.clip(grid.green / c, 0.0, 1.0)
     out.write(f"P5\n{W} {H}\n65535\n".encode("ascii"))
-    out.write(np.round(scaled * 65535.0).astype(">u2").tobytes())  # big-endian sample order
+    for tile in _row_tiles(H, W):  # big-endian samples
+        scaled = np.clip(grid.green[tile] / c, 0.0, 1.0)
+        out.write(np.round(scaled * 65535.0).astype(">u2").tobytes())
+
+
+def _dumps(value) -> str:
+    # allow_nan=False makes a non-finite float raise ValueError
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
 def _write_json(grid: GridResult, out) -> None:
-    # allow_nan=False makes a non-finite G+ raise ValueError
-    def dumps(value):
-        return json.dumps(value, separators=(",", ":"), allow_nan=False)
-
-    out.write(f'{{"metadata":{dumps(grid.metadata)},"u":{dumps(grid.us.tolist())},'
-              f'"v":{dumps(grid.vs.tolist())}'.encode("ascii"))
+    out.write(f'{{"metadata":{_dumps(grid.metadata)},"u":{_dumps(grid.us.tolist())},'
+              f'"v":{_dumps(grid.vs.tolist())}'.encode("ascii"))
     for key, values, items in (
             ("greenPlus", grid.green, lambda v: v),
             ("status", grid.status, lambda v: [STATUS_NAMES[s] for s in v]),
@@ -231,30 +258,50 @@ def _write_json(grid: GridResult, out) -> None:
         out.write(f',"{key}":['.encode("ascii"))
         flat = values.ravel()
         _fan_out(out, flat.size, 1, lambda lo, hi: [  # each piece without its brackets
-            b"," * (lo > 0), memoryview(dumps(items(flat[lo:hi].tolist())).encode())[1:-1]])
+            b"," * (lo > 0), memoryview(_dumps(items(flat[lo:hi].tolist())).encode())[1:-1]])
         out.write(b"]")
     out.write(b"}")
+
+
+def _check_json(grid: GridResult) -> None:
+    """Raise the ValueError _write_json would raise part way, before a byte
+    is written: a non-finite u, v or G+, or an infinite annulus radius (nan
+    is written as null)."""
+    _dumps(grid.metadata)
+    for values, bad in ((grid.us, ~np.isfinite(grid.us)), (grid.vs, ~np.isfinite(grid.vs)),
+                        (grid.green, ~np.isfinite(grid.green)),
+                        (grid.annulus, np.isinf(grid.annulus))):
+        if bad.any():
+            _dumps(float(values[bad][0]))
 
 
 _EXPORTERS = {"csv": _write_csv, "pgm": _write_pgm, "json": _write_json}
 
 
-def export_bytes(grid: GridResult, fmt: str) -> bytes:
-    """The export, read back as one buffer from the temp file it is written
-    to, so that no part of it is held next to the whole."""
+def _exporter(fmt: str):
     if fmt not in _EXPORTERS:
         raise ValueError(f"unknown export format {fmt!r} (choose csv, pgm, or json)")
-    with tempfile.TemporaryFile() as out:
-        _EXPORTERS[fmt](grid, out)
-        out.seek(0)
-        return out.read()
+    return _EXPORTERS[fmt]
+
+
+def export_bytes(grid: GridResult, fmt: str) -> bytes:
+    """The export as one bytes object, for in-memory callers."""
+    out = io.BytesIO()
+    _exporter(fmt)(grid, out)
+    return out.getvalue()
 
 
 def export_grid(grid: GridResult, fmt: str, path) -> None:
-    """Write the grid to path; byte-deterministic for identical input."""
-    data = export_bytes(grid, fmt)
+    """Write the grid to path; byte-deterministic for identical input.
+
+    The export is written straight into path.  Every check that can fail,
+    the format and JSON's finiteness, runs before path is opened, so a
+    rejected export leaves path as it was."""
+    write = _exporter(fmt)
+    if fmt == "json":
+        _check_json(grid)
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            write(grid, fh)
     except OSError as exc:
         raise OSError(f"export to {path} failed: {exc}") from exc

@@ -2,8 +2,9 @@
 
 Provides exact construction and normalization, forward/inverse evaluation,
 the overflow limit past which escape is certain, exact bivariate
-polynomial composition (used to verify normalization and symmetries), and
-the proven filtration radius.
+polynomial composition (used to verify normalization and symmetries; the
+series algebra loads with it), the bound _u_bound on |q/y^d| that every
+tail bound uses, and the proven filtration radius.
 
 Since |y'| >= |y|^d - sum_j |a_j||y|^j - |a||y| on V_r+ = {|y| >= max(|x|, r)},
 the doubling |y'| >= 2|y| holds there once
@@ -25,7 +26,6 @@ from functools import cached_property
 
 from ._exact import QC, as_exact, field, is_zero, support, zero_of
 from .errors import InvalidMapError
-from .series import LaurentSeries2
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ class AffineConjugation:
 class PolyMap2:
     """Polynomial self-map of C^2: (x, y) -> (first(x,y), second(x,y))."""
 
-    first: LaurentSeries2   # polynomials: dmin=None
-    second: LaurentSeries2
+    first: "LaurentSeries2"   # polynomials: dmin=None
+    second: "LaurentSeries2"
 
     def eval(self, z):
         x, y = z
@@ -134,6 +134,7 @@ class PolyMap2:
 
 def poly_map_of(m: HenonMap, inverse: bool = False) -> PolyMap2:
     """H (or H^{-1}) as a PolyMap2, exact for an exact map."""
+    from .series import LaurentSeries2  # the series algebra loads with its first use
     p = dict(enumerate((*m.coeffs, 0, 1)))
     if not inverse:  # (x, y) -> (y, p(y) - a x)
         py = {(0, j): c for j, c in p.items()}
@@ -237,6 +238,18 @@ def evaluate(m: HenonMap, z, inverse: bool = False):
 def overflow_limit(d: int) -> float:
     """Magnitude above which the next step could overflow doubles; escape is then certain."""
     return 10.0 ** (260.0 / d)
+
+
+def _u_bound(m: HenonMap, yabs: float, inverse: bool = False) -> float:
+    """Upper bound A/|y|^2 + B/|y|^{d-1} for |q(x,y)/y^d| on |x| <= |y|,
+    |y| = yabs >= 1, or backwards for |(q(x) - y)/x^d| on |y| <= |x|,
+    |x| = yabs >= 1; A = sum |a_j| and B = |a| are the map's cached
+    q_constants, and B = 1 backwards.  yabs is a float or a numpy array."""
+    A, B = (m.q_constants[0], 1.0) if inverse else m.q_constants
+    try:
+        return A / yabs ** 2 + B / yabs ** (m.d - 1)
+    except OverflowError:  # |y|^k past the float range; the negative powers underflow
+        return A * yabs ** -2 + B * yabs ** (1 - m.d)
 
 
 # ---------------------------------------------------------------------------

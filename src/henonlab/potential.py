@@ -23,8 +23,16 @@ overflow rule.
 Membership in the non-escaping set is semi-decidable: the verdict
 "bounded-within-budget" is budget-stamped, never a claim about K+.
 
+A walk that runs out of budget at step n reports G = 0 with a proven
+bound (_exhausted_bound): one step maps the bidisk of radius r >= R into
+the one of radius Y(r) <= 2r^d, so G at step n is below log Y(rho) +
+log 2/(d-1), rho = max(sup-norm, R), and G = d^-n of that.
+
 The scalar functions use the standard library only; green_plus_grid
 imports numpy itself, so only the slice sampler and selftest load it.
+The refinement's boettcher module (and with it the series algebra) loads
+with the first refined green_plus, so the slice sampler, crude G+ and G-
+never load it.
 """
 
 from __future__ import annotations
@@ -35,10 +43,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .boettcher import _u_bound, phi_product, phi_tail_bound
 from .errors import DomainError
-from .maps import (FiltrationRadius, HenonMap, doubling_radius, estimate_filtration_radius,
-                   evaluate, horner, in_v_minus, in_v_plus, overflow_limit)
+from .maps import (FiltrationRadius, HenonMap, _u_bound, doubling_radius,
+                   estimate_filtration_radius, evaluate, in_v_minus, in_v_plus, overflow_limit)
 
 DEFAULT_BUDGET = 200
 DEFAULT_TARGET_ERROR = 1e-9
@@ -82,15 +89,16 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
     Returns (n, point, None) at entry, or (n, point, final) when the walk
     stops first: past the overflow limit (certain escape) final is the crude
     log of the sup-norm with error d^-n; when the budget runs out n is None
-    and final is 0 with the budget flag set.  OverflowError on inf or nan,
-    from which no bound can be certified.
+    and final is 0 with the budget flag set and the bound _exhausted_bound.
+    OverflowError on inf or nan, from which no bound can be certified.
     """
     cur = (complex(z[0]), complex(z[1]))
     if not (cmath.isfinite(cur[0]) and cmath.isfinite(cur[1])):
         raise ValueError(f"point must be finite, got {z!r}")
     lim = overflow_limit(m.d)
     member = in_v_minus if inverse else in_v_plus
-    for n in range(budget + 1):
+    n = 0
+    while True:
         mag = max(abs(cur[0]), abs(cur[1]))
         if not math.isfinite(mag):  # escape is certain, but there is no height to take
             raise OverflowError(f"the orbit leaves the float range at step {n}")
@@ -100,8 +108,30 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
             g = math.log(mag) / m.d ** n
             return n, cur, GreenValue(g, m.d ** (-n) + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n,
                                       entry=n)
+        if n == budget:
+            bound = _exhausted_bound(m, n, max(mag, R), inverse)
+            return None, cur, GreenValue(0.0, bound, "crude", budget, budget_exhausted=True)
         cur = evaluate(m, cur, inverse=inverse)
-    return None, cur, GreenValue(0.0, 0.0, "crude", budget, budget_exhausted=True)
+        n += 1
+
+
+def _exhausted_bound(m: HenonMap, n: int, rho, inverse: bool = False, log=math.log):
+    """Bound on G+ (G- backwards) at a point whose walk ran out of budget at
+    step n with sup-norm at most rho >= R, the doubling radius of its
+    direction; rho may be a numpy array with log = np.log.
+
+    One step maps the bidisk of radius r >= R into the one of radius
+    Y(r) = r^d + sum_j |a_j| r^j + |a| r <= 2 r^d (backwards
+    X(r) = (r^d + sum_j |a_j| r^j + r)/|a| <= 2 r^d/|a|), so G at step n is
+    below log Y(rho) + log 2/(d-1) (max(0, log X(rho) + (log 2 - log|a|)/(d-1)))
+    and G = d^-n of that.  log Y(rho) <= d log rho + log(1 + _u_bound(rho));
+    the bound holds with a factor d to spare, which covers its rounding.
+    """
+    d = m.d
+    b = d * log(rho) + log(1.0 + _u_bound(m, rho, inverse)) + math.log(2.0) / (d - 1)
+    if inverse:
+        b = max(0.0, b - d * math.log(abs(m.a_complex)) / (d - 1))
+    return b * float(d) ** -n
 
 
 def _crude_bound(m: HenonMap, top, inverse: bool = False):
@@ -152,6 +182,7 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     lim = overflow_limit(m.d)
     if abs(w[1]) > lim:  # no product factor can be formed there
         return _crude(m, n_entry, w, filt.R)
+    from .boettcher import phi_product, phi_tail_bound  # loaded by the first refinement
 
     # refinement: climb until |y| is deep enough or the tail target is met;
     # tail is always the bound at the current w and truncation J, each
@@ -251,8 +282,9 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
     Returns (green, err, escaped) float/bool numpy arrays.  Escaped points
     are iterated in V_R+ to height max(1e13, 2R) and get the crude value and
     bound of crude_green_plus, or stop on overflow and are valued as in the
-    scalar walk; bounded-within-budget points get green = 0.  numpy is
-    imported here, not with the module, so the scalar path never loads it.
+    scalar walk; bounded-within-budget points get green = 0 with the
+    scalar walk's _exhausted_bound.  numpy is imported here, not with the
+    module, so the scalar path never loads it.
     """
     import numpy as np
     R = _filtration(m, filtration).R
@@ -260,7 +292,7 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
     d = m.d
     a = complex(m.a)
     lim = overflow_limit(d)
-    p_coeffs = (*m.coeffs_complex, 0, 1)
+    tail = m.coeffs_complex[::-1]  # a_{d-2} .. a_0
 
     x = np.array(X, dtype=np.complex128).ravel()
     y = np.array(Y, dtype=np.complex128).ravel()
@@ -270,22 +302,35 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
     overflowed = np.zeros(x.size, dtype=bool)
     step = 0
     with np.errstate(all="ignore"):
+        ax = np.abs(x)  # after a step |x| is the |y| before it
         while live.size:
-            ax, ay = np.abs(x), np.abs(y)
+            ay = np.abs(y)
             mag = np.maximum(ax, ay)
-            inside = (ay >= np.maximum(ax, R)) & np.isfinite(ay)
+            inside = ay >= np.maximum(ax, R, out=ax)
+            inside &= np.isfinite(ay)
             # V_R+ is forward invariant with |y'| >= 2|y|, so entry and climb
             # are one walk; past the limit, inf or nan: escape is certain
             deep = inside & (ay >= height)
-            over = ~deep & ~(mag <= lim)
+            over = ~(deep | (mag <= lim))
             esc = deep | over
             done = esc | ~inside if step >= budget else esc
             if done.any():
                 stop_step[live[esc]] = step
-                top[live[esc]] = mag[esc]
+                top[live[done]] = mag[done]
                 overflowed[live[over & ~inside]] = True
-                x, y, live = x[~done], y[~done], live[~done]
-            x, y = y, horner(p_coeffs, y) - a * x
+                keep = ~done
+                x, y, ay, live = x[keep], y[keep], ay[keep], live[keep]
+            # y' = p(y) - a x by Horner's rule in place, from y*y: p is monic
+            # with no y^(d-1) term, and the 1*y + 0 of maps.horner differs
+            # from y (finite here) in the sign of a zero at most, which no
+            # |.| downstream sees
+            nxt = y * y
+            for k, c in enumerate(tail):
+                if k:
+                    nxt *= y
+                nxt += c
+            nxt -= a * x
+            x, y, ax = y, nxt, ay
             step += 1
 
         escaped = stop_step >= 0
@@ -294,8 +339,17 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
         green = np.where(escaped, np.log(np.maximum(top, 1.0)) * scale, 0.0)
         bound = scale * np.where(overflowed, 1.0, _crude_bound(m, np.maximum(top, 2.0))) \
             + _FLOAT_NOISE * (1.0 + green)
-        err = np.where(escaped, bound, 0.0)
+        err = np.where(escaped, bound, _exhausted_bound(m, budget, np.maximum(top, R), log=np.log))
     return green, err, escaped
+
+
+def __getattr__(name):
+    """potential.phi_product and potential.phi_tail_bound still resolve: to
+    boettcher's, loaded on first access (PEP 562) as by the first refinement."""
+    if name in ("phi_product", "phi_tail_bound"):
+        from . import boettcher
+        return getattr(boettcher, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

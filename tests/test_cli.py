@@ -297,6 +297,16 @@ def test_green_minus_d8_bounded_orbit_exhausts_budget(capsys):
     assert doc["budgetExhausted"] is True and doc["value"] >= 0
 
 
+def test_budget_exhausted_green_carries_a_bound(capsys):
+    # at budget 1 the walk has not entered V_R+; the full walk gives G+ = 0.3255
+    args = ("green", "--map", M2, "--point", "0.5,1.2")
+    doc = json.loads(run(capsys, *args, "--budget", "1")[1])
+    full = json.loads(run(capsys, *args)[1])
+    assert doc["budgetExhausted"] is True and doc["value"] == 0.0
+    assert not full["budgetExhausted"]
+    assert full["value"] + full["errorBound"] <= doc["errorBound"] < math.inf
+
+
 # -- exit codes --------------------------------------------------------------
 
 def test_bad_subcommand_is_usage_error(capsys):
@@ -418,6 +428,62 @@ def test_slice_out_that_cannot_be_opened_is_exit_2(tmp_path, capsys, where):
                          "--out", str(out_path), "--format", "csv")
     _one_line_error(code, out, err, 2, "usage")
     assert str(out_path) in json.loads(err)["message"]
+
+
+def test_slice_too_large_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch):
+    # a 200000^2 grid needs petabytes; the allocation is faked here, never made
+    import numpy as np
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape).tolist()) > 10 ** 9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real_empty(shape, *args, **kwargs)
+    monkeypatch.setattr(np, "empty", empty)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "map": {"d": 2, "p": [0], "a": 3},
+        "slice": {"origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1],
+                  "gridW": 200000, "gridH": 200000, "extent": 3},
+    }))
+    out_path = tmp_path / "g.csv"
+    code, out, err = run(capsys, "slice", "--config", str(cfg), "--c", "1",
+                         "--out", str(out_path), "--format", "csv")
+    _one_line_error(code, out, err, 2, "memory")
+    assert "Unable to allocate" in json.loads(err)["message"]
+    assert not out_path.exists()
+
+
+def test_slice_and_green_minus_load_neither_boettcher_nor_series(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "g.csv"
+    cfg.write_text(json.dumps({
+        "map": {"d": 2, "p": [0], "a": 3},
+        "slice": {"origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1],
+                  "gridW": 16, "gridH": 16, "extent": 3},
+    }))
+    script = f"""
+import contextlib, io, json, sys
+import henonlab.cli, henonlab.grid
+
+def loaded():
+    return [m for m in ("henonlab.boettcher", "henonlab.series") if m in sys.modules]
+
+seen = []
+for argv in (["slice", "--config", {str(cfg)!r}, "--c", "1", "--out", {str(out)!r},
+              "--format", "csv"],
+             ["green", "--minus", "--map", {M2!r}, "--point", "0.5,1.2"],
+             ["green", "--map", {M2!r}, "--point", "0,1e6"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert henonlab.cli.main(argv) == 0, argv
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    slice_loads, minus_loads, plus_loads = json.loads(proc.stdout)
+    assert slice_loads == minus_loads == []
+    assert plus_loads == ["henonlab.boettcher", "henonlab.series"]  # the refined G+ needs them
 
 
 @pytest.mark.parametrize("point", ["inf,0", "1e400,0", "0,infi", "nan,1"])

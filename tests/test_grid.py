@@ -14,8 +14,10 @@ import pytest
 
 from henonlab import DomainError, HenonMap, SliceSpec, export_grid, green_plus, sample_slice
 from henonlab import grid as grid_module
-from henonlab.grid import (_MIN_PIECE, STATUS_BOUNDARY, STATUS_NAMES, STATUS_K_CANDIDATE,
+from henonlab.grid import (_MIN_PIECE, _TILE, STATUS_BOUNDARY, STATUS_NAMES, STATUS_K_CANDIDATE,
                            STATUS_OMEGA_PRIME, STATUS_OUTSIDE, GridResult, export_bytes)
+from henonlab.maps import estimate_filtration_radius
+from henonlab.potential import green_plus_grid
 from henonlab.selfcheck import _acceptance_slice
 
 QUAD = HenonMap(2, 3, (0,))
@@ -124,9 +126,79 @@ def test_export_grid_writes_file(tmp_path, grid):
     assert out.read_bytes() == export_bytes(grid, "csv")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "pgm", "json"])
+def test_export_grid_streams_the_fanned_out_bytes(tmp_path, three_cores, fmt):
+    g = tiled_grid()
+    out = tmp_path / f"g.{fmt}"
+    out.write_bytes(b"an older and longer export" * 10 ** 5)
+    export_grid(g, fmt, out)
+    assert out.read_bytes() == export_bytes(g, fmt)
+
+
+@pytest.mark.parametrize("fmt, cell", [("json", "green"), ("json", "annulus"),
+                                       ("json", "green nan"), ("bmp", None)])
+def test_failed_export_leaves_out_unchanged(tmp_path, fmt, cell):
+    g = edge_grid(far=1.5)
+    if cell is not None:
+        getattr(g, cell.split()[0])[1, 2] = math.nan if "nan" in cell else math.inf
+    out = tmp_path / "g.out"
+    out.write_bytes(b"the previous export\r\n")
+    with pytest.raises(ValueError) as raised:
+        export_grid(g, fmt, out)
+    assert out.read_bytes() == b"the previous export\r\n"
+    if cell is not None:  # the error the encoder raises part way through the write
+        with pytest.raises(ValueError) as midway:
+            export_bytes(g, fmt)
+        assert str(raised.value) == str(midway.value)
+
+
 def test_unknown_format_rejected(grid):
     with pytest.raises(ValueError):
         export_bytes(grid, "bmp")
+
+
+# -- the tiled walk -----------------------------------------------------------
+
+def _untiled(m, spec, c, budget):
+    """The sampler before tiling: one kernel call over the whole window."""
+    us = np.linspace(-spec.extent[0], spec.extent[0], spec.grid_w)
+    vs = np.linspace(-spec.extent[1], spec.extent[1], spec.grid_h)
+    UU, VV = np.meshgrid(us, vs)
+    (o0, o1), (su0, su1), (sv0, sv1) = (map(complex, t)
+                                        for t in (spec.origin, spec.span_u, spec.span_v))
+    green, err, escaped = (r.reshape(UU.shape) for r in green_plus_grid(
+        m, o0 + UU * su0 + VV * sv0, o1 + UU * su1 + VV * sv1, budget=budget,
+        filtration=estimate_filtration_radius(m)))
+    status = np.full(UU.shape, STATUS_K_CANDIDATE, dtype=np.int8)
+    status[escaped & (green < c)] = STATUS_OMEGA_PRIME
+    status[escaped & (green >= c)] = STATUS_OUTSIDE
+    status[escaped & (np.abs(green - c) <= np.maximum(err, 1e-9))] = STATUS_BOUNDARY
+    annulus = np.full(UU.shape, np.nan)
+    mask = (green > 0.0) & (green < c)
+    annulus[mask] = np.exp(green[mask])
+    return green, err, status, annulus
+
+
+TILED_CASES = [  # the four scalar-potential maps, then the far-field window
+    (QUAD, (0, 0), 200), (HenonMap(3, 9, (0, 0)), (0, 0), 200),
+    (HenonMap(2, 0.3, (-1.2,)), (0, 0), 200),
+    (HenonMap(5, 0.5 + 0.2j, (0.3, 0, 1, -1j)), (0, 0), 200),
+    (QUAD, (1e200, 1e199), 200),
+]
+
+
+@pytest.mark.parametrize("tile", [_TILE, 100])
+@pytest.mark.parametrize("m, origin, budget", TILED_CASES)
+def test_tiled_walk_matches_untiled_kernel(monkeypatch, tile, m, origin, budget):
+    monkeypatch.setattr(grid_module, "_TILE", tile)
+    for W, H in ((2, 2), (3, 517), (517, 3), (1000, 17)):
+        spec = SliceSpec(origin=origin, span_u=(1, 0), span_v=(0, 1), grid_w=W, grid_h=H,
+                         extent=(3.0, 2.0))
+        g = sample_slice(m, spec, c=1.0, budget=budget)
+        tiled = (g.green, g.error, g.status, g.annulus)
+        for new, old in zip(tiled, _untiled(m, spec, 1.0, budget)):
+            assert new.shape == (H, W) and new.dtype == old.dtype
+            assert new.tobytes() == old.tobytes(), (m, W, H)
 
 
 # -- pinned export bytes ------------------------------------------------------

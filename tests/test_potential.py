@@ -191,9 +191,12 @@ def test_grid_matches_the_walk_it_replaced():
         filt = estimate_filtration_radius(m)
         X = np.array([complex(p[0]) for p in pts if abs(p[0]) < 1e20])
         Y = np.array([complex(p[1]) for p in pts if abs(p[0]) < 1e20])
-        new = green_plus_grid(m, X, Y, filtration=filt)
-        for n, o in zip(new, _two_loop_grid(m, X, Y, filtration=filt)):
-            assert n.tobytes() == o.tobytes(), m
+        green, err, escaped = green_plus_grid(m, X, Y, filtration=filt)
+        old_green, old_err, old_escaped = _two_loop_grid(m, X, Y, filtration=filt)
+        assert green.tobytes() == old_green.tobytes(), m
+        assert escaped.tobytes() == old_escaped.tobytes(), m
+        # the oracle never bounded the points that exhausted the budget
+        assert err[escaped].tobytes() == old_err[escaped].tobytes(), m
 
 
 def _orbit_truth(m, z, inverse=False, n=14):
@@ -275,6 +278,77 @@ def test_green_bounds_hold_against_mpmath_orbit():
             if not abs(g.value - truth) <= g.error_bound:
                 bad.append(("minus", m, z, g.value, g.error_bound, truth))
     assert not bad, bad
+
+
+def _deep_truth(m, z, inverse=False, steps=40):
+    """80-digit G+ (G- backwards) of z: d^-n log of the leading coordinate,
+    less log|a|/(d-1) backwards, at the first step n where the orbit lies in
+    V_1+ (V_1-) with that coordinate past 1e40, where the rest of the limit
+    is below 1e-39; 0 for an orbit that has not got there after `steps`
+    steps, whose G is then below d^-steps times a few."""
+    with mp.workdps(80):
+        a = mp.mpc(m.a_complex)
+        p = (*(mp.mpc(c) for c in m.coeffs_complex), 0, 1)
+        x, y = mp.mpc(z[0]), mp.mpc(z[1])
+        for n in range(steps + 1):
+            lead, other = (x, y) if inverse else (y, x)
+            if abs(lead) > 1e40 and abs(lead) >= abs(other):
+                g = mp.log(abs(lead)) - (mp.log(abs(a)) / (m.d - 1) if inverse else 0)
+                return float(g / m.d ** n)
+            x, y = ((horner(p, x) - y) / a, x) if inverse else (y, horner(p, y) - a * x)
+    return 0.0
+
+
+def test_budget_exhausted_bound_holds_against_mpmath_orbit():
+    """A walk that runs out of budget at step n reports G = 0 with the bound
+    d^-n (log Y(rho) + log 2/(d-1)), rho = max(sup-norm there, R), forwards,
+    and d^-n max(0, log X(rho) + (log 2 - log|a|)/(d-1)) backwards: seeded
+    maps of degree 2..5 with |a| in [0.3, 10], budgets 0..5, points in the
+    bidisk of radius 1.5 R."""
+    rng = random.Random(18)
+    counts = {False: 0, True: 0}
+    bad = []
+    for _ in range(60):
+        d = rng.randint(2, 5)
+        a = cmath.rect(10 ** rng.uniform(math.log10(0.3), 1.0), rng.uniform(0.0, 2.0 * math.pi))
+        m = HenonMap(d, a, tuple(cmath.rect(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0 * math.pi))
+                                 for _ in range(d - 1)))
+        R = estimate_filtration_radius(m).R
+        for _ in range(10):
+            z = tuple(cmath.rect(1.5 * R * rng.random(), rng.uniform(0.0, 2.0 * math.pi))
+                      for _ in range(2))
+            # crude_green_plus walks to V_R+ as green_plus does, without the refinement
+            for inverse, fn in ((False, crude_green_plus), (True, green_minus)):
+                exhausted = []
+                for budget in range(6):  # a walk that stops within a budget stops in the next
+                    g = fn(m, z, budget=budget)
+                    if not g.budget_exhausted:
+                        break
+                    exhausted.append(g)
+                if not exhausted:
+                    continue
+                truth = _deep_truth(m, z, inverse)
+                for g in exhausted:
+                    counts[inverse] += 1
+                    if not (g.value == 0.0 and 0.0 <= truth <= g.error_bound < math.inf):
+                        bad.append((inverse, m, z, g, truth))
+    assert not bad, bad
+    assert min(counts.values()) >= 500, counts
+
+
+def test_grid_bounds_exhausted_pixels_as_the_scalar_walk():
+    # budget 3 leaves both box points of the dissipative map and fast escapes
+    m = HenonMap(2, 0.3, (-1.2,))
+    rng = random.Random(19)
+    pts = [(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+            complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(200)]
+    green, err, escaped = green_plus_grid(m, np.array([z[0] for z in pts]),
+                                          np.array([z[1] for z in pts]), budget=3)
+    assert 0 < escaped.sum() < len(pts)
+    for i in np.flatnonzero(~escaped):
+        g = crude_green_plus(m, pts[i], budget=3)
+        assert g.budget_exhausted and green[i] == g.value == 0.0
+        assert 0.0 < err[i] == pytest.approx(g.error_bound, rel=1e-12)
 
 
 def _agreement_cases():
