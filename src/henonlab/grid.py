@@ -113,11 +113,8 @@ def _row_tiles(H: int, W: int):
 
 def sample_slice(m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
                  filtration: Optional[FiltrationRadius] = None) -> GridResult:
-    """Classify every grid pixel of the slice; deterministic for fixed input.
-
-    The window is walked in tiles of whole rows, about _TILE pixels each,
-    whose results go into the four preallocated result arrays; no pixel's
-    value depends on the tiling."""
+    """Classify every grid pixel of the slice, a row tile at a time;
+    deterministic for fixed input, and no pixel depends on the tiling."""
     if c <= 0:
         raise DomainError("level c must be positive")
     filt = filtration if filtration is not None else estimate_filtration_radius(m)
@@ -257,8 +254,12 @@ def _write_json(grid: GridResult, out) -> None:
             ("annulusRadius", grid.annulus, lambda v: [None if x != x else x for x in v])):
         out.write(f',"{key}":['.encode("ascii"))
         flat = values.ravel()
-        _fan_out(out, flat.size, 1, lambda lo, hi: [  # each piece without its brackets
-            b"," * (lo > 0), memoryview(_dumps(items(flat[lo:hi].tolist())).encode())[1:-1]])
+
+        def piece(lo, hi):  # without its brackets, a tile of cells at a time
+            for a in range(lo, hi, _TILE):
+                text = _dumps(items(flat[a:min(a + _TILE, hi)].tolist()))
+                yield b"," * (a > 0) + text[1:-1].encode()
+        _fan_out(out, flat.size, 1, piece)
         out.write(b"]")
     out.write(b"}")
 

@@ -23,10 +23,8 @@ overflow rule.
 Membership in the non-escaping set is semi-decidable: the verdict
 "bounded-within-budget" is budget-stamped, never a claim about K+.
 
-A walk that runs out of budget at step n reports G = 0 with a proven
-bound (_exhausted_bound): one step maps the bidisk of radius r >= R into
-the one of radius Y(r) <= 2r^d, so G at step n is below log Y(rho) +
-log 2/(d-1), rho = max(sup-norm, R), and G = d^-n of that.
+A walk that runs out of budget reports G = 0 with the proven bound
+_exhausted_bound.
 
 The scalar functions use the standard library only; green_plus_grid
 imports numpy itself, so only the slice sampler and selftest load it.
@@ -108,7 +106,7 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
             g = math.log(mag) / m.d ** n
             return n, cur, GreenValue(g, m.d ** (-n) + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n,
                                       entry=n)
-        if n == budget:
+        if n >= budget:
             bound = _exhausted_bound(m, n, max(mag, R), inverse)
             return None, cur, GreenValue(0.0, bound, "crude", budget, budget_exhausted=True)
         cur = evaluate(m, cur, inverse=inverse)

@@ -274,8 +274,10 @@ def test_csv_bytes_match_per_cell_oracle():
     assert b",inf,outside,\r\n" in export_bytes(g, "csv")
 
 
-def test_json_bytes_match_per_cell_oracle():
+def test_json_bytes_match_per_cell_oracle(monkeypatch):
     g = edge_grid(far=1.5)
+    assert export_bytes(g, "json") == _oracle_json(g)
+    monkeypatch.setattr(grid_module, "_TILE", 4)  # each list formatted 4 cells at a time
     assert export_bytes(g, "json") == _oracle_json(g)
 
 
