@@ -95,8 +95,8 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
         raise ValueError(f"point must be finite, got {z!r}")
     lim = overflow_limit(m.d)
     member = in_v_minus if inverse else in_v_plus
-    n = 0
-    while True:
+    mag = 0.0  # a negative budget stops at once
+    for n in range(budget + 1):
         mag = max(abs(cur[0]), abs(cur[1]))
         if not math.isfinite(mag):  # escape is certain, but there is no height to take
             raise OverflowError(f"the orbit leaves the float range at step {n}")
@@ -106,11 +106,10 @@ def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
             g = math.log(mag) / m.d ** n
             return n, cur, GreenValue(g, m.d ** (-n) + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n,
                                       entry=n)
-        if n >= budget:
-            bound = _exhausted_bound(m, n, max(mag, R), inverse)
-            return None, cur, GreenValue(0.0, bound, "crude", budget, budget_exhausted=True)
         cur = evaluate(m, cur, inverse=inverse)
-        n += 1
+    # mag is the sup-norm at step budget, the last one checked
+    bound = _exhausted_bound(m, budget, max(mag, R), inverse)
+    return None, cur, GreenValue(0.0, bound, "crude", budget, budget_exhausted=True)
 
 
 def _exhausted_bound(m: HenonMap, n: int, rho, inverse: bool = False, log=math.log):
