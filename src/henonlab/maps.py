@@ -121,8 +121,8 @@ class AffineConjugation:
 class PolyMap2:
     """Polynomial self-map of C^2: (x, y) -> (first(x,y), second(x,y))."""
 
-    first: "LaurentSeries2"   # polynomials: dmin=None
-    second: "LaurentSeries2"
+    first: LaurentSeries2   # polynomials: dmin=None
+    second: LaurentSeries2
 
     def eval(self, z):
         x, y = z
