@@ -21,19 +21,21 @@ Q(zeta) = zeta^{d+1} + A_{d-1} zeta^{d-1} + ... + A_0 is the first-
 coordinate polynomial of the covering model ((a/d)z + Q(zeta), zeta^d).
 Two independent derivations are provided:
 
-* formal-series: expand E = x1*y1 - (a/d)xy - Q(phi) in monomials
-  x^i y^m; convergence of the telescoping sum defining psi requires every
-  coefficient with orbit grade m*d + i > 0 to vanish (on deep orbits
-  x_N ~ y_N^{1/d}, so x^i y^m scales like y_N^{(m*d+i)/d}).  With
-  phi = y*F, G_k = y^k F^k has coefficient 1 at y^k and no monomial of
-  grade above k, so the conditions at y^{d-1}, ..., y^1 are unit upper
-  triangular in A_{d-1}, ..., A_1: back-substitution solves them with no
-  division, exactly in rational-complex arithmetic when the map is
-  rational.  They read grades >= 1 only, so F is needed to grade -d, and
-  there it is one factor, F = (1 + q/y^d)^{1/d}: every later factor has
-  terms of grade <= -2d or 1 - d^2 only.  Every other positive-grade
-  monomial of E = E0 - sum A_k G_k must then vanish (exactly, or to a
-  tolerance in floats), or the derivation raises InconsistencyError.
+* formal-series: with phi = y*F, convergence of the telescoping sum
+  defining psi requires every monomial x^i y^m of orbit grade m*d + i > 0
+  in E = x1*y1 - (a/d)xy - Q(phi) = E0 - sum A_k G_k, G_k = y^k F^k, to
+  vanish (on deep orbits x_N ~ y_N^{1/d}).  G_k has coefficient 1 at y^k
+  and no monomial of grade above k, so the conditions at y^{d-1}, ..., y^1
+  are unit upper triangular in A_{d-1}, ..., A_1: back-substitution solves
+  them with no division, exactly in rational-complex arithmetic when the
+  map is rational.  They read x^0 coefficients only: at x = 0, with
+  t = 1/y and s = sum_{i=2..d} a_{d-i} t^i, phi = y (1 + s)^{1/d} to t^d
+  (the later factors start at t^{2d}), so [y^j] phi^k = [t^{k-j}]
+  (1 + s)^{k/d}, one univariate series per power.  No other condition can
+  fail: a monomial x^i y^m of G_k has m <= k - d*i, so its grade is at
+  most kd - i(d^2 - 1), positive only for i = 0 or for i = 1, k = d+1;
+  the terms left over, x*y and x in G_{d+1} and y^d, y^{d+1}, cancel
+  identically in E0.
 * bigfloat-fit: at x = 0, T = y*p(y) - phi^{d+1} - sum A_k phi^k has no
   positive power of y; these are the same conditions with i = 0.  The
   trapezoidal rule on N = 2d+10 points of |y| = rho = 1000 R gives the
@@ -62,11 +64,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from ._exact import as_exact, field, support, zero_of
+from ._exact import as_exact, field, is_zero, support, zero_of
 from .errors import DomainError, InconsistencyError, PrecisionError
 from .maps import (FiltrationRadius, HenonMap, _u_bound, estimate_filtration_radius, evaluate,
                    horner, in_v_plus, overflow_limit)
-from .series import LaurentSeries2
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,9 @@ class LiftPolynomial:
         if len(self.A) != self.d:
             raise ValueError(f"need {self.d} coefficients A_0..A_{self.d - 1}")
         object.__setattr__(self, "A", tuple(self.A))
+        # a float overflow in either derivation shows up here as inf or nan
+        if any(as_exact(c) is None and not cmath.isfinite(c) for c in self.A):
+            raise OverflowError("lift polynomial has a non-finite coefficient")
 
     @property
     def A_complex(self) -> tuple:
@@ -284,46 +288,28 @@ def _back_substitute(d: int, rhs, coeff) -> list:
 
 # -- formal-series strategy -------------------------------------------------
 
-def _phi_over_y(m: HenonMap) -> LaurentSeries2:
-    """F = phi/y to grade -d: (1 + u_0)^{1/d} with u_0 = q(x,y)/y^d; every
-    later factor is 1 there (its terms have grade <= -2d or 1 - d^2)."""
-    d = m.d
-    a, *coeffs = field([m.a, *m.coeffs])
-    u0 = LaurentSeries2(-d, {**{(0, k - d): c for k, c in enumerate(coeffs)}, (1, -d): -a})
-    return (1 + u0).binomial_pow(Fraction(1, d))
-
-
 def _derive_formal(m: HenonMap) -> LiftPolynomial:
     d = m.d
     a, *coeffs = field([m.a, *m.coeffs])
+    zero = zero_of(a)
+    # at x = 0, phi = y (1 + s)^{1/d} to t^d, t = 1/y, s = sum_{i=2..d} a_{d-i} t^i;
+    # the later factors of phi start at t^{2d}
+    s = [(d - k, c) for k, c in enumerate(coeffs) if not is_zero(c)]
 
-    # the conditions read E0 and G_k = y^k F^k, k <= d+1, at grades >= 1 only;
-    # F has grades <= 0, so its truncated powers, F^{k+1} = F^k F, are exact
-    F = _phi_over_y(m)
-    Fk = [LaurentSeries2.const(1, F.dmin)]
-    for _ in range(d + 1):
-        Fk.append(Fk[-1] * F)
-    G = [f.shifted(0, k) for k, f in enumerate(Fk)]
+    def power(k: int) -> list:
+        """[t^0 .. t^min(k, d)] of (1 + s)^{k/d}, so g[k - j] = [y^j] phi^k, by
+        J.C.P. Miller's recurrence n g_n = sum_i ((k/d + 1) i - n) s_i g_{n-i}."""
+        r1 = Fraction(k, d) + 1
+        g = [1]
+        for n in range(1, min(k, d) + 1):
+            g.append(sum(((r1 * i - n) * c * g[n - i] for i, c in s if i <= n), zero) / n)
+        return g
 
-    # E0 = y*p(y) - (a + a/d)*x*y - G_{d+1}
-    E0 = LaurentSeries2(-d, {(0, j + 1): c for j, c in enumerate((*coeffs, 0, 1))})
-    E0 = E0 + LaurentSeries2.mono(-a * (d + 1) / d, 1, 1, -d) - G[d + 1]
-
-    A = _back_substitute(d, lambda j: E0.coeff(0, j), lambda k, j: G[k].coeff(0, j))
-    A[1:] = field([a, *A[1:]])[1:]
-    E = E0
-    for k in range(1, d):
-        E = E - G[k].scaled(A[k])
-
-    # every other monomial of positive orbit grade m*d + i must vanish
-    graded = {k for s in (E0, *G[1:d]) for k in s.terms if k[1] * d + k[0] > 0}
-    scale = max((abs(complex(s.coeff(*k))) for s in (E0, *G[1:d]) for k in graded),
-                default=1.0)
-    resid = [E.coeff(*k) for k in graded]
-    if support(resid, 1e-9 * max(scale, 1.0)):
-        worst = max(abs(complex(v)) for v in resid)
-        raise InconsistencyError(f"formal conditions inconsistent: residual {worst:.2e}")
-    return LiftPolynomial(d, (zero_of(a), *A[1:]))
+    # the conditions at y^{d-1} .. y^1 of y p(y) - phi^{d+1} - sum A_k phi^k
+    g = {k: power(k) for k in (*range(2, d), d + 1)}
+    A = _back_substitute(d, lambda j: coeffs[j - 1] - g[d + 1][d + 1 - j],
+                         lambda k, j: g[k][k - j])
+    return LiftPolynomial(d, (zero, *A[1:]))
 
 
 # -- bigfloat-fit strategy --------------------------------------------------

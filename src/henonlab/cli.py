@@ -130,7 +130,11 @@ def _write(line: str) -> None:
 
 
 def _emit(doc: dict) -> None:
-    _write(json.dumps(doc, separators=(", ", ": "), allow_nan=True))
+    try:
+        line = json.dumps(doc, separators=(", ", ": "), allow_nan=False)
+    except ValueError:  # a result past the float range is no result
+        raise OverflowError("result is not finite") from None
+    _write(line)
 
 
 def _green_doc(g) -> dict:
@@ -259,7 +263,7 @@ def cmd_slice(args) -> int:
         raise UsageError(f"cannot read slice config {args.config!r}: {exc}") from None
     if not isinstance(doc, dict) or "map" not in doc or "slice" not in doc:
         raise UsageError('slice config needs keys "map" and "slice"')
-    m = parse_map(json.dumps(doc["map"]))
+    m = parse_map(doc["map"] if isinstance(doc["map"], str) else json.dumps(doc["map"]))
     s = doc["slice"]
     try:
         spec = SliceSpec(

@@ -215,6 +215,29 @@ def test_symmetries_of_y80_compose_no_maps(capsys, monkeypatch):
     assert doc["exponents"] == list(range(6399))
 
 
+def test_formal_q_of_a_degree_200_map_answers(capsys):
+    # p = y^200 + 2 y^198 + 1: the formal Q reads one series per power of phi
+    m = json.dumps({"d": 200, "p": [1] + [0] * 197 + [2, 0, 1], "a": 3})
+    code, out, _ = run(capsys, "derive-q", "--map", m)
+    assert code == 0 and len(json.loads(out)["A"]) == 200
+    code, out, _ = run(capsys, "symmetries", "--map", m)
+    assert code == 0 and json.loads(out)["modulus"] == 200 ** 2 - 1
+
+
+NAN_A = '{"d":4,"p":[0,0,1e300],"a":3}'  # a_2 = 1e300 overflows the float solve: A_1 is NaN
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive-q", "--map", NAN_A], ["symmetries", "--map", NAN_A],
+    ["lift", "deck", "--map", NAN_A, "--k", "1", "--n", "1", "--point", "0,2"],
+    # gamma grows by (a/d)^60 past the float range
+    ["lift", "iterate", "--map", M2, "--e", "1", "--gamma", "1e300", "--n", "60",
+     "--direction", "plus"],
+], ids=["derive-q", "symmetries", "deck", "iterate"])
+def test_non_finite_result_is_exit_3(capsys, argv):
+    _one_line_error(*run(capsys, *argv), 3, "overflow")
+
+
 def test_lift_deck(capsys):
     code, out, _ = run(capsys, "lift", "deck", "--map", M2, "--k", "1",
                        "--n", "1", "--point", "0,2")
@@ -264,6 +287,22 @@ def test_slice_export(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert len(doc["greenPlus"]) == 64
+
+
+def test_slice_config_map_path_reads_like_map_option(tmp_path, capsys):
+    map_path = tmp_path / "m.json"
+    map_path.write_text('{"d":2,"p":[-1.2],"a":0.3}')
+    window = {"origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1], "gridW": 8, "gridH": 8}
+    exports = []
+    for spec in (str(map_path), {"d": 2, "p": [-1.2], "a": 0.3}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map": spec, "slice": window}))
+        out_path = tmp_path / "g.csv"
+        code, _, err = run(capsys, "slice", "--config", str(cfg), "--c", "1",
+                           "--out", str(out_path), "--format", "csv")
+        assert code == 0, err
+        exports.append(out_path.read_bytes())
+    assert exports[0] == exports[1]
 
 
 # Two d = 8 maps whose old sampled filtration radius did not double |y|
@@ -483,7 +522,7 @@ print(json.dumps(seen))
     assert proc.returncode == 0, proc.stderr
     slice_loads, minus_loads, plus_loads = json.loads(proc.stdout)
     assert slice_loads == minus_loads == []
-    assert plus_loads == ["henonlab.boettcher", "henonlab.series"]  # the refined G+ needs them
+    assert plus_loads == ["henonlab.boettcher"]  # the refined G+ needs it
 
 
 @pytest.mark.parametrize("point", ["inf,0", "1e400,0", "0,infi", "nan,1"])

@@ -1,6 +1,7 @@
 """Property test of the CLI contract: whatever the map, point, option or
 slice, `henonlab` exits 0, 2, 3 or 4 and writes exactly one JSON line, never
-a traceback; a potential it reports has a finite error bound."""
+a traceback; a result carries no NaN or Infinity, and a potential it reports
+has a finite error bound."""
 
 import contextlib
 import io
@@ -86,6 +87,10 @@ def argv(draw, slice_dir):
             "--out", str(out_dir / f"grid.{fmt}"), "--format", fmt]
 
 
+def _reject_non_finite(name):
+    raise AssertionError(f"a result carries {name}")
+
+
 def test_cli_exit_codes_and_one_json_line(tmp_path_factory):
     slice_dir = tmp_path_factory.mktemp("fuzz")
 
@@ -99,7 +104,7 @@ def test_cli_exit_codes_and_one_json_line(tmp_path_factory):
         assert code in (0, 2, 3, 4), (args, code, err.getvalue())
         lines = (out.getvalue() + err.getvalue()).splitlines()
         assert len(lines) == 1, (args, lines)
-        doc = json.loads(lines[0])
+        doc = json.loads(lines[0], parse_constant=_reject_non_finite)
         if code == 0 and args[0] in ("green", "classify"):
             green = doc["greenPlus"] if args[0] == "classify" else doc
             assert green["iterations"] >= 0, (args, doc)
