@@ -7,10 +7,11 @@ u = q/y^d; the guard |u| < 1 is enforced at runtime, never assumed (on
 V_R+ the doubling radius gives |u| <= 1 - 2/|y|^{d-1}, not 1/2).  The
 product to J equals y_J^{1/d^J}: phi_mp takes that root with one log and
 one exp, its winding theta_{j+1} = d theta_j + Arg(1+u_j) tracked in
-doubles, and stops once the factors left are below 10^-(dps+10).  phi is
-phi_mp at 30 digits rounded to a complex double.  mpmath computes a
-high-precision mpc**n as exp(n log z), so the mpmath paths carry integer
-powers by multiplication.
+doubles (u_j too is a double quotient, except where the big-float one
+must decide |u_j| < 1), and stops once the factors left are below
+10^-(dps+10).  phi is phi_mp at 30 digits rounded to a complex double.
+mpmath computes a high-precision mpc**n as exp(n log z), so the mpmath
+paths carry integer powers by multiplication.
 
 The refined G+ of the potential module still takes the float product
 phi_product with its tail bound phi_tail_bound, which uses
@@ -51,7 +52,8 @@ by a constant reshuffles A_0); both strategies pin A_0 = 0.
 psi_N(z) = (d/a)^N x_N y_N - sum_{j<N} (d/a)^{j+1} Q(phi(H^j z)), the
 telescoping form of the second covering coordinate; the two large terms
 cancel catastrophically, so precision is sized from the depth before
-evaluation and silent precision loss is forbidden.
+evaluation and silent precision loss is forbidden.  The orbit H^j z is the
+one phi_mp walks at the same precision.
 """
 
 from __future__ import annotations
@@ -161,15 +163,20 @@ def phi(m: HenonMap, z, filtration: Optional[FiltrationRadius] = None) -> Boettc
 
 def _mp(v):
     """v at the working mpmath precision: int, Fraction and QC exactly (a
-    double would cut 1/3 to 53 bits), floats and complex as they are."""
+    double would cut 1/3 to 53 bits), floats and complex as they are.  Any
+    of them but a complex comes back as an mpf when its imaginary part is
+    0: a real map's coefficients then multiply an mpc with half the big-int
+    work of an mpc product, and the rounded result is the same."""
     import mpmath as mp
     if isinstance(v, (mp.mpf, mp.mpc)):
         return v
+    if isinstance(v, float):
+        return mp.mpf(v)
     q = as_exact(v)
     if q is None:
-        return mp.mpmathify(complex(v))
-    return mp.mpc(mp.mpf(q.re.numerator) / q.re.denominator,
-                  mp.mpf(q.im.numerator) / q.im.denominator)
+        return mp.mpc(complex(v))
+    re = mp.mpf(q.re.numerator) / q.re.denominator
+    return mp.mpc(re, mp.mpf(q.im.numerator) / q.im.denominator) if q.im else re
 
 
 @lru_cache(maxsize=128)
@@ -187,9 +194,10 @@ def _ipow(w, n: int):
     return out
 
 
-def phi_mp(m: HenonMap, z, dps: int):
+def phi_mp(m: HenonMap, z, dps: int, orbit: Optional[list] = None):
     """Arbitrary-precision phi = exp((Log y_J + 2 pi i k)/d^J), J chosen so the
-    tail is below the working precision.  Call inside an mp.workdps context."""
+    tail is below the working precision.  Call inside an mp.workdps context.
+    If orbit is a list, the walk's points H^0 z .. H^J z are appended to it."""
     import mpmath as mp
     x, y = _mp(z[0]), _mp(z[1])
     d = m.d
@@ -200,17 +208,27 @@ def phi_mp(m: HenonMap, z, dps: int):
     log_a, log_b = (math.log2(c) if c else -math.inf for c in m.q_constants)
     stop = -(dps + 10) * math.log2(10) - 1
     theta, J = cmath.phase(complex(y)), 0
+    if orbit is not None:
+        orbit.append((x, y))
     while J < 4 * dps + 60:
         L = max(mp.mag(y.real), mp.mag(y.imag)) - 1
         if max(log_a - 2 * L, log_b - (d - 1) * L) < stop:
             break
         q = horner(coeffs, y) - a * x
         yd = _ipow(y, d)
-        u = complex(q / yd)
+        # only u's guard and phase are read, so u is a double quotient while
+        # |y|^d, between 2^(dL) and 2^(d(L+2)), is in the double range; the
+        # big-float quotient decides the guard where |u| is within 1e-12 of 1
+        # (or not finite), so the guard raises where it always did
+        u = complex(q) / complex(yd) if d * (abs(L) + 2) < 1000 else math.nan
+        if not abs(abs(u) - 1.0) > 1e-12:
+            u = complex(q / yd)
         if abs(u) >= 1.0:
             raise DomainError("branch safety violated in phi_mp")
         theta = d * theta + cmath.phase(1 + u)
         x, y, J = y, yd + q, J + 1
+        if orbit is not None:
+            orbit.append((x, y))
     log_y = mp.log(y)
     turns = (theta - float(log_y.imag)) / (2 * math.pi)
     # |theta| < 2^40 keeps its double rounding error far below a quarter turn
@@ -218,6 +236,11 @@ def phi_mp(m: HenonMap, z, dps: int):
         raise PrecisionError(f"phi_mp winding not resolved: {turns:.3f} turns")
     k = round(turns)
     return mp.exp((log_y + (mp.mpc(0, 2 * mp.pi * k) if k else 0)) / d ** J)
+
+
+def _q_mp(A: tuple, w, wd):
+    """Q(w) = w w^d + sum_{i<d} A_i w^i, given wd = w^d."""
+    return w * wd + horner(A, w)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +311,13 @@ def _back_substitute(d: int, rhs, coeff) -> list:
 
 # -- formal-series strategy -------------------------------------------------
 
+# cap on d^2 nnz(s), about the number of exact products the formal Q takes;
+# their operands grow with d.  On a 2-core Xeon p = y^200 + 2y^198 + 1
+# (80 000) took 1.1 s, p = y^316 + 2y (99 856) 2.8 s, a dense d = 60
+# (212 400) 1.1 s and a dense d = 100 (990 000) 5.8 s
+_FORMAL_EXACT_CAP = 10 ** 5
+
+
 def _derive_formal(m: HenonMap) -> LiftPolynomial:
     d = m.d
     a, *coeffs = field([m.a, *m.coeffs])
@@ -295,6 +325,9 @@ def _derive_formal(m: HenonMap) -> LiftPolynomial:
     # at x = 0, phi = y (1 + s)^{1/d} to t^d, t = 1/y, s = sum_{i=2..d} a_{d-i} t^i;
     # the later factors of phi start at t^{2d}
     s = [(d - k, c) for k, c in enumerate(coeffs) if not is_zero(c)]
+    if m.exact and d * d * len(s) > _FORMAL_EXACT_CAP:
+        raise ValueError(f"the exact formal Q of this map takes about d^2 * nnz = "
+                         f"{d * d * len(s)} products, past the cap {_FORMAL_EXACT_CAP}")
 
     def power(k: int) -> list:
         """[t^0 .. t^min(k, d)] of (1 + s)^{k/d}, so g[k - j] = [y^j] phi^k, by
@@ -356,6 +389,10 @@ def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
 
 @dataclass(frozen=True)
 class PsiValue:
+    """psi_N at depth N.  convergence_gap is |psi_N - psi_{N-1}|, not a bound
+    on the distance to the limit: for p = y^2, a = 3 at depth 8 the gap is
+    0.044 while psi_8 lies 0.088 from the limit."""
+
     value: complex
     depth: int
     precision_digits: int
@@ -373,26 +410,29 @@ def digits_needed(m: HenonMap, z, depth: int) -> int:
 
 
 def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
-    """(psi_depth, psi_{depth-1}, phi(z)) inside an mp context of dps digits."""
+    """(psi_depth, psi_{depth-1}, phi(z)) inside an mp context of dps digits.
+    The orbit H^j z is phi_mp's walk, extended here only if it stopped short."""
     import mpmath as mp
     d = m.d
     a, *coeffs = _mp_all((m.a, *m.coeffs), mp.mp.prec)
-    p_coeffs = (*coeffs, 0, 1)
+    orbit = []
+    phi0 = phi_mp(m, z, dps, orbit)
+    while len(orbit) <= depth:
+        x, y = orbit[-1]
+        orbit.append((y, _ipow(y, d) + (horner(coeffs, y) - a * x)))
+    A = _mp_all(q.A, mp.mp.prec)
     doa = mp.mpf(d) / a
-    cur = (_mp(z[0]), _mp(z[1]))
-    phi0 = phi_mp(m, cur, dps)
-    q_coeffs = (*_mp_all(q.A, mp.mp.prec), 0, 1)
     qsum = mp.mpf(0)
     scale, phij = mp.mpf(1), phi0  # (d/a)^j and phi(H^j z) = phi0^(d^j)
     prev = None
     for j in range(depth):
         if j == depth - 1:
-            prev = scale * cur[0] * cur[1] - qsum
+            prev = scale * orbit[j][0] * orbit[j][1] - qsum
         scale *= doa
-        qsum += scale * horner(q_coeffs, phij)
-        phij = _ipow(phij, d)
-        cur = (cur[1], horner(p_coeffs, cur[1]) - a * cur[0])
-    psi_n = scale * cur[0] * cur[1] - qsum
+        phin = _ipow(phij, d)
+        qsum += scale * _q_mp(A, phij, phin)
+        phij = phin
+    psi_n = scale * orbit[depth][0] * orbit[depth][1] - qsum
     return psi_n, prev, phi0
 
 
@@ -439,8 +479,8 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
             aod = _mp_all((m.a, *m.coeffs), mp.mp.prec)[0] / m.d
             psi_z, _, phi_z = _psi_partials(m, z, q, depth, precision_digits)
             psi_hz, _, phi_hz = _psi_partials(m, hz, q, depth, precision_digits)
-            q_phi = horner((*_mp_all(q.A, mp.mp.prec), 0, 1), phi_z)
-            r1 = abs(aod * psi_z + q_phi - psi_hz)
-            r2 = abs(_ipow(phi_z, m.d) - phi_hz)
+            phi_zd = _ipow(phi_z, m.d)
+            r1 = abs(aod * psi_z + _q_mp(_mp_all(q.A, mp.mp.prec), phi_z, phi_zd) - psi_hz)
+            r2 = abs(phi_zd - phi_hz)
             worst = max(worst, float(r1), float(r2))
     return worst

@@ -224,6 +224,17 @@ def test_formal_q_of_a_degree_200_map_answers(capsys):
     assert code == 0 and json.loads(out)["modulus"] == 200 ** 2 - 1
 
 
+@pytest.mark.parametrize("cmd", ["derive-q", "symmetries"])
+def test_formal_q_of_a_dense_degree_100_map_is_exit_2(capsys, cmd):
+    # a_k = k + 1: d^2 * nnz = 990 000 exact products, which took 5.8 s uncapped
+    m = json.dumps({"d": 100, "p": list(range(1, 100)), "a": 3})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, cmd, "--map", m)
+    assert time.perf_counter() - t0 < 1
+    _one_line_error(code, out, err, 2, "usage")
+    assert "past the cap 100000" in json.loads(err)["message"]
+
+
 NAN_A = '{"d":4,"p":[0,0,1e300],"a":3}'  # a_2 = 1e300 overflows the float solve: A_1 is NaN
 
 

@@ -12,7 +12,8 @@ import pytest
 from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
                       derive_lift_polynomial, evaluate, phi, psi,
                       semiconjugacy_residual)
-from henonlab.boettcher import _mp, digits_needed, phi_mp
+from henonlab._exact import QC
+from henonlab.boettcher import _mp, _psi_partials, digits_needed, phi_mp
 from henonlab.maps import estimate_filtration_radius, horner, in_v_plus, overflow_limit
 from henonlab.series import LaurentSeries2
 
@@ -189,6 +190,116 @@ def test_psi_complex_a_depth_5_stable_under_30_more_digits():
     base = psi(m, z, q, 5)
     more = psi(m, z, q, 5, precision_digits=base.precision_digits + 30)
     assert abs(more.value - base.value) <= 1e-12 * max(1.0, abs(base.value))
+
+
+def test_phi_mp_raises_where_the_branch_ratio_reaches_one():
+    """|q/y^d| >= 1 raises, both where y^d is a double and where it is not
+    (|y|^2 = 10^400 at 400 digits, where the walk does not yet stop)."""
+    for y, dps in ((mp.mpf(10), 50), (mp.mpc(3, 4), 50), (mp.mpf("1e200"), 400)):
+        with mp.workdps(dps):
+            x = -mp.mpf("1.5") * y * y / 3  # QUAD: q = -3x, so u = 1.5
+            with pytest.raises(DomainError):
+                phi_mp(QUAD, (x, y), dps)
+
+
+def test_phi_mp_guard_near_one_decides_as_the_big_float_quotient():
+    """u = q/y^d is a double quotient away from |u| = 1; within 1e-12 of it
+    the big-float quotient decides, so phi_mp raises exactly when
+    |complex(q/y^d)| >= 1, as it did when it always divided in big floats.
+    |arg u| <= pi/2 keeps |y_1| = |y^2 (1 + u)| >= 100, so only step 0 can raise."""
+    rng = random.Random(7)
+    gaps = [0, 2 ** -52, 1e-17, 1e-15, 1e-13, 1e-12, 2e-12, 1e-11, 1e-9]
+    gaps += [10 ** rng.uniform(-20, -8) for _ in range(40)]
+    raised = set()
+    for gap in gaps:
+        for sign in (1, -1):
+            with mp.workdps(50):
+                y = mp.mpc(10) * mp.expjpi(mp.mpf(rng.uniform(-1, 1)))
+                u = (1 + sign * mp.mpf(gap)) * mp.expjpi(mp.mpf(rng.uniform(-0.5, 0.5)))
+                x = -u * y * y / 3
+                want = abs(complex(-(3 * x) / (y * y))) >= 1.0
+                try:
+                    phi_mp(QUAD, (x, y), 50)
+                    got = False
+                except DomainError:
+                    got = True
+            assert got == want, (gap, sign)
+            raised.add(got)
+    assert raised == {True, False}
+
+
+# psi_N at the depths given and the depth-3 semiconjugacy residual, computed
+# with the orbit walked twice and every coefficient as an mpc: (map, z,
+# depths, psi values, residual)
+FROZEN_PSI = [
+    (HenonMap(2, 3, (1,)), (0.4 - 0.3j, -21.779834925209798 + 3.1046401773170786j), (3, 4, 5, 6),
+     (-7.128022534926402 + 7.764121606799304j, -7.350243697525459 + 7.764122269633361j,
+      -7.498391845672052 + 7.76412226963662j, -7.597157277770818 + 7.76412226963662j),
+     0.33333174389988524),
+    (HenonMap(2, 3, (1,)), (0.5, -22.0), (3, 4, 5, 6),
+     (-10.335395367832454, -10.557616340636129, -10.705764488780664, -10.804529920879428),
+     0.33333145920550994),
+    (HenonMap(3, 9, (1, 0)), (0.4 - 0.3j, -6.74489274933482 - 7.809380372345209j), (3, 4, 5, 6),
+     (-5.030035396871455 - 1.1013332727554859j,) * 4, 3.247666491049826e-14),
+    (HenonMap(3, 9, (1, 0)), (0.5, -10.318914671611546), (3, 4, 5, 6),
+     (-5.169249162296863,) * 4, 8.565762750993243e-13),
+    (HenonMap(4, 16, (0, 0, 1)), (0.4 - 0.3j, 2.0605901792564616 - 6.965856022700811j), (3, 4, 5),
+     (-1.2321139901488414 - 3.3874171179828063j,) * 3, 1.4369395729132696e-12),
+    (HenonMap(4, 16, (0, 0, 1)), (0.5, -7.2642399475681785), (3, 4, 5),
+     (-3.6601449933044834,) * 3, 7.956627307250573e-13),
+    (HenonMap(3, QC(5, 4), (QC(Fraction(1, 2), -1), QC(1, Fraction(1, 4)))),
+     (0.4 - 0.3j, -6.28527633853461 - 7.277226710203599j), (3, 4, 5, 6),
+     (-4.711316480660754 - 0.9870393388138703j,) * 4, 6.113549107828231e-13),
+    (HenonMap(3, QC(5, 4), (QC(Fraction(1, 2), -1), QC(1, Fraction(1, 4)))),
+     (0.5, -9.615754117251736), (3, 4, 5, 6),
+     (-4.846829882952697 - 0.02767742449656562j,) * 4, 5.65385740658649e-13),
+]
+
+
+@pytest.mark.parametrize("m,z,depths,values,residual", FROZEN_PSI,
+                         ids=["y2+1", "y2+1-real", "y3+1", "y3+1-real", "y4+y2", "y4+y2-real",
+                              "complex-a", "complex-a-real"])
+def test_psi_and_semiconjugacy_frozen_values(m, z, depths, values, residual):
+    q = derive_lift_polynomial(m, "formal-series")
+    filt = estimate_filtration_radius(m)
+    for depth, want in zip(depths, values):
+        got = psi(m, z, q, depth, filtration=filt).value
+        assert abs(got - want) <= 1e-12 * abs(want), depth
+    hz = evaluate(m, z)
+    dps = max(digits_needed(m, z, 3), digits_needed(m, hz, 3))
+    got = semiconjugacy_residual(m, q, [z], 3, dps, filtration=filt)
+    assert abs(got - residual) <= 1e-12 * residual
+
+
+@pytest.mark.parametrize("m", [HenonMap(2, 3, (1,)), HenonMap(4, 16, (0, 0, 1))],
+                         ids=["y2+1", "y4+y2"])
+def test_real_map_matches_its_complex_twin(m):
+    """The same real map with complex coefficients runs mpmath's mpc path
+    where the real one multiplies by mpf; phi, psi_N and the fit Q agree to
+    within 10 digits of the working precision (psi relative to the
+    (d/a)^N x_N y_N it cancels).  Both maps have dyadic A, so the twin's
+    double-precision formal Q is the same Q."""
+    twin = HenonMap(m.d, complex(m.a), tuple(map(complex, m.coeffs)))
+    q, q_twin = derive_lift_polynomial(m), derive_lift_polynomial(twin)
+    assert q.A_complex == q_twin.A_complex
+    R, depth = estimate_filtration_radius(m).R, 4
+    for z in ((0.4 - 0.3j, cmath.rect(2.2 * R, 2.0)), (0.5, -2.2 * R)):
+        dps = digits_needed(m, z, depth)
+        with mp.workdps(dps):
+            tol = mp.mpf(10) ** (10 - dps)
+            orbit = []
+            want = phi_mp(twin, z, dps, orbit)
+            assert abs(phi_mp(m, z, dps) - want) <= tol * abs(want)
+            while len(orbit) <= depth:
+                x, y = orbit[-1]
+                orbit.append((y, twin.p(y) - twin.a * x))
+            scale = abs((mp.mpf(m.d) / abs(twin.a)) ** depth * orbit[depth][0] * orbit[depth][1])
+            got = _psi_partials(m, z, q, depth, dps)[0]
+            assert abs(got - _psi_partials(twin, z, q_twin, depth, dps)[0]) <= tol * scale
+    digits = 80
+    fit, fit_twin = (derive_lift_polynomial(w, "bigfloat-fit", digits) for w in (m, twin))
+    for c, c_twin in zip(fit.A, fit_twin.A):
+        assert abs(c - c_twin) <= max(10.0 ** (10 - digits), 2.0 ** -52) * max(1.0, abs(c_twin))
 
 
 # -- lift polynomial Q -------------------------------------------------------
