@@ -268,11 +268,6 @@ def in_v_plus(z, R: float) -> bool:
     return abs(y) >= max(abs(x), R)
 
 
-def in_v_minus(z, R: float) -> bool:
-    x, y = complex(z[0]), complex(z[1])
-    return abs(x) >= max(abs(y), R)
-
-
 def doubling_radius(m: HenonMap, lead: float) -> float:
     """Least r >= max(1, (2(1+S))^{1/(d-1)}) with lead/r^{d-1} +
     sum_j |a_j|/r^{d-j} <= 1: lead 2+|a| proves forward doubling on V_r+,

@@ -1,24 +1,25 @@
 """Escape-rate potentials G+ and G- and orbit classification.
 
-G+(z) = lim d^{-n} log+ ||H^n z|| (sup-norm).  For escaping points the
-forward potential is refined through the infinite-product coordinate of
-the boettcher module once the orbit enters V_R+, with a certified tail
-bound; an orbit that enters past the overflow limit, where no factor of
-the product can be formed, gets the crude value.  The backward potential
-uses the crude estimator only, with a first-order log|a| correction, and
-walks into V_R- with R the larger of the forward and the backward
-doubling radius (maps.doubling_radius), so |x| provably doubles along the
-rest of the backward orbit.
+G+(z) = lim d^{-n} log+ ||H^n z|| (sup-norm).  Every value starts from one
+escape walk: _walk per point, forwards or backwards, and green_plus_grid
+over numpy arrays.  V_R+ = {|y| >= max(|x|, R)} is forward invariant with
+|y'| >= 2|y| (V_R- backwards with |x'| >= 2|x|, R the larger of the two
+doubling radii), so entry and climb are one loop.  It stops at the first
+of: in V_R+- with the leading coordinate (y, or x backwards) at a height;
+the sup-norm past the overflow limit; the budget spent outside V_R+-.  A
+step to inf or nan raises OverflowError.  G-, crude_green_plus and the grid
+climb to max(1e13, 2R); green_plus stops at entry and refines through
+the boettcher product with a certified tail bound, unless y is past the
+overflow limit, where no factor of the product can be formed.
 
-One crude estimator serves G-, crude_green_plus and the grid: after entry
-the walk climbs until the leading coordinate reaches max(1e13, 2R) or the
-overflow limit and takes d^-n log of it.  The rest of the limit, the sum
-over j >= n of d^-(j+1) log|1+u_j|, is below d^-n 4u/d, u = _u_bound there,
-whenever u <= 1/2: then |log(1+u_j)| <= 2|u_j|, and u_j at least halves per
-step as the leading coordinate doubles on V_R+-.  A stop with u > 1/2 gets
-d^-n: past 2R the doubling inequality still gives |u_j| <= 1/2, so the
-tail is below d^-n 2/(2d-1); below 2R, on the overflow limit, that is the
-overflow rule.
+One function, _stopped, values an escaped stop: d^-n (log top - shift),
+shift = log|a|/(d-1) backwards after entry.  The rest of the limit, the
+sum over j >= n of d^-(j+1) log|1+u_j|, is below d^-n 4u/d, u = _u_bound
+at the stop, whenever u <= 1/2: then |log(1+u_j)| <= 2|u_j|, and u_j at
+least halves per step.  A stop with u > 1/2 gets d^-n: past 2R the
+doubling inequality still gives |u_j| <= 1/2, so the tail is below
+d^-n 2/(2d-1); below 2R on the overflow limit, and before entry, that is
+the overflow rule.
 
 Membership in the non-escaping set is semi-decidable: the verdict
 "bounded-within-budget" is budget-stamped, never a claim about K+.
@@ -43,7 +44,7 @@ from typing import Optional
 
 from .errors import DomainError
 from .maps import (FiltrationRadius, HenonMap, _u_bound, doubling_radius,
-                   estimate_filtration_radius, evaluate, in_v_minus, in_v_plus, overflow_limit)
+                   estimate_filtration_radius, evaluate, overflow_limit)
 
 DEFAULT_BUDGET = 200
 DEFAULT_TARGET_ERROR = 1e-9
@@ -65,8 +66,8 @@ class GreenValue:
     method: str  # "crude" | "boettcher-refined"
     iterations: int
     budget_exhausted: bool = False
-    # step at which the walk stopped, entry into V_R+- or overflow; None
-    # when the budget ran out
+    # step at which the orbit entered V_R+-, or at which it overflowed
+    # before entry; None when the budget ran out
     entry: Optional[int] = None
 
 
@@ -81,35 +82,36 @@ def _filtration(m: HenonMap, filtration: Optional[FiltrationRadius]) -> Filtrati
     return filtration if filtration is not None else estimate_filtration_radius(m)
 
 
-def _find_entry(m: HenonMap, z, budget: int, R: float, inverse: bool = False):
-    """Iterate until the orbit enters V_R+ (or V_R- backwards).
-
-    Returns (n, point, None) at entry, or (n, point, final) when the walk
-    stops first: past the overflow limit (certain escape) final is the crude
-    log of the sup-norm with error d^-n; when the budget runs out n is None
-    and final is 0 with the budget flag set and the bound _exhausted_bound.
-    OverflowError on inf or nan, from which no bound can be certified.
-    """
-    cur = (complex(z[0]), complex(z[1]))
-    if not (cmath.isfinite(cur[0]) and cmath.isfinite(cur[1])):
+def _walk(m: HenonMap, z, budget: int, R: float, height: float, inverse: bool = False):
+    """The escape walk of z, backwards with inverse, to the first of its
+    three stops (module docstring).  Returns (entry, w, crude): the step of
+    entry into V_R+-, or None; the point at the stop; and its GreenValue,
+    from _stopped, or G = 0 with _exhausted_bound when the budget ran out.
+    OverflowError on an inf or nan sup-norm: no bound can be certified."""
+    w = (complex(z[0]), complex(z[1]))
+    if not (cmath.isfinite(w[0]) and cmath.isfinite(w[1])):
         raise ValueError(f"point must be finite, got {z!r}")
+    lead = 0 if inverse else 1
     lim = overflow_limit(m.d)
-    member = in_v_minus if inverse else in_v_plus
-    mag = 0.0  # a negative budget stops at once
-    for n in range(budget + 1):
-        mag = max(abs(cur[0]), abs(cur[1]))
+    entry = None
+    n = 0
+    while True:
+        top, other = abs(w[lead]), abs(w[1 - lead])
+        mag = other if other > top else top  # max(top, other) without the call
         if not math.isfinite(mag):  # escape is certain, but there is no height to take
             raise OverflowError(f"the orbit leaves the float range at step {n}")
-        if member(cur, R):
-            return n, cur, None
-        if mag > lim:  # past the limit escape is certain
-            g = math.log(mag) / m.d ** n
-            return n, cur, GreenValue(g, m.d ** (-n) + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n,
-                                      entry=n)
-        cur = evaluate(m, cur, inverse=inverse)
-    # mag is the sup-norm at step budget, the last one checked
-    bound = _exhausted_bound(m, budget, max(mag, R), inverse)
-    return None, cur, GreenValue(0.0, bound, "crude", budget, budget_exhausted=True)
+        inside = top >= other and top >= R
+        if inside and entry is None:
+            entry = n
+        if inside and top >= height or mag > lim:
+            break
+        if n >= budget and not inside:
+            bound = _exhausted_bound(m, n, max(mag, R), inverse)
+            return None, w, GreenValue(0.0, bound, "crude", n, budget_exhausted=True)
+        w = evaluate(m, w, inverse)
+        n += 1
+    g, err = _stopped(m, n, mag, entry is not None, inverse)
+    return entry, w, GreenValue(g, err, "crude", n, entry=n if entry is None else entry)
 
 
 def _exhausted_bound(m: HenonMap, n: int, rho, inverse: bool = False, log=math.log):
@@ -140,21 +142,17 @@ def _crude_bound(m: HenonMap, top, inverse: bool = False):
     return 4.0 * u / m.d * (u <= 0.5) + (u > 0.5)
 
 
-def _crude(m: HenonMap, n: int, w, R: float, inverse: bool = False) -> GreenValue:
-    """The crude estimator from the entry step n and point w into V_R+-, on
-    the leading coordinate (y, or x backwards), less log|a|/(d-1) backwards."""
-    lead = 0 if inverse else 1
-    height = max(_DEEP, 2.0 * R)
-    lim = overflow_limit(m.d)
-    n_entry = n
-    while abs(w[lead]) < height and abs(w[lead]) <= lim:
-        w = evaluate(m, w, inverse=inverse)
-        n += 1
-    top = abs(w[lead])
+def _stopped(m: HenonMap, n, top, entered, inverse: bool = False, log=math.log):
+    """(G, bound) of a walk that escaped at step n with sup-norm top:
+    G = d^-n (log top - shift), shift = log|a|/(d-1) backwards after entry,
+    and the bound d^-n _crude_bound(top) after entry into V_R+-, the overflow
+    rule's d^-n before it, plus _FLOAT_NOISE (1 + |G|).  n, top and entered
+    may be numpy arrays with log = np.log; top is finite and at least 1."""
+    scale = float(m.d) ** -n
     shift = math.log(abs(m.a_complex)) / (m.d - 1) if inverse else 0.0
-    g = (math.log(top) - shift) / m.d ** n
-    err = _crude_bound(m, top, inverse) / m.d ** n
-    return GreenValue(g, err + _FLOAT_NOISE * (1.0 + abs(g)), "crude", n, entry=n_entry)
+    g = (log(top) - shift * entered) * scale
+    rule = _crude_bound(m, top, inverse) * entered + (1 - entered)  # exact, as in _crude_bound
+    return g, rule * scale + _FLOAT_NOISE * (1.0 + abs(g))
 
 
 def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
@@ -173,12 +171,10 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget!r}")
     filt = _filtration(m, filtration)
-    n_entry, w, final = _find_entry(m, z, budget, filt.R)
-    if final is not None:
-        return final
+    n_entry, w, crude = _walk(m, z, budget, filt.R, filt.R)  # stops at entry
     lim = overflow_limit(m.d)
-    if abs(w[1]) > lim:  # no product factor can be formed there
-        return _crude(m, n_entry, w, filt.R)
+    if n_entry is None or abs(w[1]) > lim:  # no product factor can be formed past the limit
+        return crude
     from .boettcher import phi_product, phi_tail_bound  # loaded by the first refinement
 
     # refinement: climb until |y| is deep enough or the tail target is met;
@@ -213,8 +209,7 @@ def crude_green_plus(m: HenonMap, z, budget: int = DEFAULT_BUDGET,
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget!r}")
     R = _filtration(m, filtration).R
-    n, w, final = _find_entry(m, z, budget, R)
-    return final if final is not None else _crude(m, n, w, R)
+    return _walk(m, z, budget, R, max(_DEEP, 2.0 * R))[2]
 
 
 def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
@@ -233,8 +228,7 @@ def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
         raise ValueError(f"budget must be >= 0, got {budget!r}")
     # |x| doubles backwards on V_R- only past the backward radius
     R = max(_filtration(m, filtration).R, doubling_radius(m, 1.0 + 2.0 * abs(m.a_complex)))
-    n, w, final = _find_entry(m, z, budget, R, inverse=True)
-    return final if final is not None else _crude(m, n, w, R, inverse=True)
+    return _walk(m, z, budget, R, max(_DEEP, 2.0 * R), inverse=True)[2]
 
 
 def classify_point(m: HenonMap, z, budget: int = DEFAULT_BUDGET,
@@ -261,7 +255,7 @@ def sample_escaping_points(m: HenonMap, count: int, seed: int = 0, box: float = 
         attempts += 1
         z = (complex(rng.uniform(-box, box), rng.uniform(-box, box)),
              complex(rng.uniform(-box, box), rng.uniform(-box, box)))
-        if _find_entry(m, z, budget, filt.R)[0] is not None:
+        if not _walk(m, z, budget, filt.R, filt.R)[2].budget_exhausted:
             out.append(z)
     if len(out) < count:
         raise DomainError("could not find enough escaping sample points")
@@ -276,12 +270,12 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
                     filtration: Optional[FiltrationRadius] = None):
     """G+ over flat complex arrays (X, Y) of equal shape.
 
-    Returns (green, err, escaped) float/bool numpy arrays.  Escaped points
-    are iterated in V_R+ to height max(1e13, 2R) and get the crude value and
-    bound of crude_green_plus, or stop on overflow and are valued as in the
-    scalar walk; bounded-within-budget points get green = 0 with the
-    scalar walk's _exhausted_bound.  numpy is imported here, not with the
-    module, so the scalar path never loads it.
+    Returns (green, err, escaped) float/bool numpy arrays: the walk of
+    crude_green_plus on every point, stopped by the same three masks, in the
+    same order, and valued by the same _stopped and _exhausted_bound.
+    OverflowError when a walk leaves the float range, as in the scalar walk.
+    numpy is imported here, not with the module, so the scalar path never
+    loads it.
     """
     import numpy as np
     R = _filtration(m, filtration).R
@@ -296,7 +290,7 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
     live = np.arange(x.size)  # original index of each packed point
     stop_step = np.full(x.size, -1.0)  # -1: bounded within the budget
     top = np.zeros(x.size)  # sup-norm where the walk stopped
-    overflowed = np.zeros(x.size, dtype=bool)
+    entered = np.zeros(x.size, dtype=bool)  # stopped in V_R+
     step = 0
     with np.errstate(all="ignore"):
         ax = np.abs(x)  # after a step |x| is the |y| before it
@@ -304,9 +298,9 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
             ay = np.abs(y)
             mag = np.maximum(ax, ay)
             inside = ay >= np.maximum(ax, R, out=ax)
-            inside &= np.isfinite(ay)
             # V_R+ is forward invariant with |y'| >= 2|y|, so entry and climb
-            # are one walk; past the limit, inf or nan: escape is certain
+            # are one walk; past the limit (or at inf or nan, which raises
+            # after the loop) escape is certain
             deep = inside & (ay >= height)
             over = ~(deep | (mag <= lim))
             esc = deep | over
@@ -314,7 +308,7 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
             if done.any():
                 stop_step[live[esc]] = step
                 top[live[done]] = mag[done]
-                overflowed[live[over & ~inside]] = True
+                entered[live[esc & inside]] = True
                 keep = ~done
                 x, y, ay, live = x[keep], y[keep], ay[keep], live[keep]
             # y' = p(y) - a x by Horner's rule in place, from y*y: p is monic
@@ -330,12 +324,12 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
             x, y, ax = y, nxt, ay
             step += 1
 
+        if not np.isfinite(top).all():
+            raise OverflowError("the orbit of a pixel leaves the float range")
         escaped = stop_step >= 0
-        scale = np.power(float(d), -stop_step)
-        # a walk that overflowed before entry gets the scalar engine's d^-n
-        green = np.where(escaped, np.log(np.maximum(top, 1.0)) * scale, 0.0)
-        bound = scale * np.where(overflowed, 1.0, _crude_bound(m, np.maximum(top, 2.0))) \
-            + _FLOAT_NOISE * (1.0 + green)
+        # escaped tops are at least 1: the clamp only keeps the dropped values finite
+        green, bound = _stopped(m, stop_step, np.maximum(top, 1.0), entered, log=np.log)
+        green = np.where(escaped, green, 0.0)
         err = np.where(escaped, bound, _exhausted_bound(m, budget, np.maximum(top, R), log=np.log))
     return green, err, escaped
 

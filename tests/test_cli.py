@@ -419,20 +419,35 @@ def test_walk_past_the_float_range_is_exit_3(capsys, argv):
     _one_line_error(code, out, err, 3, "overflow")
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json", "pgm"])
-def test_slice_window_overflow_is_exit_3(tmp_path, capsys, fmt):
+def _slice_is_exit_3(tmp_path, capsys, doc, fmt, kind):
+    """slice exits 3 with one JSON line of the given kind and writes no --out."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "map": {"d": 2, "p": [0], "a": 3},
-        "slice": {"origin": [0, 0], "spanU": [1e308, 0], "spanV": [0, 1],
-                  "gridW": 8, "gridH": 8, "extent": 3},
-    }))
+    cfg.write_text(json.dumps(doc))
     out_path = tmp_path / f"g.{fmt}"
     code, out, err = run(capsys, "slice", "--config", str(cfg), "--c", "1",
                          "--out", str(out_path), "--format", fmt)
-    assert code == 3 and out == "" and not out_path.exists()
-    lines = err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
+    _one_line_error(code, out, err, 3, kind)
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pgm"])
+def test_slice_window_overflow_is_exit_3(tmp_path, capsys, fmt):
+    _slice_is_exit_3(tmp_path, capsys, {
+        "map": {"d": 2, "p": [0], "a": 3},
+        "slice": {"origin": [0, 0], "spanU": [1e308, 0], "spanV": [0, 1],
+                  "gridW": 8, "gridH": 8, "extent": 3},
+    }, fmt, "domain")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pgm"])
+def test_slice_walk_past_the_float_range_is_exit_3(tmp_path, capsys, fmt):
+    # a = 1e300 sends every pixel near (1e10, 1) to inf in one step, where
+    # `green` and `classify` exit 3 too; the grid used to export inf
+    _slice_is_exit_3(tmp_path, capsys, {
+        "map": {"d": 2, "p": [0], "a": 1e300},
+        "slice": {"origin": [1e10, 1], "spanU": [1, 0], "spanV": [0, 1],
+                  "gridW": 4, "gridH": 4, "extent": 3},
+    }, fmt, "overflow")
 
 
 @pytest.mark.parametrize("c,extent,code,kind", [

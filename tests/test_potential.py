@@ -336,24 +336,13 @@ def test_budget_exhausted_bound_holds_against_mpmath_orbit():
     assert min(counts.values()) >= 500, counts
 
 
-def test_grid_bounds_exhausted_pixels_as_the_scalar_walk():
-    # budget 3 leaves both box points of the dissipative map and fast escapes
-    m = HenonMap(2, 0.3, (-1.2,))
-    rng = random.Random(19)
-    pts = [(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-            complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(200)]
-    green, err, escaped = green_plus_grid(m, np.array([z[0] for z in pts]),
-                                          np.array([z[1] for z in pts]), budget=3)
-    assert 0 < escaped.sum() < len(pts)
-    for i in np.flatnonzero(~escaped):
-        g = crude_green_plus(m, pts[i], budget=3)
-        assert g.budget_exhausted and green[i] == g.value == 0.0
-        assert 0.0 < err[i] == pytest.approx(g.error_bound, rel=1e-12)
-
-
 def _agreement_cases():
-    """The four benchmark maps at box, deep and far points, and a map with
-    R = 3.16e13 at points around R."""
+    """(map, points, budget): the four benchmark maps at box, deep and far
+    points, where far points overflow before entry; a map with R = 3.16e13
+    at points around R; one whose R = 2.4e87 lies past the overflow limit
+    4.6e86, so walks that enter there stop on the limit; and the
+    dissipative map at budget 3, which leaves both box points with an
+    exhausted budget and fast escapes."""
     rng = random.Random(38)
 
     def rect(r):
@@ -369,23 +358,31 @@ def _agreement_cases():
         pts += [(box(), rect(1e6 * rng.uniform(0.5, 2.0))) for _ in range(20)]
         pts += [(rect(1e200 * rng.uniform(0.5, 2.0)), rect(1e200 * rng.uniform(0.5, 2.0)))
                 for _ in range(20)]
-        cases.append((m, pts))
-    m = HenonMap(4, 1, (0, 0, 1e27))
-    R = estimate_filtration_radius(m).R
-    cases.append((m, [(rect(R * rng.uniform(0.0, 2.0)), rect(R * rng.uniform(0.0, 2.0)))
-                      for _ in range(100)]))
+        cases.append((m, pts, 200))
+    for m in (HenonMap(4, 1, (0, 0, 1e27)), HenonMap(3, 1, (0, 3e174))):
+        R = estimate_filtration_radius(m).R
+        cases.append((m, [(rect(R * rng.uniform(0.0, 2.0)), rect(R * rng.uniform(0.0, 2.0)))
+                          for _ in range(100)], 200))
+    rng = random.Random(19)
+    cases.append((HenonMap(2, 0.3, (-1.2,)),
+                  [(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                    complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(200)], 3))
     return cases
 
 
 def test_grid_agrees_with_scalar_crude_estimator():
-    for m, pts in _agreement_cases():
+    for m, pts, budget in _agreement_cases():
         filt = estimate_filtration_radius(m)
-        green, _, escaped = green_plus_grid(m, np.array([z[0] for z in pts]),
-                                            np.array([z[1] for z in pts]), filtration=filt)
+        green, err, escaped = green_plus_grid(m, np.array([z[0] for z in pts]),
+                                              np.array([z[1] for z in pts]), budget=budget,
+                                              filtration=filt)
+        if budget < 200:  # the dissipative row: exhausted pixels and escapes
+            assert 0 < escaped.sum() < len(pts)
         for i, z in enumerate(pts):
-            c = crude_green_plus(m, z, filtration=filt)
+            c = crude_green_plus(m, z, budget=budget, filtration=filt)
             assert escaped[i] == (not c.budget_exhausted), (m, z)
             assert abs(green[i] - c.value) <= 1e-14 * max(1.0, abs(c.value)), (m, z)
+            assert abs(err[i] - c.error_bound) <= 1e-14 * c.error_bound, (m, z)
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "backward"])
