@@ -336,6 +336,21 @@ def test_budget_exhausted_bound_holds_against_mpmath_orbit():
     assert min(counts.values()) >= 500, counts
 
 
+def test_grid_bounds_exhausted_pixels_as_the_scalar_walk():
+    # budget 3 leaves both box points of the dissipative map and fast escapes
+    m = HenonMap(2, 0.3, (-1.2,))
+    rng = random.Random(19)
+    pts = [(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+            complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(200)]
+    green, err, escaped = green_plus_grid(m, np.array([z[0] for z in pts]),
+                                          np.array([z[1] for z in pts]), budget=3)
+    assert 0 < escaped.sum() < len(pts)
+    for i in np.flatnonzero(~escaped):
+        g = crude_green_plus(m, pts[i], budget=3)
+        assert g.budget_exhausted and green[i] == g.value == 0.0
+        assert 0.0 < err[i] == pytest.approx(g.error_bound, rel=1e-12)
+
+
 def _agreement_cases():
     """(map, points, budget): the four benchmark maps at box, deep and far
     points, where far points overflow before entry; a map with R = 3.16e13
