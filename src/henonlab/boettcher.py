@@ -311,11 +311,11 @@ def _back_substitute(d: int, rhs, coeff) -> list:
 
 # -- formal-series strategy -------------------------------------------------
 
-# cap on d^2 nnz(s), about the number of exact products the formal Q takes;
-# their operands grow with d.  On a 2-core Xeon p = y^200 + 2y^198 + 1
-# (80 000) took 1.1 s, p = y^316 + 2y (99 856) 2.8 s, a dense d = 60
-# (212 400) 1.1 s and a dense d = 100 (990 000) 5.8 s
-_FORMAL_EXACT_CAP = 10 ** 5
+# cap on d^3 nnz(s): the formal Q takes about d^2 nnz(s) exact products, and
+# their operands grow with d.  On a 2-core Xeon (median of 3) p = y^200 +
+# 2y^198 + 1 (1.6e7) took 2.0 s, a dense d = 60 (1.3e7) 2.0 s, p = y^316 + 2y
+# (3.2e7) 2.3 s and a dense d = 100 (9.9e7) 9.4 s
+_FORMAL_EXACT_CAP = 2 * 10 ** 7
 
 
 def _derive_formal(m: HenonMap) -> LiftPolynomial:
@@ -325,9 +325,9 @@ def _derive_formal(m: HenonMap) -> LiftPolynomial:
     # at x = 0, phi = y (1 + s)^{1/d} to t^d, t = 1/y, s = sum_{i=2..d} a_{d-i} t^i;
     # the later factors of phi start at t^{2d}
     s = [(d - k, c) for k, c in enumerate(coeffs) if not is_zero(c)]
-    if m.exact and d * d * len(s) > _FORMAL_EXACT_CAP:
-        raise ValueError(f"the exact formal Q of this map takes about d^2 * nnz = "
-                         f"{d * d * len(s)} products, past the cap {_FORMAL_EXACT_CAP}")
+    if m.exact and d ** 3 * len(s) > _FORMAL_EXACT_CAP:
+        raise ValueError(f"the exact formal Q of this map costs about d^3 * nnz = "
+                         f"{d ** 3 * len(s)}, past the cap {_FORMAL_EXACT_CAP}")
 
     def power(k: int) -> list:
         """[t^0 .. t^min(k, d)] of (1 + s)^{k/d}, so g[k - j] = [y^j] phi^k, by
@@ -391,7 +391,13 @@ def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
 class PsiValue:
     """psi_N at depth N.  convergence_gap is |psi_N - psi_{N-1}|, not a bound
     on the distance to the limit: for p = y^2, a = 3 at depth 8 the gap is
-    0.044 while psi_8 lies 0.088 from the limit."""
+    0.044 while psi_8 lies 0.088 from the limit.
+
+    Use exact coefficients for deep psi: a float map's Q carries ~1e-16
+    errors in its A_j, which (d/a)^{j+1} phi_j^k amplifies.  At z = (0.4-0.3i,
+    -6.2853-7.2772i) HenonMap(3, 5+4j, (0.5-1j, 1+0.25j)) gives psi_4 =
+    -4.1e35 and psi_5 = 2.9e141, while its exact QC twin gives
+    -4.7113-0.9870i at every depth from 3 to 6."""
 
     value: complex
     depth: int

@@ -1,10 +1,12 @@
 """Henon maps H(x,y) = (y, p(y) - ax) with p centered monic of degree d.
 
 Provides exact construction and normalization, forward/inverse evaluation,
-the overflow limit past which escape is certain, exact bivariate
-polynomial composition (used to verify normalization and symmetries; the
-series algebra loads with it), the bound _u_bound on |q/y^d| that every
-tail bound uses, and the proven filtration radius.
+the overflow limit past which escape is certain, the sparse polynomial
+Poly2 (evaluate on the coordinate polynomials gives H and H^{-1} as
+polynomial maps, and evaluating one map at another composes them
+exactly: the oracles of normalization and symmetries), the bound
+_u_bound on |q/y^d| that every tail bound uses, and the proven
+filtration radius.
 
 Since |y'| >= |y|^d - sum_j |a_j||y|^j - |a||y| on V_r+ = {|y| >= max(|x|, r)},
 the doubling |y'| >= 2|y| holds there once
@@ -117,12 +119,85 @@ class AffineConjugation:
 # Polynomial maps and composition
 # ---------------------------------------------------------------------------
 
+class Poly2:
+    """Sparse polynomial in x and y: a dict {(i, m): c} for the terms
+    c x^i y^m, with no explicit zeros.  Scalars act as constants in
+    + - and *, so evaluate and horner run on it as on numbers, and the
+    coefficients stay exact when every scalar is (m may be negative: a
+    Laurent polynomial in y)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if not is_zero(v)}
+
+    @staticmethod
+    def _of(v) -> "Poly2":
+        return v if isinstance(v, Poly2) else Poly2({(0, 0): v})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in Poly2._of(other).terms.items():
+            out[k] = out[k] + v if k in out else v
+        return Poly2(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly2({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly2._of(other)
+
+    def __mul__(self, other):
+        other, out = Poly2._of(other).terms, {}
+        for (i1, m1), v1 in self.terms.items():
+            for (i2, m2), v2 in other.items():
+                k, v = (i1 + i2, m1 + m2), v1 * v2
+                out[k] = out[k] + v if k in out else v
+        return Poly2(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        """Division by a scalar, as multiplication by 1/c."""
+        return self * (1 / c)
+
+    def __pow__(self, n: int):
+        out = Poly2({(0, 0): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly2):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"Poly2({self.terms!r})"
+
+    def eval(self, x, y):
+        return sum((v * x ** i * y ** m for (i, m), v in self.terms.items()), 0)
+
+    def approx_eq(self, other: "Poly2", tol: float = 1e-12) -> bool:
+        """Every coefficient of self - other within tol times the largest
+        coefficient of either (or of 1)."""
+        scale = max((abs(complex(v)) for v in (*self.terms.values(), *other.terms.values())),
+                    default=0.0)
+        return all(abs(complex(v)) <= tol * max(1.0, scale) for v in (self - other).terms.values())
+
+
+# the coordinate polynomials (x, y)
+XY = (Poly2({(1, 0): 1}), Poly2({(0, 1): 1}))
+
+
 @dataclass
 class PolyMap2:
     """Polynomial self-map of C^2: (x, y) -> (first(x,y), second(x,y))."""
 
-    first: LaurentSeries2   # polynomials: dmin=None
-    second: LaurentSeries2
+    first: Poly2
+    second: Poly2
 
     def eval(self, z):
         x, y = z
@@ -133,24 +208,17 @@ class PolyMap2:
 
 
 def poly_map_of(m: HenonMap, inverse: bool = False) -> PolyMap2:
-    """H (or H^{-1}) as a PolyMap2, exact for an exact map."""
-    from .series import LaurentSeries2  # the series algebra loads with its first use
-    p = dict(enumerate((*m.coeffs, 0, 1)))
-    if not inverse:  # (x, y) -> (y, p(y) - a x)
-        py = {(0, j): c for j, c in p.items()}
-        py[(1, 0)] = -m.a
-        return PolyMap2(LaurentSeries2.mono(1, 0, 1, None), LaurentSeries2(None, py))
-    # (x, y) -> ((p(x) - y)/a, x), with 1/a in the field of the map
-    ainv = 1 / field([m.a, *m.coeffs])[0]
-    px = {(j, 0): ainv * c for j, c in p.items()}
-    px[(0, 1)] = -ainv
-    return PolyMap2(LaurentSeries2(None, px), LaurentSeries2.mono(1, 1, 0, None))
+    """H (or H^{-1}) as a PolyMap2: evaluate at the coordinate polynomials,
+    exact for an exact map."""
+    if inverse:  # 1/a in the field of the map
+        a, *coeffs = field([m.a, *m.coeffs])
+        m = HenonMap(m.d, a, tuple(coeffs))
+    return PolyMap2(*evaluate(m, XY, inverse))
 
 
 def compose_poly_maps(f: PolyMap2, g: PolyMap2) -> PolyMap2:
-    """Exact coefficient-level composition f o g."""
-    return PolyMap2(f.first.substitute(g.first, g.second),
-                    f.second.substitute(g.first, g.second))
+    """f o g, exact for exact coefficients: f evaluated at g."""
+    return PolyMap2(*f.eval((g.first, g.second)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +294,7 @@ def normalize(coeffs, a) -> tuple[HenonMap, AffineConjugation]:
 def evaluate(m: HenonMap, z, inverse: bool = False):
     """One step of H (forward) or H^{-1} (inverse).
 
-    Works for exact scalars, complex floats, and mpmath numbers alike.
+    Works for exact scalars, complex floats, mpmath numbers and Poly2 alike.
     """
     x, y = z
     if not inverse:

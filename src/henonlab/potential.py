@@ -29,9 +29,9 @@ _exhausted_bound.
 
 The scalar functions use the standard library only; green_plus_grid
 imports numpy itself, so only the slice sampler and selftest load it.
-The refinement's boettcher module (and with it the series algebra) loads
-with the first refined green_plus, so the slice sampler, crude G+ and G-
-never load it.
+The refinement's boettcher module loads with the first refined
+green_plus, which loads no other henonlab module beyond maps, potential,
+_exact and errors, so the slice sampler, crude G+ and G- never load it.
 """
 
 from __future__ import annotations

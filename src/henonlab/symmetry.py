@@ -5,8 +5,9 @@ automorphism-group bookkeeping around the lift constraint set.
 eta = exp(2*pi*i*e/(d^2-1)) is a symmetry, H o L_eta = L_{eta^d} o H, iff
 d(d-j)e = 0 mod d^2-1 for every nonzero coefficient a_j of p.  Detection
 solves these congruences in closed form (covering.congruence_subgroup)
-and composes nothing; symbolic_symmetry_check composes the maps exactly
-and is kept as the independent oracle of the self-check and the tests.
+and composes nothing; symbolic_symmetry_check evaluates both sides on the
+coordinate polynomials (maps.Poly2) and is kept as the independent oracle
+of the self-check and the tests.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from ._exact import support
 from .boettcher import LiftPolynomial
 from .covering import compute_L_prime, congruence_subgroup, root_value
 from .errors import DomainError, InconsistencyError
-from .maps import (FiltrationRadius, HenonMap, PolyMap2, compose_poly_maps,
-                   estimate_filtration_radius, evaluate, overflow_limit, poly_map_of)
+from .maps import (XY, FiltrationRadius, HenonMap, PolyMap2, estimate_filtration_radius,
+                   evaluate, overflow_limit)
 from .potential import green_plus, sample_escaping_points
-from .series import LaurentSeries2
 
 _COEFF_ZERO = 1e-12
 
@@ -46,27 +46,22 @@ class SymmetryGroup:
         return len(self.exponents)
 
 
-def symmetry_poly_map(d: int, e: int) -> PolyMap2:
-    """L_eta as an exact-as-possible polynomial map."""
+def _linear(d: int, e: int, z) -> tuple:
+    """L_eta z with eta = exp(2 pi i e/(d^2-1)), exact where root_value is."""
     M = d * d - 1
-    return PolyMap2(LaurentSeries2.mono(root_value(e, M), 1, 0, None),
-                    LaurentSeries2.mono(root_value(d * e % M, M), 0, 1, None))
+    return (root_value(e, M) * z[0], root_value(d * e % M, M) * z[1])
 
 
 def apply_symmetry(d: int, e: int, z) -> tuple:
-    M = d * d - 1
-    eta = complex(root_value(e, M))
-    etad = complex(root_value(d * e % M, M))
-    return (eta * complex(z[0]), etad * complex(z[1]))
+    return _linear(d, e, (complex(z[0]), complex(z[1])))
 
 
 def symbolic_symmetry_check(m: HenonMap, e: int, tol: float = 1e-12) -> bool:
-    """Coefficient-wise H o L_eta = L_{eta^d} o H via exact composition."""
-    d = m.d
-    h = poly_map_of(m)
-    left = compose_poly_maps(h, symmetry_poly_map(d, e))
-    right = compose_poly_maps(symmetry_poly_map(d, d * e % (d * d - 1)), h)
-    return left.approx_eq(right, tol)
+    """Coefficient-wise H o L_eta = L_{eta^d} o H, both sides evaluated on
+    the coordinate polynomials."""
+    left = evaluate(m, _linear(m.d, e, XY))
+    right = _linear(m.d, m.d * e, evaluate(m, XY))
+    return PolyMap2(*left).approx_eq(PolyMap2(*right), tol)
 
 
 def detect_linear_symmetries(m: HenonMap) -> SymmetryGroup:

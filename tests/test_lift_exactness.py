@@ -1,10 +1,9 @@
 """The one exactness rule of the lift layer: the field helper and support
 rule of henonlab._exact, the triangular formal solve for Q against the
-factor chain and pivoting solver it replaced, the Fourier fit against the
-formal Q, exact normalization, and the exact k' count."""
+factor chain and pivoting solver it replaced (truncated Laurent series
+built on maps.Poly2), the Fourier fit against the formal Q, exact
+normalization, and the exact k' count."""
 
-import functools
-import operator
 import random
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from henonlab._exact import QC, as_exact, field, is_zero, support, zero_of
 from henonlab.boettcher import LiftPolynomial
 from henonlab.covering import compute_L_prime
 from henonlab.errors import InconsistencyError, PrecisionError
-from henonlab.series import LaurentSeries2
+from henonlab.maps import Poly2
 
 
 # -- field and support -------------------------------------------------------
@@ -43,6 +42,59 @@ def test_support_exact_values_have_no_threshold():
     assert support([Fraction(1, 10 ** 30), 1e-3], 1e-9) == [1]
 
 
+# -- truncated Laurent series, on the sparse polynomial type of maps ----------
+
+def _trunc(s: Poly2, dmin: int) -> Poly2:
+    """s without its terms of grade i + m below dmin."""
+    return Poly2({k: v for k, v in s.terms.items() if k[0] + k[1] >= dmin})
+
+
+def _mul(dmin: int, *factors) -> Poly2:
+    """The product of factors truncated below grade dmin after each
+    multiplication; each grade g of the left operand meets only the terms
+    of grade >= dmin - g of the right one.  Exact when every factor has all
+    grades <= 0 (valid on |x| <= |y|, |y| large)."""
+    out = factors[0]
+    for f in factors[1:]:
+        layers = {}
+        for (i, m), v in out.terms.items():
+            layers.setdefault(i + m, {})[(i, m)] = v
+        out = sum((Poly2(t) * _trunc(f, dmin - g) for g, t in layers.items()), Poly2())
+    return out
+
+
+def _binomial_pow(base: Poly2, r, dmin: int) -> Poly2:
+    """(1 + u)^r below grade dmin for base = 1 + u with every grade of u at
+    most -1; the binomial series ends at order -dmin, as u^k has top grade
+    <= -k."""
+    u = base - 1
+    assert all(i + m <= -1 for i, m in u.terms), base
+    out = upow = Poly2({(0, 0): 1})
+    coef = Fraction(1)
+    for k in range(1, -dmin + 1):
+        coef = coef * (r - (k - 1)) / k
+        upow = _mul(dmin, upow, u)
+        if not upow.terms:
+            break
+        out = out + coef * upow
+    return out
+
+
+def _mono(i: int, m: int) -> Poly2:
+    return Poly2({(i, m): 1})
+
+
+def test_series_mul_truncates_at_dmin():
+    s, t = Poly2({(0, -1): 1.0}), Poly2({(1, -3): 2.0})   # y^-1 and 2 x y^-3
+    assert _mul(-4, s, t).terms == {(1, -4): 2.0}
+    assert _mul(-2, s, t).terms == {}
+
+
+def test_series_binomial_pow_matches_square():
+    base = 1 + Poly2({(0, -1): 0.5, (1, -2): -0.25})
+    assert _binomial_pow(base, 2, -6).approx_eq(_mul(-6, base, base), 1e-15)
+
+
 # -- the parent's factor chain and pivoting solver, kept as an oracle ---------
 
 def _phi_factor_bases(m: HenonMap, dmin: int):
@@ -54,33 +106,30 @@ def _phi_factor_bases(m: HenonMap, dmin: int):
     d = m.d
     a, *coeffs = field([m.a, *m.coeffs])
 
-    one = LaurentSeries2.const(1, dmin)
+    one = Poly2({(0, 0): 1})
     # u_0 = sum a_k y^{k-d} - a x y^{-d}
-    u0 = LaurentSeries2(dmin, {**{(0, k - d): c for k, c in enumerate(coeffs)}, (1, -d): -a})
+    u0 = Poly2({**{(0, k - d): c for k, c in enumerate(coeffs)}, (1, -d): -a})
     bases = [(one + u0, d)]
     Yprev, Ycur = one, one + u0
     for j in range(1, 60):
-        uj = LaurentSeries2(dmin)
+        uj = Poly2()
         for k, c in enumerate(coeffs):
             e = d ** j * (k - d)
             if e >= dmin and not is_zero(c):
-                uj = uj + Ycur.binomial_pow(k - d).shifted(0, e).scaled(c)
+                uj = uj + c * _mul(dmin, _binomial_pow(Ycur, k - d, dmin), _mono(0, e))
         e2 = -(d ** (j - 1)) * (d * d - 1)
         if e2 >= dmin:
-            uj = uj + (Yprev * Ycur.binomial_pow(-d)).shifted(0, e2).scaled(-a)
-        if uj.is_zero():
+            uj = uj - a * _mul(dmin, Yprev, _binomial_pow(Ycur, -d, dmin), _mono(0, e2))
+        if not uj.terms:
             break
         bases.append((one + uj, d ** (j + 1)))
-        Yprev, Ycur = Ycur, functools.reduce(operator.mul, [Ycur] * d) * (one + uj)
+        Yprev, Ycur = Ycur, _mul(dmin, *[Ycur] * d, one + uj)
     return bases
 
 
 def _f_power(bases, k: int, dmin: int):
     """F^k where phi = y*F, as prod (1+u_j)^{k/d^{j+1}}."""
-    out = LaurentSeries2.const(1, dmin)
-    for base, denom in bases:
-        out = out * base.binomial_pow(Fraction(k, denom))
-    return out
+    return _mul(dmin, *(_binomial_pow(base, Fraction(k, denom), dmin) for base, denom in bases))
 
 
 def _solve_overdetermined(rows, nunk, exact):
@@ -138,20 +187,17 @@ def _oracle_q(m: HenonMap, truncation):
         a = complex(m.a)
         a_scaled = a * (1 + 1.0 / d)
         coeffs = [complex(c) for c in m.coeffs]
-    E0 = LaurentSeries2.mono(1, 0, d + 1, dmin)
-    for j, c in enumerate(coeffs):
-        if not is_zero(c):
-            E0 = E0 + LaurentSeries2.mono(c, 0, j + 1, dmin)
-    E0 = E0 + LaurentSeries2.mono(-a_scaled, 1, 1, dmin)
-    E0 = E0 - _f_power(bases, d + 1, dmin).shifted(0, d + 1)
-    G = {k: _f_power(bases, k, dmin).shifted(0, k) for k in range(1, d)}
+    E0 = Poly2({(0, d + 1): 1, **{(0, j + 1): c for j, c in enumerate(coeffs)},
+                (1, 1): -a_scaled})
+    E0 = E0 - _mul(dmin, _f_power(bases, d + 1, dmin), _mono(0, d + 1))
+    G = {k: _mul(dmin, _f_power(bases, k, dmin), _mono(0, k)) for k in range(1, d)}
     keys = set(E0.terms)
     for g in G.values():
         keys |= set(g.terms)
     keys = sorted(k for k in keys if k[1] * d + k[0] > 0)
     nunk = d - 1
-    rows = [[G[k + 1].coeff(i, mth) for k in range(nunk)] + [E0.coeff(i, mth)]
-            for (i, mth) in keys]
+    rows = [[G[k + 1].terms.get(key, 0) for k in range(nunk)] + [E0.terms.get(key, 0)]
+            for key in keys]
     sol = _solve_overdetermined(rows, nunk, exact)
     return LiftPolynomial(d, (QC(0) if exact else 0.0, *sol))
 
@@ -245,7 +291,7 @@ def test_exact_normalize_matches_fixed_expectation(raw, expected):
     flat = (m.a, *m.coeffs, conj.scale, conj.shift, inv.scale, inv.shift)
     assert all(isinstance(v, QC) for v in flat)
     pinv = poly_map_of(m, inverse=True).first
-    assert pinv.coeff(m.d, 0) == 1 / m.a and all(isinstance(v, QC) for v in pinv.terms.values())
+    assert pinv.terms[(m.d, 0)] == 1 / m.a and all(isinstance(v, QC) for v in pinv.terms.values())
 
 
 def test_normalize_with_irrational_root_is_complex_throughout():

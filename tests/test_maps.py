@@ -13,8 +13,7 @@ from henonlab import (DomainError, HenonMap, InvalidMapError, evaluate,
                       estimate_filtration_radius, normalize,
                       poly_map_of, compose_poly_maps)
 from henonlab._exact import QC
-from henonlab.maps import PolyMap2, doubling_radius, horner, in_v_plus
-from henonlab.series import LaurentSeries2
+from henonlab.maps import XY, Poly2, PolyMap2, doubling_radius, horner, in_v_plus
 
 
 QUAD = HenonMap(2, 3, (0,))          # p = y^2
@@ -106,11 +105,60 @@ def test_poly_map_composition_matches_two_steps():
 ], ids=["fraction", "qc"])
 def test_poly_map_composition_with_inverse_is_exactly_identity(m):
     h, h_inv = poly_map_of(m), poly_map_of(m, inverse=True)
-    ident = PolyMap2(LaurentSeries2.mono(1, 1, 0, None), LaurentSeries2.mono(1, 0, 1, None))
+    ident = PolyMap2(Poly2({(1, 0): 1}), Poly2({(0, 1): 1}))
     for comp in (compose_poly_maps(h, h_inv), compose_poly_maps(h_inv, h)):
         assert comp == ident
         assert not any(isinstance(v, (float, complex))
                        for v in (*comp.first.terms.values(), *comp.second.terms.values()))
+
+
+def test_float_poly_map_composition_with_inverse_is_near_identity():
+    m = HenonMap(3, 0.3 - 1.1j, (0.7, -0.4 + 2.1j))
+    h, h_inv = poly_map_of(m), poly_map_of(m, inverse=True)
+    for comp in (compose_poly_maps(h, h_inv), compose_poly_maps(h_inv, h)):
+        assert comp.approx_eq(PolyMap2(*XY), 1e-15)
+        assert not comp.approx_eq(PolyMap2(*XY[::-1]))
+
+
+def _qc(re, im=0):
+    return QC(Fraction(re), Fraction(im))
+
+
+# poly_map_of(m) and poly_map_of(m, inverse=True), frozen term by term
+# (key, value and type of each coefficient) from the construction that
+# substituted into a dedicated series type
+POLY_MAP_TERMS = [
+    (HenonMap(3, 9, (2, -1)),
+     ({(0, 1): 1}, {(0, 0): 2, (0, 1): -1, (0, 3): 1, (1, 0): -9}),
+     ({(0, 0): _qc(Fraction(2, 9)), (0, 1): _qc(Fraction(-1, 9)), (1, 0): _qc(Fraction(-1, 9)),
+       (3, 0): _qc(Fraction(1, 9))}, {(1, 0): 1})),
+    (HenonMap(3, Fraction(7, 3), (Fraction(1, 2), Fraction(-2, 5))),
+     ({(0, 1): 1},
+      {(0, 0): Fraction(1, 2), (0, 1): Fraction(-2, 5), (0, 3): 1, (1, 0): Fraction(-7, 3)}),
+     ({(0, 0): _qc(Fraction(3, 14)), (0, 1): _qc(Fraction(-3, 7)),
+       (1, 0): _qc(Fraction(-6, 35)), (3, 0): _qc(Fraction(3, 7))}, {(1, 0): 1})),
+    (HenonMap(2, QC(Fraction(3, 2), Fraction(1, 3)), (QC(1, -2),)),
+     ({(0, 1): 1}, {(0, 0): _qc(1, -2), (0, 2): 1, (1, 0): _qc(Fraction(-3, 2), Fraction(-1, 3))}),
+     ({(0, 0): _qc(Fraction(6, 17), Fraction(-24, 17)),
+       (0, 1): _qc(Fraction(-54, 85), Fraction(12, 85)),
+       (2, 0): _qc(Fraction(54, 85), Fraction(-12, 85))}, {(1, 0): 1})),
+    (HenonMap(3, 0.3 - 1.1j, (0.7, -0.4 + 2.1j)),
+     ({(0, 1): 1}, {(0, 0): 0.7, (0, 1): -0.4 + 2.1j, (0, 3): 1, (1, 0): -0.3 + 1.1j}),
+     ({(0, 0): 0.1615384615384615 + 0.5923076923076923j,
+       (0, 1): -0.23076923076923073 - 0.8461538461538461j,
+       (1, 0): -1.8692307692307693 + 0.14615384615384608j,
+       (3, 0): 0.23076923076923073 + 0.8461538461538461j}, {(1, 0): 1})),
+]
+
+
+@pytest.mark.parametrize("m,forward,backward", POLY_MAP_TERMS,
+                         ids=["int", "fraction", "qc", "float"])
+def test_poly_map_terms_are_frozen(m, forward, backward):
+    for h, want in ((poly_map_of(m), forward), (poly_map_of(m, inverse=True), backward)):
+        for got, terms in zip((h.first, h.second), want):
+            assert got.terms == terms
+            assert {k: type(v) for k, v in got.terms.items()} == \
+                {k: type(v) for k, v in terms.items()}
 
 
 def test_filtration_radius_values():

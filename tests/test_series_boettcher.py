@@ -15,28 +15,9 @@ from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
 from henonlab._exact import QC
 from henonlab.boettcher import _mp, _psi_partials, digits_needed, phi_mp
 from henonlab.maps import estimate_filtration_radius, horner, in_v_plus, overflow_limit
-from henonlab.series import LaurentSeries2
 
 QUAD = HenonMap(2, 3, (0,))
 CUBIC = HenonMap(3, 9, (0, 0))
-
-
-# -- truncated series kernel -------------------------------------------------
-
-def test_series_mul_truncates_at_dmin():
-    s = LaurentSeries2(-4, {(0, -1): 1.0})   # x^0 y^-1
-    t = LaurentSeries2(-4, {(1, -3): 2.0})   # 2 x y^-3
-    prod = s * t
-    assert prod.coeff(1, -4) == pytest.approx(2.0)
-
-
-def test_series_binomial_pow_matches_square():
-    u = LaurentSeries2(-6, {(0, -1): 0.5, (1, -2): -0.25})
-    base = LaurentSeries2.const(1, -6) + u
-    via_pow = base.binomial_pow(2)
-    direct = base * base
-    for key, val in direct.terms.items():
-        assert via_pow.coeff(*key) == pytest.approx(val)
 
 
 # -- Boettcher coordinate ----------------------------------------------------
