@@ -20,31 +20,33 @@ phi_product with its tail bound phi_tail_bound, which uses
 
 Q(zeta) = zeta^{d+1} + A_{d-1} zeta^{d-1} + ... + A_0 is the first-
 coordinate polynomial of the covering model ((a/d)z + Q(zeta), zeta^d).
-Two independent derivations are provided:
+With phi = y*F, convergence of the telescoping sum defining psi requires
+every monomial x^i y^m of orbit grade m*d + i > 0 in E = x1*y1 - (a/d)xy -
+Q(phi) = E0 - sum A_k G_k, G_k = y^k F^k, to vanish (on deep orbits x_N ~
+y_N^{1/d}).  Only the x^0 conditions can fail: a monomial x^i y^m of G_k
+has m <= k - d*i, so its grade is at most kd - i(d^2 - 1), positive only
+for i = 0 or for i = 1, k = d+1; the terms left over, x*y and x in G_{d+1}
+and y^d, y^{d+1}, cancel identically in E0.  At x = 0, with t = 1/y and
+s = sum_{i=2..d} a_{d-i} t^i, phi = y (1 + s)^{1/d} to t^d (the later
+factors start at t^{2d}), and the x^0 conditions, that y*p(y) - Q(phi)
+have no positive power of y, have the closed solution
 
-* formal-series: with phi = y*F, convergence of the telescoping sum
-  defining psi requires every monomial x^i y^m of orbit grade m*d + i > 0
-  in E = x1*y1 - (a/d)xy - Q(phi) = E0 - sum A_k G_k, G_k = y^k F^k, to
-  vanish (on deep orbits x_N ~ y_N^{1/d}).  G_k has coefficient 1 at y^k
-  and no monomial of grade above k, so the conditions at y^{d-1}, ..., y^1
-  are unit upper triangular in A_{d-1}, ..., A_1: back-substitution solves
-  them with no division, exactly in rational-complex arithmetic when the
-  map is rational.  They read x^0 coefficients only: at x = 0, with
-  t = 1/y and s = sum_{i=2..d} a_{d-i} t^i, phi = y (1 + s)^{1/d} to t^d
-  (the later factors start at t^{2d}), so [y^j] phi^k = [t^{k-j}]
-  (1 + s)^{k/d}, one univariate series per power.  No other condition can
-  fail: a monomial x^i y^m of G_k has m <= k - d*i, so its grade is at
-  most kd - i(d^2 - 1), positive only for i = 0 or for i = 1, k = d+1;
-  the terms left over, x*y and x in G_{d+1} and y^d, y^{d+1}, cancel
-  identically in E0.
-* bigfloat-fit: at x = 0, T = y*p(y) - phi^{d+1} - sum A_k phi^k has no
-  positive power of y; these are the same conditions with i = 0.  The
-  trapezoidal rule on N = 2d+10 points of |y| = rho = 1000 R gives the
-  Fourier coefficients at y^1 .. y^{d-1} of T and of phi^k with aliasing
-  error (R/rho)^N, and the same back-substitution solves them.  The y^1
-  coefficient carries rho^d times each sample's rounding, so the fit
-  needs ceil(d (3 + log10 R)) + 20 digits and raises PrecisionError
-  below that, before any sampling.
+    A_{d-k} = -[y^-1] phi^k / k,   k = 1, ..., d-1.
+
+Proof: y p(y) = y phi^d + O(y^{1-d}), since y^d (1 + s) = p(y); Lagrange-
+Buermann gives A_j = (1/j) [y^-1] phi^-j (y p)'; and (y phi^d)' phi^-j =
+phi^{d-j} + (d/(d-j)) y (phi^{d-j})', whose [y^-1] is -(j/(d-j)) [y^-1]
+phi^{d-j}, since [y^-1] y f' = -[y^-1] f.  Both strategies read Q from it:
+
+* formal-series: [y^-1] phi^k = [t^{k+1}] (1 + s)^{k/d} (k + 1 <= d, inside
+  the t^d truncation), one coefficient of a univariate series; exact in
+  rational-complex arithmetic when the map is rational.
+* bigfloat-fit: the trapezoidal rule on N = 2d+10 points of |y| = rho =
+  1000 R gives [y^-1] phi^k as the mean of y phi(0, y)^k, with aliasing
+  error (R/rho)^N.  The largest summand, y phi^{d-1}, has size rho^d and
+  carries that times each sample's rounding, so the fit needs
+  ceil(d (3 + log10 R)) + 20 digits and raises PrecisionError below that,
+  before any sampling.
 
 The constant A_0 is a gauge freedom of psi whenever a != d (shifting psi
 by a constant reshuffles A_0); both strategies pin A_0 = 0.
@@ -300,21 +302,12 @@ def cross_check_lift(m: HenonMap, tol: float = 1e-8, digits: int = 80) -> LiftPo
     return qf
 
 
-def _back_substitute(d: int, rhs, coeff) -> list:
-    """[0, A_1, ..., A_{d-1}] from the unit upper triangular conditions
-    sum_{k >= j} A_k coeff(k, j) = rhs(j) at y^j, j = d-1, ..., 1."""
-    A = [0] * d
-    for j in range(d - 1, 0, -1):
-        A[j] = rhs(j) - sum(A[k] * coeff(k, j) for k in range(j + 1, d))
-    return A
-
-
 # -- formal-series strategy -------------------------------------------------
 
-# cap on d^3 nnz(s): the formal Q takes about d^2 nnz(s) exact products, and
-# their operands grow with d.  On a 2-core Xeon (median of 3) p = y^200 +
-# 2y^198 + 1 (1.6e7) took 2.0 s, a dense d = 60 (1.3e7) 2.0 s, p = y^316 + 2y
-# (3.2e7) 2.3 s and a dense d = 100 (9.9e7) 9.4 s
+# cap on d^3 nnz(s): the formal Q takes at most about d^2 nnz(s) / 2 exact
+# products, and their operands grow with d.  On a 2-core Xeon (median of 3)
+# p = y^200 + 2y^198 + 1 (1.6e7) took 1.2 s, a dense d = 60 (1.3e7) 1.7 s,
+# p = y^316 + 2y (3.2e7) 0.6 s and a dense d = 100 (9.9e7) 8.4 s
 _FORMAL_EXACT_CAP = 2 * 10 ** 7
 
 
@@ -322,34 +315,32 @@ def _derive_formal(m: HenonMap) -> LiftPolynomial:
     d = m.d
     a, *coeffs = field([m.a, *m.coeffs])
     zero = zero_of(a)
-    # at x = 0, phi = y (1 + s)^{1/d} to t^d, t = 1/y, s = sum_{i=2..d} a_{d-i} t^i;
-    # the later factors of phi start at t^{2d}
+    # at x = 0, phi = y (1 + s)^{1/d} to t^d, t = 1/y, s = sum_{i=2..d} a_{d-i} t^i
     s = [(d - k, c) for k, c in enumerate(coeffs) if not is_zero(c)]
     if m.exact and d ** 3 * len(s) > _FORMAL_EXACT_CAP:
         raise ValueError(f"the exact formal Q of this map costs about d^3 * nnz = "
                          f"{d ** 3 * len(s)}, past the cap {_FORMAL_EXACT_CAP}")
 
-    def power(k: int) -> list:
-        """[t^0 .. t^min(k, d)] of (1 + s)^{k/d}, so g[k - j] = [y^j] phi^k, by
-        J.C.P. Miller's recurrence n g_n = sum_i ((k/d + 1) i - n) s_i g_{n-i}."""
-        r1 = Fraction(k, d) + 1
-        g = [1]
-        for n in range(1, min(k, d) + 1):
+    A = []  # A_1 .. A_{d-1}
+    for k in range(d - 1, 0, -1):
+        # A_{d-k} = -[y^-1] phi^k / k = -[t^{k+1}] (1 + s)^{k/d} / k, by J.C.P.
+        # Miller's recurrence n g_n = sum_i ((k/d + 1) i - n) s_i g_{n-i}
+        r1, g = Fraction(k, d) + 1, [1]
+        for n in range(1, k + 2):
             g.append(sum(((r1 * i - n) * c * g[n - i] for i, c in s if i <= n), zero) / n)
-        return g
-
-    # the conditions at y^{d-1} .. y^1 of y p(y) - phi^{d+1} - sum A_k phi^k
-    g = {k: power(k) for k in (*range(2, d), d + 1)}
-    A = _back_substitute(d, lambda j: coeffs[j - 1] - g[d + 1][d + 1 - j],
-                         lambda k, j: g[k][k - j])
-    return LiftPolynomial(d, (zero, *A[1:]))
+        A.append(zero - g[k + 1] / k)
+    # field makes a float map's empty sums complex
+    return LiftPolynomial(d, (zero, *field(A)))
 
 
 # -- bigfloat-fit strategy --------------------------------------------------
 
 def fit_digits_needed(d: int, R: float) -> int:
-    """Digits the fit needs on |y| = 1000 R: its y^1 coefficient carries
-    rho^d times each sample's rounding, and 20 digits are kept past that."""
+    """Digits the fit needs on |y| = rho = 1000 R.  It reads A_{d-k} =
+    -[y^-1] phi^k / k (proved in the module docstring) as the mean of
+    y phi(y)^k over the samples; the largest summand, y phi^{d-1}, has size
+    rho^d and carries that times each sample's rounding, and 20 digits are
+    kept past that."""
     return math.ceil(d * (3 + math.log10(R))) + 20
 
 
@@ -364,23 +355,15 @@ def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
     N = 2 * d + 10  # aliasing error (R/rho)^N
     with mp.workdps(digits):
         rho = 1000 * mp.mpf(R)
-        p_coeffs = (*_mp_all((m.a, *m.coeffs), mp.mp.prec)[1:], 0, 1)
-        T = [0] * d  # T[j]: coefficient of y^j in y*p(y) - phi^{d+1}
-        P = [[0] * d for _ in range(d)]  # P[k][j]: coefficient of y^j in phi^k
+        res = [0] * d  # res[k]: N [y^-1] phi^k by the trapezoidal rule
         for n in range(N):
             y = rho * mp.expjpi(mp.mpf(2 * n) / N)
-            pk = [1, phi_mp(m, (mp.mpf(0), y), digits)]
-            for _ in range(d):
-                pk.append(pk[-1] * pk[1])
-            t = y * horner(p_coeffs, y) - pk[d + 1]
-            wj = w = 1 / y
-            for j in range(1, d):
-                T[j] += t * wj
-                for k in range(j + 1, d):
-                    P[k][j] += pk[k] * wj
-                wj *= w
-        A = _back_substitute(d, lambda j: T[j] / N, lambda k, j: P[k][j] / N)
-    return LiftPolynomial(d, (0j, *(complex(c) for c in A[1:])))
+            f, t = phi_mp(m, (mp.mpf(0), y), digits), y
+            for k in range(1, d):
+                t *= f
+                res[k] += t
+        # A_{d-k} = -[y^-1] phi^k / k
+        return LiftPolynomial(d, (0j, *(complex(-res[k] / (N * k)) for k in range(d - 1, 0, -1))))
 
 
 # ---------------------------------------------------------------------------

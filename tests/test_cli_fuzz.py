@@ -31,10 +31,18 @@ point = st.builds(lambda x, y: f"{x},{y}", complex_text, complex_text)
 
 @st.composite
 def henon_map(draw):
-    d = draw(st.integers(2, 8))
+    """A dense map of degree 2..8, or now and then one of degree 40, 100 or
+    200 whose centered tail has at most two nonzero a_j (a dense float
+    d = 100 map takes over a second in derive-q)."""
+    a = [draw(finite), draw(finite)]
+    d = draw(st.sampled_from([*range(2, 9)] * 2 + [40, 100, 200]))
+    if d > 8:
+        p = [[0.0, 0.0]] * (d - 1)
+        for j in draw(st.lists(st.integers(0, d - 2), max_size=2)):
+            p[j] = [draw(finite), draw(finite)]
+        return json.dumps({"d": d, "p": p, "a": a})
     n = draw(st.sampled_from([d - 1, d + 1]))
     p = [[draw(finite), draw(finite)] for _ in range(n)]
-    a = [draw(finite), draw(finite)]
     return json.dumps({"d": d, "p": p, "a": a})
 
 

@@ -1,8 +1,9 @@
 """The one exactness rule of the lift layer: the field helper and support
-rule of henonlab._exact, the triangular formal solve for Q against the
-factor chain and pivoting solver it replaced (truncated Laurent series
-built on maps.Poly2), the Fourier fit against the formal Q, exact
-normalization, and the exact k' count."""
+rule of henonlab._exact, the formal Q (one residue per coefficient)
+against the factor chain and pivoting solver it replaced (truncated
+Laurent series built on maps.Poly2) and against closed forms, the Fourier
+fit against the formal Q and the closed forms, exact normalization, and
+the exact k' count."""
 
 import random
 from fractions import Fraction
@@ -222,7 +223,7 @@ def _seeded_maps(count: int, exact: bool, seed: int, top: int = 9, degrees: int 
     return out
 
 
-def test_triangular_solve_matches_pivoting_oracle():
+def test_formal_q_matches_pivoting_oracle():
     for m in _seeded_maps(30, True, 81) + _seeded_maps(30, False, 82):
         new = derive_lift_polynomial(m, "formal-series")
         for tr in (None, m.d, m.d + 8):
@@ -260,6 +261,44 @@ def test_fit_at_needed_digits_matches_formal_and_checks_before_sampling(monkeypa
         with pytest.raises(PrecisionError, match="--digits"):
             derive_lift_polynomial(m, "bigfloat-fit", digits=need - 1)
         assert not calls
+
+
+# -- closed forms ------------------------------------------------------------
+
+def _gen_binomial(r: Fraction, n: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(n):
+        out *= (r - i) / (i + 1)
+    return out
+
+
+def _closed_form_cases():
+    """(map, A) for p = y^d + c, where Q = zeta^{d+1} - (c/d) zeta, and for
+    p = y^d + b y^{d-2}, where A_{d-k} = -C(k/d, (k+1)/2) b^{(k+1)/2} / k for
+    odd k and 0 for even k; d = 2..12, c and b int, Fraction and QC."""
+    for d in range(2, 13):
+        for c in (3, Fraction(-5, 7), QC(Fraction(1, 2), -2)):
+            yield (HenonMap(d, 3, (c, *[0] * (d - 2))),
+                   (0, -as_exact(c) / d, *[0] * (d - 2)))
+            A = [0] * d
+            for k in range(1, d, 2):
+                n = (k + 1) // 2
+                A[d - k] = -_gen_binomial(Fraction(k, d), n) * as_exact(c) ** n / k
+            yield HenonMap(d, 3, (*[0] * (d - 2), c)), tuple(A)
+
+
+def test_formal_q_matches_closed_forms():
+    for m, A in _closed_form_cases():
+        q = derive_lift_polynomial(m, "formal-series")
+        assert q.A == A and all(type(c) is QC for c in q.A), (m, q.A, A)
+
+
+def test_fit_q_matches_closed_forms():
+    for m, A in _closed_form_cases():
+        need = boettcher.fit_digits_needed(m.d, estimate_filtration_radius(m).R)
+        fit = derive_lift_polynomial(m, "bigfloat-fit", digits=need)
+        for x, y in zip(fit.A, A):
+            assert abs(x - complex(y)) <= 1e-12 * max(1.0, abs(complex(y))), (m, x, y)
 
 
 # -- normalization -----------------------------------------------------------
