@@ -44,9 +44,8 @@ phi^{d-j}, since [y^-1] y f' = -[y^-1] f.  Both strategies read Q from it:
 * bigfloat-fit: the trapezoidal rule on N = 2d+10 points of |y| = rho =
   1000 R gives [y^-1] phi^k as the mean of y phi(0, y)^k, with aliasing
   error (R/rho)^N.  The largest summand, y phi^{d-1}, has size rho^d and
-  carries that times each sample's rounding, so the fit needs
-  ceil(d (3 + log10 R)) + 20 digits and raises PrecisionError below that,
-  before any sampling.
+  carries that times each sample's rounding, so the fit runs at
+  ceil(d (3 + log10 R)) + 20 digits.
 
 The constant A_0 is a gauge freedom of psi whenever a != d (shifting psi
 by a constant reshuffles A_0); both strategies pin A_0 = 0.
@@ -281,19 +280,18 @@ class LiftPolynomial:
         return [j for j in support(self.A, _A_ZERO) if j >= 1]
 
 
-def derive_lift_polynomial(m: HenonMap, strategy: str = "formal-series",
-                           digits: int = 80) -> LiftPolynomial:
+def derive_lift_polynomial(m: HenonMap, strategy: str = "formal-series") -> LiftPolynomial:
     if strategy == "formal-series":
         return _derive_formal(m)
     if strategy == "bigfloat-fit":
-        return _derive_fit(m, digits)
+        return _derive_fit(m)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def cross_check_lift(m: HenonMap, tol: float = 1e-8, digits: int = 80) -> LiftPolynomial:
+def cross_check_lift(m: HenonMap, tol: float = 1e-8) -> LiftPolynomial:
     """Run both strategies; raise InconsistencyError on disagreement."""
     qf = _derive_formal(m)
-    qn = _derive_fit(m, digits)
+    qn = _derive_fit(m)
     for j in range(m.d):
         diff = abs(complex(qf.A[j]) - complex(qn.A[j]))
         if diff > tol:
@@ -304,11 +302,12 @@ def cross_check_lift(m: HenonMap, tol: float = 1e-8, digits: int = 80) -> LiftPo
 
 # -- formal-series strategy -------------------------------------------------
 
-# cap on d^3 nnz(s): the formal Q takes at most about d^2 nnz(s) / 2 exact
-# products, and their operands grow with d.  On a 2-core Xeon (median of 3)
-# p = y^200 + 2y^198 + 1 (1.6e7) took 1.2 s, a dense d = 60 (1.3e7) 1.7 s,
-# p = y^316 + 2y (3.2e7) 0.6 s and a dense d = 100 (9.9e7) 8.4 s
-_FORMAL_EXACT_CAP = 2 * 10 ** 7
+# cap on d times the exact products of Miller's recurrence, as its operands
+# grow with d.  On a 2-core Xeon (median of 3)
+# p = y^200 + 2y^198 + 1 (4.0e6) took 0.9 s, a dense d = 60 (2.2e6) 1.6 s, a
+# dense d = 74 (5.0e6) 2.4 s, p = y^316 + 2y (948) 0.02 s and a dense d = 100
+# (1.7e7) 5.3 s
+_FORMAL_EXACT_CAP = 5 * 10 ** 6
 
 
 def _derive_formal(m: HenonMap) -> LiftPolynomial:
@@ -317,16 +316,19 @@ def _derive_formal(m: HenonMap) -> LiftPolynomial:
     zero = zero_of(a)
     # at x = 0, phi = y (1 + s)^{1/d} to t^d, t = 1/y, s = sum_{i=2..d} a_{d-i} t^i
     s = [(d - k, c) for k, c in enumerate(coeffs) if not is_zero(c)]
-    if m.exact and d ** 3 * len(s) > _FORMAL_EXACT_CAP:
-        raise ValueError(f"the exact formal Q of this map costs about d^3 * nnz = "
-                         f"{d ** 3 * len(s)}, past the cap {_FORMAL_EXACT_CAP}")
+    # s_i makes one product at each order n = i..k+1: (d+1-i)(d+2-i)/2 over all k
+    cost = d * sum((d + 1 - i) * (d + 2 - i) // 2 for i, _ in s)
+    if m.exact and cost > _FORMAL_EXACT_CAP:
+        raise ValueError(f"the exact formal Q of this map costs about d * products = "
+                         f"{cost}, past the cap {_FORMAL_EXACT_CAP}")
 
+    lo = min((i for i, _ in s), default=d + 1)  # g_n = 0 for 0 < n < lo
     A = []  # A_1 .. A_{d-1}
     for k in range(d - 1, 0, -1):
         # A_{d-k} = -[y^-1] phi^k / k = -[t^{k+1}] (1 + s)^{k/d} / k, by J.C.P.
         # Miller's recurrence n g_n = sum_i ((k/d + 1) i - n) s_i g_{n-i}
-        r1, g = Fraction(k, d) + 1, [1]
-        for n in range(1, k + 2):
+        r1, g = Fraction(k, d) + 1, [1] + [zero] * (lo - 1)
+        for n in range(lo, k + 2):
             g.append(sum(((r1 * i - n) * c * g[n - i] for i, c in s if i <= n), zero) / n)
         A.append(zero - g[k + 1] / k)
     # field makes a float map's empty sums complex
@@ -344,14 +346,11 @@ def fit_digits_needed(d: int, R: float) -> int:
     return math.ceil(d * (3 + math.log10(R))) + 20
 
 
-def _derive_fit(m: HenonMap, digits: int) -> LiftPolynomial:
+def _derive_fit(m: HenonMap) -> LiftPolynomial:
     import mpmath as mp
     d = m.d
     R = estimate_filtration_radius(m).R
-    need = fit_digits_needed(d, R)
-    if digits < need:
-        raise PrecisionError(f"the fit for this map needs {need} digits, got {digits}; "
-                             "raise --digits")
+    digits = fit_digits_needed(d, R)
     N = 2 * d + 10  # aliasing error (R/rho)^N
     with mp.workdps(digits):
         rho = 1000 * mp.mpf(R)

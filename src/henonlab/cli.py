@@ -177,7 +177,7 @@ _STRATEGIES = {"formal": "formal-series", "fit": "bigfloat-fit"}
 def cmd_derive_q(args) -> int:
     from .boettcher import derive_lift_polynomial
     m = parse_map(args.map)
-    q = derive_lift_polynomial(m, _STRATEGIES[args.strategy], digits=args.digits)
+    q = derive_lift_polynomial(m, _STRATEGIES[args.strategy])
     _emit({"d": q.d, "A": [_c(c) for c in q.A_complex],
            "strategy": _STRATEGIES[args.strategy]})
     return 0
@@ -340,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive-q", help="derive the lift polynomial Q")
     _add_map(p)
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="formal")
-    p.add_argument("--digits", type=int, default=80,
-                   help="working precision for the fit strategy")
     p.set_defaults(fn=cmd_derive_q)
 
     p = sub.add_parser("symmetries", help="linear symmetries and classification")

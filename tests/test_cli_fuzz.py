@@ -62,8 +62,7 @@ def argv(draw, slice_dir):
     if cmd == "derive-q":
         return ["derive-q", "--map", m]
     if cmd == "derive-q-fit":
-        return ["derive-q", "--map", m, "--strategy", "fit",
-                f"--digits={draw(st.sampled_from([-5, 0, 20, 80, 120]))}"]
+        return ["derive-q", "--map", m, "--strategy", "fit"]
     if cmd == "symmetries":
         return ["symmetries", "--map", m]
     if cmd in ("push", "iterate"):

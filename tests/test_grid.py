@@ -322,7 +322,7 @@ def test_fanned_out_export_matches_per_cell_oracle(three_cores):
     assert export_bytes(g, "csv") == _oracle_csv(g)
     assert len(three_cores) == 2  # the parent formats the first of 3 pieces
     assert export_bytes(g, "json") == _oracle_json(g)
-    assert len(three_cores) == 2 + 3 * 2  # one fan-out per large JSON list
+    assert len(three_cores) == 2 + 2  # one fan-out for all three JSON lists
 
 
 def test_fanned_out_json_raises_on_inf_in_the_last_piece(three_cores):
@@ -330,6 +330,40 @@ def test_fanned_out_json_raises_on_inf_in_the_last_piece(three_cores):
     g.green[-1, -1] = math.inf  # formatted by the last child, which fails
     with pytest.raises(ValueError):
         export_bytes(g, "json")
+    assert len(three_cores) == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pgm", "json"])
+def test_export_that_raises_part_way_leaves_out_unchanged(tmp_path, three_cores, fmt):
+    """The last row fails after the head and the first pieces are formatted."""
+    g = tiled_grid()
+    g.status[-1, -1] = 9  # no status name: csv and json raise KeyError
+    if fmt == "pgm":  # pgm reads no status, and a G+ of None does not scale
+        g.green = g.green.astype(object)
+        g.green[-1, -1] = None
+    out = tmp_path / f"g.{fmt}"
+    out.write_bytes(b"the previous export\r\n")
+    with pytest.raises((KeyError, TypeError)):
+        export_grid(g, fmt, out)
+    assert out.read_bytes() == b"the previous export\r\n"
+
+
+def test_span_of_a_child_that_fails_part_way_is_redone(three_cores, monkeypatch):
+    parent, csv_layout = os.getpid(), grid_module._LAYOUTS["csv"]
+
+    def child_fails_after_two_rows(grid):
+        cells, (head, rows, tail) = csv_layout(grid)
+
+        def flaky(lo, hi):
+            for r, row in enumerate(rows(lo, hi)):
+                if r == 2 and os.getpid() != parent:
+                    raise OSError("no space left on device")
+                yield row
+        return cells, [head, flaky, tail]
+
+    monkeypatch.setitem(grid_module._LAYOUTS, "csv", child_fails_after_two_rows)
+    g = tiled_grid()
+    assert export_bytes(g, "csv") == _oracle_csv(g)
     assert len(three_cores) == 2
 
 

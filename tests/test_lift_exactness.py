@@ -16,7 +16,7 @@ from henonlab import boettcher
 from henonlab._exact import QC, as_exact, field, is_zero, support, zero_of
 from henonlab.boettcher import LiftPolynomial
 from henonlab.covering import compute_L_prime
-from henonlab.errors import InconsistencyError, PrecisionError
+from henonlab.errors import InconsistencyError
 from henonlab.maps import Poly2
 
 
@@ -239,28 +239,26 @@ def test_formal_q_matches_pivoting_oracle():
 
 # -- the Fourier fit ---------------------------------------------------------
 
-def test_fit_at_needed_digits_matches_formal_and_checks_before_sampling(monkeypatch):
+def test_fit_runs_at_needed_digits_and_matches_formal(monkeypatch):
     maps = _seeded_maps(24, True, 91, 10 ** 4, 7) + _seeded_maps(24, False, 92, 10 ** 4, 7)
     maps.append(HenonMap(40, 3, (1, *[0] * 37, 2)))  # p = y^40 + 2 y^38 + 1
     true_phi_mp = boettcher.phi_mp
-    calls = []
+    dps = []
 
-    def counted_phi_mp(*args):
-        calls.append(1)
-        return true_phi_mp(*args)
+    def counted_phi_mp(m, z, digits, *args):
+        dps.append(digits)
+        return true_phi_mp(m, z, digits, *args)
 
     monkeypatch.setattr(boettcher, "phi_mp", counted_phi_mp)
     for m in maps:
         need = boettcher.fit_digits_needed(m.d, estimate_filtration_radius(m).R)
         formal = derive_lift_polynomial(m, "formal-series")
-        fit = derive_lift_polynomial(m, "bigfloat-fit", digits=need)
+        dps.clear()
+        fit = derive_lift_polynomial(m, "bigfloat-fit")
+        assert dps == [need] * (2 * m.d + 10), (m, need, dps)
         assert fit.A[0] == 0j and all(type(c) is complex for c in fit.A)
         for x, y in zip(formal.A_complex, fit.A):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (m, x, y)
-        calls.clear()
-        with pytest.raises(PrecisionError, match="--digits"):
-            derive_lift_polynomial(m, "bigfloat-fit", digits=need - 1)
-        assert not calls
 
 
 # -- closed forms ------------------------------------------------------------
@@ -295,8 +293,7 @@ def test_formal_q_matches_closed_forms():
 
 def test_fit_q_matches_closed_forms():
     for m, A in _closed_form_cases():
-        need = boettcher.fit_digits_needed(m.d, estimate_filtration_radius(m).R)
-        fit = derive_lift_polynomial(m, "bigfloat-fit", digits=need)
+        fit = derive_lift_polynomial(m, "bigfloat-fit")
         for x, y in zip(fit.A, A):
             assert abs(x - complex(y)) <= 1e-12 * max(1.0, abs(complex(y))), (m, x, y)
 

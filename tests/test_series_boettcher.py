@@ -13,7 +13,7 @@ from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
                       derive_lift_polynomial, evaluate, phi, psi,
                       semiconjugacy_residual)
 from henonlab._exact import QC
-from henonlab.boettcher import _mp, _psi_partials, digits_needed, phi_mp
+from henonlab.boettcher import _mp, _psi_partials, digits_needed, fit_digits_needed, phi_mp
 from henonlab.maps import estimate_filtration_radius, horner, in_v_plus, overflow_limit
 
 QUAD = HenonMap(2, 3, (0,))
@@ -277,8 +277,8 @@ def test_real_map_matches_its_complex_twin(m):
             scale = abs((mp.mpf(m.d) / abs(twin.a)) ** depth * orbit[depth][0] * orbit[depth][1])
             got = _psi_partials(m, z, q, depth, dps)[0]
             assert abs(got - _psi_partials(twin, z, q_twin, depth, dps)[0]) <= tol * scale
-    digits = 80
-    fit, fit_twin = (derive_lift_polynomial(w, "bigfloat-fit", digits) for w in (m, twin))
+    digits = fit_digits_needed(m.d, R)  # the fit's own precision
+    fit, fit_twin = (derive_lift_polynomial(w, "bigfloat-fit") for w in (m, twin))
     for c, c_twin in zip(fit.A, fit_twin.A):
         assert abs(c - c_twin) <= max(10.0 ** (10 - digits), 2.0 ** -52) * max(1.0, abs(c_twin))
 
