@@ -308,6 +308,9 @@ def cross_check_lift(m: HenonMap, tol: float = 1e-8) -> LiftPolynomial:
 # dense d = 74 (5.0e6) 2.4 s, p = y^316 + 2y (948) 0.02 s and a dense d = 100
 # (1.7e7) 5.3 s
 _FORMAL_EXACT_CAP = 5 * 10 ** 6
+# the fit's cap on digits^2 * samples * d: d = 100 with a = 1e100 (3.7e9) took
+# 0.9 s, y^200 with a = 3 (3.2e10) 5.4 s and with a = 1e300 (7.0e10) 8.4 s
+_FIT_CAP = 5 * 10 ** 9
 
 
 def _derive_formal(m: HenonMap) -> LiftPolynomial:
@@ -352,6 +355,9 @@ def _derive_fit(m: HenonMap) -> LiftPolynomial:
     R = estimate_filtration_radius(m).R
     digits = fit_digits_needed(d, R)
     N = 2 * d + 10  # aliasing error (R/rho)^N
+    if digits ** 2 * N * d > _FIT_CAP:
+        raise ValueError(f"the fit Q of this map costs about digits^2 * samples * d = "
+                         f"{digits ** 2 * N * d}, past the cap {_FIT_CAP}")
     with mp.workdps(digits):
         rho = 1000 * mp.mpf(R)
         res = [0] * d  # res[k]: N [y^-1] phi^k by the trapezoidal rule

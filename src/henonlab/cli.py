@@ -20,9 +20,11 @@ import cmath
 import contextlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
+from ._exact import QC
 from .errors import HenonLabError, PrecisionError
 from .maps import HenonMap, normalize
 from .potential import classify_point, green_minus, green_plus
@@ -36,39 +38,44 @@ class UsageError(Exception):
     """Bad argument or input syntax; mapped to exit code 2."""
 
 
-def _finite(z, v):
-    if isinstance(z, int) or cmath.isfinite(z):
-        return z
-    raise UsageError(f"not a finite number: {v!r}")
+# 're+imi' -> (re, im): im starts at the last sign that does not follow an e
+_PARTS = re.compile(r"(.*?)([+-]?(?:[^+-]|(?<=[eE])[+-])*)[iIjJ]")
+
+
+def _real(t):
+    """int or Fraction for an integer or 'p/q', float for any other real
+    literal; a JSON number is read by its text, as a string is."""
+    if isinstance(t, bool) or not isinstance(t, (int, float, str)):
+        raise TypeError
+    p, slash, q = str(t).partition("/")
+    try:
+        t = Fraction(int(p), int(q) if slash else 1)
+    except ValueError:
+        return float(t)
+    return t.numerator if t.denominator == 1 else t
 
 
 def parse_scalar(v):
-    """Number, [re, im] pair, or 're+imi' string -> int/float/complex.
-
-    inf and nan, in any spelling or from overflow such as 1e400, are rejected.
-    """
-    if isinstance(v, bool):
-        raise UsageError(f"not a number: {v!r}")
-    if isinstance(v, (int, float)):
-        return _finite(v, v)
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2 or not all(isinstance(t, (int, float)) for t in v):
-            raise UsageError(f"complex pair must be [re, im]: {v!r}")
-        return _finite(v[0] if v[1] == 0 else complex(v[0], v[1]), v)
+    """Number, [re, im] pair, or 're+imi' string.  An integer or 'p/q' is exact
+    (int or Fraction), and so is a pair or string of two such parts (QC); a part
+    with a decimal point or an exponent makes a float or complex.  A zero
+    imaginary part gives the real part alone.  inf, nan, 1e400 and q = 0 are refused."""
+    parts = v if isinstance(v, (list, tuple)) else [v, 0]
     if isinstance(v, str):
         s = v.strip().replace(" ", "")
-        try:
-            if s.endswith(("i", "I", "j", "J")):
-                z = complex(s[:-1] + "j")
-            else:
-                z = complex(s)
-        except ValueError:
-            raise UsageError(f"cannot parse complex number {v!r}") from None
-        _finite(z, v)
-        if z.imag == 0:
-            return int(z.real) if z.real == int(z.real) else z.real
-        return z
-    raise UsageError(f"cannot parse number {v!r}")
+        s = s[1:-1] if s[:1] + s[-1:] == "()" else s
+        m = _PARTS.fullmatch(s)
+        parts = [s, 0] if m is None else [m[1] or 0, m[2] + "1" if m[2] in "+-" else m[2]]
+    try:
+        x, y = map(_real, parts)
+        if not (isinstance(x, float) or isinstance(y, float)):
+            return x if y == 0 else QC(x, y)
+        z = complex(x, y)
+        if cmath.isfinite(z):
+            return z.real if z.imag == 0 else z
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise UsageError(f"cannot parse a finite number from {v!r}")
 
 
 def parse_map(spec: str) -> HenonMap:
@@ -114,7 +121,10 @@ def parse_point(s: str) -> tuple:
     parts = s.split(",")
     if len(parts) != 2:
         raise UsageError(f"point must be 'x,y', got {s!r}")
-    return (complex(parse_scalar(parts[0])), complex(parse_scalar(parts[1])))
+    try:
+        return tuple(complex(parse_scalar(t)) for t in parts)
+    except OverflowError:  # an exact coordinate past the float range
+        raise UsageError(f"point is past the float range: {s!r}") from None
 
 
 def _c(z) -> list:
@@ -201,22 +211,14 @@ def _fiber_doc(f) -> dict:
             "beta": _c(f.beta), "gamma": _c(f.gamma)}
 
 
-def _parse_gamma(s: str):
-    if "/" in s and "i" not in s and "j" not in s:
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse gamma {s!r}") from None
-    return complex(parse_scalar(s))
-
-
 def cmd_lift_iterate(args) -> int:
     from .boettcher import derive_lift_polynomial
     from .covering import FiberAffineMap, RootOfUnity, push_iterated
     m = parse_map(args.map)
     q = derive_lift_polynomial(m, "formal-series")
+    gamma = parse_scalar(args.gamma)  # a float one as complex: push keeps its signed zeros
     f = FiberAffineMap(m.d, RootOfUnity.for_degree(m.d, args.e),
-                       _parse_gamma(args.gamma))
+                       complex(gamma) if isinstance(gamma, float) else gamma)
     _emit(_fiber_doc(push_iterated(f, args.direction, args.n, q, m.a)))
     return 0
 
@@ -235,27 +237,22 @@ def cmd_lift_deck(args) -> int:
 
 def cmd_units(args) -> int:
     from .dyadic import ring_from_fraction, subgroup_membership, unit_decompose
-    num, slash, den = args.elem.strip().partition("/")
-    try:
-        value = Fraction(int(num), int(den) if slash else 1)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--elem must be an integer or 'p/q', got {args.elem!r}") from None
+    value = parse_scalar(args.elem)
+    if not isinstance(value, (int, Fraction)):
+        raise UsageError(f"--elem must be an integer or 'p/q', got {args.elem!r}")
     x = ring_from_fraction(args.d, value)
     if x is None:
         raise UsageError(f"{args.elem} is not in Z[1/{args.d}]")
     u = unit_decompose(x)
-    if u is None:
-        _emit({"unit": False})
-        return 0
-    t = subgroup_membership(u)
-    _emit({"unit": True, "sign": u.sign, "exponents": list(u.exponents),
-           "subgroupT": t})
+    _emit({"unit": False} if u is None else {"unit": True, "sign": u.sign,
+          "exponents": list(u.exponents), "subgroupT": subgroup_membership(u)})
     return 0
 
 
 def cmd_slice(args) -> int:
     from .grid import SliceSpec, export_grid, sample_slice
-    _finite(args.c, args.c)
+    if not cmath.isfinite(args.c):
+        raise UsageError(f"not a finite number: {args.c!r}")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._exact import QC
+from ._exact import QC, as_exact
 from .boettcher import LiftPolynomial
 from .dyadic import RingElem
 from .errors import DomainError
@@ -123,13 +123,6 @@ def c_alpha(alpha: RootOfUnity, q: LiftPolynomial):
     return (root_value(be, alpha.modulus) - 1) * q.A[0]
 
 
-def _ratio(num, den):
-    """num/den staying exact for integer inputs."""
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return num / den
-
-
 def push(f: FiberAffineMap, direction: str, q: LiftPolynomial, a) -> FiberAffineMap:
     """Transport f through the covering model one level.
 
@@ -139,9 +132,9 @@ def push(f: FiberAffineMap, direction: str, q: LiftPolynomial, a) -> FiberAffine
     d = f.d
     c = c_alpha(f.alpha, q)
     if direction == "plus":
-        gamma = _ratio(a, d) * f.gamma - c
+        gamma = a / Fraction(d) * f.gamma - c
     elif direction == "minus":
-        gamma = _ratio(d, a) * f.gamma + c
+        gamma = Fraction(d) / a * f.gamma + c
     else:
         raise ValueError("direction must be 'plus' or 'minus'")
     return FiberAffineMap(d, f.alpha ** d, gamma)
@@ -159,7 +152,11 @@ def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
         raise ValueError("n must be >= 0")
     d = f.d
     c = c_alpha(f.alpha, q)
-    r = _ratio(d, a) if direction == "minus" else _ratio(a, d)
+    r = Fraction(d) / a if direction == "minus" else a / Fraction(d)  # exact for exact a
+    exact = as_exact(r)  # r^n in doubles past 10^6 bits: (1/3)^(10^8) exactly took 122 s
+    if exact is not None and n * max(math.log2(max(abs(t.numerator), t.denominator))
+                                     for t in (exact.re, exact.im)) > 10 ** 6:
+        r = complex(r) if isinstance(r, QC) else float(r)
     rn = r ** n
     geo = n if r == 1 or n == 1 else (rn - 1) / (r - 1)  # z/z need not be 1 for complex z
     step = rn * f.gamma

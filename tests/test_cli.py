@@ -7,12 +7,16 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from henonlab._exact import QC
+from henonlab.boettcher import derive_lift_polynomial, psi
 from henonlab.cli import main, parse_map, parse_point, parse_scalar, UsageError
 from henonlab.covering import RootOfUnity
+from henonlab.maps import HenonMap, estimate_filtration_radius
 
 M2 = '{"d":2,"p":[0],"a":3}'
 M3 = '{"d":3,"p":[0,0],"a":9}'
@@ -34,6 +38,60 @@ def test_parse_scalar_forms():
     assert parse_scalar("-3") == -3
     with pytest.raises(UsageError):
         parse_scalar("spam")
+
+
+@pytest.mark.parametrize("v,want", [
+    ("1/3", Fraction(1, 3)), ("4/2", 2), ("4/-6", Fraction(-2, 3)), ("1_000", 1000),
+    ("12345678901234567890123", 12345678901234567890123),
+    ("1/2-1i", QC(Fraction(1, 2), -1)), ("1+1/4i", QC(1, Fraction(1, 4))), ("-i", QC(0, -1)),
+    (["1/2", -1], QC(Fraction(1, 2), -1)), ([1, 2], QC(1, 2)), ([1, 0], 1), ("3+0i", 3),
+    ("3.0", 3.0), ("1e20", 1e20), ("-0.0", -0.0), ([1, 0.0], 1.0), ("3+0.0i", 3.0),
+    ("1/2+0.5i", 0.5 + 0.5j), ([1.5, "1/2"], 1.5 + 0.5j), ("1e-3-2e-3i", 0.001 - 0.002j),
+], ids=repr)
+def test_parse_scalar_is_exact_exactly_when_every_part_is(v, want):
+    # an integer or p/q is exact; a part with a point or an exponent is a float
+    got = parse_scalar(v)
+    assert type(got) is type(want) and got == want
+    assert math.copysign(1, complex(got).real) == math.copysign(1, complex(want).real)
+
+
+@pytest.mark.parametrize("v", ["inf", "1e400", "-nani", "1/0", "3/", "/3", "1/2/3", "1+-2i",
+                               "1.5/2", "", True, None, [1], [1, 2, 3], ["1+2i", 0],
+                               [1e308 * 10, 0]])
+def test_parse_scalar_rejects(v):
+    with pytest.raises(UsageError):
+        parse_scalar(v)
+
+
+def test_big_integer_string_survives_exactly_in_parse_map():
+    m = parse_map('{"d":2,"p":["12345678901234567890123"],"a":3}')
+    assert m.exact and m.coeffs == (12345678901234567890123,)
+
+
+@pytest.mark.parametrize("spec,a1", [
+    ('{"d":2,"p":[[0,1]],"a":3}', QC(0, Fraction(-1, 2))),
+    ('{"d":2,"p":["i",0,1],"a":3}', QC(0, Fraction(-1, 2))),
+    ('{"d":2,"p":["1/3"],"a":3}', QC(Fraction(-1, 6))),
+], ids=["y2+i", "y2+i-full", "y2+1/3"])
+def test_formal_q_of_exact_cli_maps_is_exact(capsys, spec, a1):
+    # A_1 = -a_0/2 for p = y^2 + a_0, checked as in test_formal_q_matches_closed_forms
+    q = derive_lift_polynomial(parse_map(spec), "formal-series")
+    assert q.A == (QC(0), a1) and all(type(c) is QC for c in q.A)
+    code, out, _ = run(capsys, "derive-q", "--map", spec)
+    assert code == 0 and json.loads(out)["A"] == [[0.0, 0.0], [float(a1.re), float(a1.im)]]
+
+
+def test_exact_gaussian_map_from_the_cli_has_a_convergent_psi():
+    # the exact twin in the PsiValue docstring, whose float twin diverges
+    m = parse_map('{"d":3,"p":["1/2-1i","1+1/4i"],"a":[5,4]}')
+    assert m == HenonMap(3, QC(5, 4), (QC(Fraction(1, 2), -1), QC(1, Fraction(1, 4))))
+    assert m.exact
+    q = derive_lift_polynomial(m, "formal-series")
+    filt = estimate_filtration_radius(m)
+    z = (0.4 - 0.3j, -6.28527633853461 - 7.277226710203599j)
+    values = [psi(m, z, q, depth, filtration=filt).value for depth in (3, 4, 5, 6)]
+    for v in values:
+        assert abs(v - (-4.711316480660754 - 0.9870393388138703j)) <= 1e-10
 
 
 def test_parse_map_inline_full_polynomial_normalizes():
@@ -59,8 +117,11 @@ def test_parse_map_bad_length():
 
 def test_parse_point():
     assert parse_point("1+2i,-3") == (1 + 2j, -3 + 0j)
+    assert parse_point("1/2,1/4-1/2i") == (0.5 + 0j, 0.25 - 0.5j)
     with pytest.raises(UsageError):
         parse_point("1;2")
+    with pytest.raises(UsageError):  # exact, but past the float range
+        parse_point(f"{10 ** 400},0")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -235,6 +296,17 @@ def test_formal_q_of_a_dense_degree_100_map_is_exit_2(capsys, cmd):
     assert "d * products = 16665000, past the cap 5000000" in json.loads(err)["message"]
 
 
+def test_fit_past_its_cost_cap_is_exit_2(capsys):
+    # 922 digits on 410 samples: digits^2 * samples * d = 7.0e10, which took 8.4 s uncapped
+    m = json.dumps({"d": 200, "p": [0] * 199, "a": 1e300})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "derive-q", "--map", m, "--strategy", "fit")
+    assert time.perf_counter() - t0 < 1
+    _one_line_error(code, out, err, 2, "usage")
+    assert "digits^2 * samples * d = 69706888000, past the cap 5000000000" \
+        in json.loads(err)["message"]
+
+
 def test_formal_q_of_y316_plus_2y_answers(capsys):
     # one nonzero a_j, of order 315 in 1/y: the recurrence makes 3 products
     m = json.dumps({"d": 316, "p": [0, 2] + [0] * 313, "a": 3})
@@ -273,6 +345,36 @@ def test_lift_push(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["e"] == 3 and doc["gamma"] == [7.0, 0.0]
+
+
+R35 = Fraction(3, 2) ** 35  # r = a/d for M2; its float times 3 rounds twice
+
+
+@pytest.mark.parametrize("gamma,want", [
+    ("3", [float(3 * R35), 0.0]), ("3/1", [float(3 * R35), 0.0]),
+    ("1+2i", [float(R35), float(2 * R35)]), ("[1, 2]", None),
+])
+def test_lift_gamma_reads_the_one_scalar_grammar(capsys, gamma, want):
+    # an integer gamma is exact like a fraction one: gamma_35 = (3/2)^35 gamma, rounded once
+    code, out, err = run(capsys, "lift", "iterate", "--map", M2, "--e", "1",
+                         f"--gamma={gamma}", "--direction", "plus", "--n", "35")
+    if want is None:
+        _one_line_error(code, out, err, 2, "usage")
+    else:
+        assert code == 0 and json.loads(out)["gamma"] == want
+
+
+@pytest.mark.parametrize("direction,code", [("plus", 3), ("minus", 0)])
+def test_lift_iterate_of_a_huge_n_answers_at_once(capsys, direction, code):
+    # r^n past 10^6 bits is taken in doubles: r = 3 overflows, r = 1/3 underflows
+    t0 = time.perf_counter()
+    got, out, err = run(capsys, "lift", "iterate", "--map", M3, "--e", "2", "--gamma", "7/3",
+                        "--direction", direction, "--n", "100000000")
+    assert time.perf_counter() - t0 < 2
+    if code:
+        _one_line_error(got, out, err, 3, "overflow")
+    else:
+        assert got == 0 and json.loads(out)["gamma"] == [0.0, 0.0]
 
 
 def test_lift_iterate_plus(capsys):
@@ -584,6 +686,22 @@ def _one_line_error(code, out, err, expected_code, kind):
 @pytest.mark.parametrize("elem", ["1/5", "1/0"])
 def test_units_outside_ring_is_exit_2(capsys, elem):
     _one_line_error(*run(capsys, "units", "--d", "6", "--elem", elem), 2, "usage")
+
+
+@pytest.mark.parametrize("elem", ["1+2i", "1.5", "3.0", "1e5"])
+def test_units_takes_only_a_real_exact_elem(capsys, elem):
+    code, out, err = run(capsys, "units", "--d", "6", f"--elem={elem}")
+    _one_line_error(code, out, err, 2, "usage")
+    assert json.loads(err)["message"] == f"--elem must be an integer or 'p/q', got {elem!r}"
+
+
+def test_units_reads_the_one_scalar_grammar(capsys):
+    # a Gaussian string with a zero imaginary part is its real part
+    for elem in ("4/6", "4/6+0i", " 2/3 "):
+        code, out, _ = run(capsys, "units", "--d", "6", f"--elem={elem}")
+        assert code == 0
+        assert json.loads(out) == {"unit": True, "sign": 1, "exponents": [1, -1],
+                                   "subgroupT": None}
 
 
 def test_symmetries_inconsistent_counts_is_exit_3(capsys, monkeypatch):

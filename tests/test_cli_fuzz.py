@@ -27,13 +27,20 @@ complex_text = st.builds(_scalar_text, reals, reals)
 window = st.one_of(st.builds(_scalar_text, st.floats(-4, 4), st.floats(-4, 4)), complex_text)
 positive = st.one_of(st.floats(0.1, 5), st.sampled_from(_EDGE))
 point = st.builds(lambda x, y: f"{x},{y}", complex_text, complex_text)
+# exact scalars: "p/q" strings, integer pairs and Gaussian "p/q+r/si" strings
+rational_text = st.builds(lambda p, q: f"{p}/{q}", st.integers(-50, 50), st.integers(1, 12))
+gaussian_text = st.builds(lambda re, im: f"{re}{'' if im[0] == '-' else '+'}{im}i",
+                          rational_text, rational_text)
+exact = st.one_of(rational_text, st.lists(st.integers(-5, 5), min_size=2, max_size=2),
+                  gaussian_text)
 
 
 @st.composite
 def henon_map(draw):
-    """A dense map of degree 2..8, or now and then one of degree 40, 100 or
-    200 whose centered tail has at most two nonzero a_j (a dense float
-    d = 100 map takes over a second in derive-q)."""
+    """A dense map of degree 2..8, with float or else exact scalars, or now
+    and then a float one of degree 40, 100 or 200 whose centered tail has at
+    most two nonzero a_j (a dense float d = 100 map takes over a second in
+    derive-q)."""
     a = [draw(finite), draw(finite)]
     d = draw(st.sampled_from([*range(2, 9)] * 2 + [40, 100, 200]))
     if d > 8:
@@ -42,6 +49,8 @@ def henon_map(draw):
             p[j] = [draw(finite), draw(finite)]
         return json.dumps({"d": d, "p": p, "a": a})
     n = draw(st.sampled_from([d - 1, d + 1]))
+    if draw(st.booleans()):
+        return json.dumps({"d": d, "p": [draw(exact) for _ in range(n)], "a": draw(exact)})
     p = [[draw(finite), draw(finite)] for _ in range(n)]
     return json.dumps({"d": d, "p": p, "a": a})
 
@@ -66,7 +75,8 @@ def argv(draw, slice_dir):
     if cmd == "symmetries":
         return ["symmetries", "--map", m]
     if cmd in ("push", "iterate"):
-        gamma = draw(st.sampled_from(["7/3", "0", "1+2i", "1e300", "inf", "nan", "1/0"]))
+        gamma = draw(st.one_of(st.sampled_from(["7/3", "0", "1+2i", "1e300", "inf", "nan", "1/0"]),
+                               rational_text, gaussian_text))
         out = ["lift", cmd, "--map", m, f"--e={draw(st.integers(-20, 80))}",
                f"--gamma={gamma}"]
         if cmd == "push":
@@ -78,7 +88,8 @@ def argv(draw, slice_dir):
                 f"--n={draw(st.integers(0, 6))}", f"--point={draw(point)}"]
     if cmd == "units":
         num, den = draw(st.integers(-10 ** 40, 10 ** 40)), draw(st.integers(0, 10 ** 4))
-        return ["units", f"--d={draw(st.integers(-1, 13))}", f"--elem={num}/{den}"]
+        elem = draw(st.one_of(st.just(f"{num}/{den}"), rational_text, gaussian_text))
+        return ["units", f"--d={draw(st.integers(-1, 13))}", f"--elem={elem}"]
     cfg = {"map": json.loads(m),
            "slice": {"origin": [draw(window), draw(window)],
                      "spanU": [draw(window), draw(window)],
