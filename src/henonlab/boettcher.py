@@ -302,15 +302,30 @@ def cross_check_lift(m: HenonMap, tol: float = 1e-8) -> LiftPolynomial:
 
 # -- formal-series strategy -------------------------------------------------
 
-# cap on d times the exact products of Miller's recurrence, as its operands
-# grow with d.  On a 2-core Xeon (median of 3)
-# p = y^200 + 2y^198 + 1 (4.0e6) took 0.9 s, a dense d = 60 (2.2e6) 1.6 s, a
-# dense d = 74 (5.0e6) 2.4 s, p = y^316 + 2y (948) 0.02 s and a dense d = 100
-# (1.7e7) 5.3 s
+# cap on _formal_cost.  On a 2-core Xeon (median of 3) p = y^200 + 2y^198 + 1
+# (4.0e6) took 0.60 s, a dense d = 60 (a_k = k + 1, 2.2e6) 0.82 s, a dense
+# d = 74 (5.0e6) 1.64 s, p = y^316 + 2y (948) 0.01 s and a dense d = 100
+# (1.7e7) 3.74 s; with random 30-digit p/q coefficients (b = 100, weight
+# 4.6) a dense d = 40 (2.0e6) 0.62 s and a dense d = 60 (1.0e7) 3.89 s, and
+# with 300-digit ones (b = 997, weight 179) a dense d = 20 (4.7e6) 0.54 s
+# (the weight fits a dense d = 60 at b = 34, 100 and 333, 1.7, 4.5 and 30
+# times its time at b = 6, within 15 %)
 _FORMAL_EXACT_CAP = 5 * 10 ** 6
 # the fit's cap on digits^2 * samples * d: d = 100 with a = 1e100 (3.7e9) took
 # 0.9 s, y^200 with a = 3 (3.2e10) 5.4 s and with a = 1e300 (7.0e10) 8.4 s
 _FIT_CAP = 5 * 10 ** 9
+
+
+def _formal_cost(d: int, s: list) -> tuple:
+    """(cost, b) of the exact formal Q over the nonzero s_i: d times the
+    products of Miller's recurrence, as its operands grow with d, each
+    counted ((b + 72)/80)^2 >= 1 times, as they grow with the largest
+    numerator or denominator bit length b of the s_i too."""
+    bits = max((max(abs(t.numerator).bit_length(), t.denominator.bit_length())
+                for _, c in s for t in (c.re, c.im)), default=0)
+    # s_i makes one product at each order n = i..k+1: (d+1-i)(d+2-i)/2 over all k
+    products = sum((d + 1 - i) * (d + 2 - i) // 2 for i, _ in s)
+    return d * products * max(80, bits + 72) ** 2 // 80 ** 2, bits
 
 
 def _derive_formal(m: HenonMap) -> LiftPolynomial:
@@ -319,11 +334,12 @@ def _derive_formal(m: HenonMap) -> LiftPolynomial:
     zero = zero_of(a)
     # at x = 0, phi = y (1 + s)^{1/d} to t^d, t = 1/y, s = sum_{i=2..d} a_{d-i} t^i
     s = [(d - k, c) for k, c in enumerate(coeffs) if not is_zero(c)]
-    # s_i makes one product at each order n = i..k+1: (d+1-i)(d+2-i)/2 over all k
-    cost = d * sum((d + 1 - i) * (d + 2 - i) // 2 for i, _ in s)
-    if m.exact and cost > _FORMAL_EXACT_CAP:
-        raise ValueError(f"the exact formal Q of this map costs about d * products = "
-                         f"{cost}, past the cap {_FORMAL_EXACT_CAP}")
+    if m.exact:
+        cost, bits = _formal_cost(d, s)
+        if cost > _FORMAL_EXACT_CAP:
+            raise ValueError(f"the exact formal Q of this map costs about d * products = "
+                             f"{cost}, past the cap {_FORMAL_EXACT_CAP}, a product counting "
+                             f"((b + 72)/80)^2 >= 1 times for coefficients of b = {bits} bits")
 
     lo = min((i for i, _ in s), default=d + 1)  # g_n = 0 for 0 < n < lo
     A = []  # A_1 .. A_{d-1}

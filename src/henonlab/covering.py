@@ -140,27 +140,50 @@ def push(f: FiberAffineMap, direction: str, q: LiftPolynomial, a) -> FiberAffine
     return FiberAffineMap(d, f.alpha ** d, gamma)
 
 
+def _mp(x, mp):
+    """x in mpmath, a real one as mpf and an exact part p/q as mpf(p)/q."""
+    e = as_exact(x)
+    if e is None:
+        return mp.mpmathify(x)
+    re, im = (mp.mpf(t.numerator) / t.denominator for t in (e.re, e.im))
+    return mp.mpc(re, im) if im else re
+
+
 def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
                   a) -> FiberAffineMap:
     """Closed form of n pushes, gamma -> r gamma + c each: gamma_n =
     r^n gamma + c (r^n - 1)/(r - 1)  (n c when r = 1), with r = d/a,
     c = c_alpha (minus) or r = a/d, c = -c_alpha (plus, subtracted as push
-    does: -0.0 + 0 is 0.0); e -> d^n e mod d^2-1 (as c_{alpha^d} = c_alpha)."""
+    does: -0.0 + 0 is 0.0); e -> d^n e mod d^2-1 (as c_{alpha^d} = c_alpha).
+    Exact for exact input while r^n stays under 10^6 bits; past that it is
+    taken in mpmath from the exact r at 53 + ceil(log2 n) + 10 bits, as r's
+    rounding grows n-fold in r^n, and rounded once to doubles."""
     if direction not in ("plus", "minus"):
         raise ValueError("direction must be 'plus' or 'minus'")
     if n < 0:
         raise ValueError("n must be >= 0")
     d = f.d
-    c = c_alpha(f.alpha, q)
+    c, gamma = c_alpha(f.alpha, q), f.gamma
     r = Fraction(d) / a if direction == "minus" else a / Fraction(d)  # exact for exact a
-    exact = as_exact(r)  # r^n in doubles past 10^6 bits: (1/3)^(10^8) exactly took 122 s
-    if exact is not None and n * max(math.log2(max(abs(t.numerator), t.denominator))
-                                     for t in (exact.re, exact.im)) > 10 ** 6:
-        r = complex(r) if isinstance(r, QC) else float(r)
-    rn = r ** n
-    geo = n if r == 1 or n == 1 else (rn - 1) / (r - 1)  # z/z need not be 1 for complex z
-    step = rn * f.gamma
-    gamma = f.gamma if not n else step + c * geo if direction == "minus" else step - c * geo
+    exact = as_exact(r)  # exactly, (1/3)^(10^8) took 122 s
+    big = exact is not None and n * max(math.log2(max(abs(t.numerator), t.denominator))
+                                        for t in (exact.re, exact.im)) > 10 ** 6
+
+    def closed(r, c, gamma):
+        rn = r ** n
+        geo = n if r == 1 or n == 1 else (rn - 1) / (r - 1)  # z/z need not be 1 for complex z
+        step = rn * gamma
+        return gamma if not n else step + c * geo if direction == "minus" else step - c * geo
+
+    if big:
+        import mpmath as mp
+        with mp.workprec(53 + (n - 1).bit_length() + 10):
+            gamma = closed(*(_mp(x, mp) for x in (r, c, gamma)))
+        gamma = complex(gamma) if isinstance(gamma, mp.mpc) else float(gamma)
+        if not cmath.isfinite(gamma):
+            raise OverflowError("gamma_n is past the float range")
+    else:
+        gamma = closed(r, c, gamma)
     return FiberAffineMap(d, f.alpha ** pow(d, n, d * d - 1), gamma)
 
 

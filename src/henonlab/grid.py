@@ -11,7 +11,8 @@ misclassified.
 The sampler walks the window in tiles of rows, so the escape walk's
 temporaries are tile-sized and only the four result arrays are full-size.
 export_grid formats every piece of the export, CSV and JSON on every usable
-core, before it opens its path.
+core, before it opens its path; their floats come from one shortest
+round-trip kernel, _reprs, with the bytes of repr.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from .errors import DomainError
 from .maps import FiltrationRadius, HenonMap, estimate_filtration_radius
@@ -159,10 +161,12 @@ def sample_slice(m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
 # Export
 # ---------------------------------------------------------------------------
 
-# A forked piece costs about 3 ms (fork, temp file, copy) and a cell about
-# 2 us: on 2 cores two pieces lose at 64^2 and win from 96^2, so no piece is
-# smaller than this many cells and the 32^2 far-field window stays whole
-_MIN_PIECE = 8192
+# A forked piece costs about 3 ms (fork, temp file, copy), a CSV cell about
+# 0.55 us and a JSON cell about 0.25 us: on 2 cores (medians of 30) two
+# pieces of CSV lose at 112^2 and win from 128^2, two of JSON lose at 192^2
+# and win from 224^2, so no piece is smaller than this many cells, in
+# between, and the 32^2 far-field window stays whole
+_MIN_PIECE = 16384
 
 
 def _usable_cores() -> int:
@@ -212,21 +216,52 @@ def _fan_out(files: ExitStack, n: int, cells: int, works) -> list:
     return pieces
 
 
+def _reprs(values: np.ndarray, nan: bytes) -> bytes:
+    """values as float64, comma-separated, each as repr writes it and a nan
+    as `nan`.  orjson's Ryu digits are repr's (both shortest, then nearest);
+    only the notation differs: orjson writes 1e-7, 0.00001 and 1e16 where
+    repr writes 1e-07, 1e-05 and 1e+16, and null for nan and +-inf.  So
+    orjson's bytes stand when they hold no e, one '.' per finite value and
+    no 0.0000 (no nonzero |x| < 1e-4), and no value is infinite; otherwise
+    repr writes them."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    finite = np.count_nonzero(np.isfinite(values))
+    nans = np.count_nonzero(np.isnan(values))
+    # the '.' counted and the 0.0000 tokens found by numpy: bytes.count and a
+    # search for 0.0000 through G+ near c = 1 (1.0000...) cost half of orjson
+    if (finite + nans == values.size and b"e" not in text
+            and not np.any((np.abs(values) < 1e-4) & (values != 0.0))
+            and np.count_nonzero(np.frombuffer(text, np.uint8) == ord(".")) == finite):
+        return text.replace(b"null", nan) if nans and nan != b"null" else text
+    nan = nan.decode("ascii")
+    return ",".join([repr(x) if x == x else nan for x in values.tolist()]).encode("ascii")
+
+
 def _csv(grid: GridResult):
     # RFC-4180 with CRLF line endings; no field ever needs quoting (floats,
-    # status names, empty strings), so each row is one f-string join
-    us = [repr(u) for u in grid.us.tolist()]
-    vs = grid.vs.tolist()
+    # status names, empty strings), so a row is its six columns joined
+    W = grid.green.shape[1]
+    us = [repr(u).encode("ascii") + b"," for u in grid.us.tolist()]
+    vs = [repr(v).encode("ascii") + b"," for v in grid.vs.tolist()]
+    names = {k: f",{name},".encode("ascii") for k, name in STATUS_NAMES.items()}
 
     def rows(lo, hi):
-        for r in range(lo, hi):
-            v = repr(vs[r])
-            cells = zip(us, grid.green[r].tolist(), grid.status[r].tolist(),
-                        grid.annulus[r].tolist())
-            yield "".join([f"{u},{v},{g!r},{STATUS_NAMES[s]},{'' if a != a else repr(a)}\r\n"
-                           for u, g, s, a in cells]).encode("ascii")
+        cells = [b"\r\n"] * (6 * W)  # u, v, G+, status, annulus, line end
+        cells[0::6] = us
+        step = max(1, _TILE // (4 * W))  # rows: a whole tile's tokens cost 3 MB of peak RSS
+        for r0 in range(lo, hi, step):
+            r1 = min(r0 + step, hi)
+            green = _reprs(grid.green[r0:r1].ravel(), b"nan").split(b",")
+            status = [*map(names.__getitem__, grid.status[r0:r1].ravel().tolist())]
+            annulus = _reprs(grid.annulus[r0:r1].ravel(), b"").split(b",")
+            for k in range(r1 - r0):
+                row = slice(k * W, (k + 1) * W)
+                cells[1::6] = [vs[r0 + k]] * W
+                cells[2::6], cells[3::6], cells[4::6] = green[row], status[row], annulus[row]
+                yield b"".join(cells)
 
-    return len(us), [b"u,v,greenPlus,status,annulusRadius\r\n", rows, b""]
+    return W, [b"u,v,greenPlus,status,annulusRadius\r\n", rows, b""]
 
 
 def _pgm(grid: GridResult):
@@ -248,20 +283,29 @@ def _dumps(value) -> str:
 
 
 def _json(grid: GridResult):
-    def column(values, items):
+    def column(values, write):
         flat, W = values.ravel(), values.shape[1]
 
         def piece(lo, hi):  # without the list's brackets, a tile of cells at a time
             for a in range(lo * W, hi * W, _TILE):
-                text = _dumps(items(flat[a:min(a + _TILE, hi * W)].tolist()))
-                yield b"," * (a > 0) + text[1:-1].encode()
+                yield b"," * (a > 0)
+                yield write(flat[a:min(a + _TILE, hi * W)])
         return piece
 
+    def floats(nan):  # nan as `nan`, and json.dumps's ValueError where JSON has no literal
+        def write(tile):
+            text = _reprs(tile, nan)
+            if b"inf" in text or b"nan" in text:
+                _dumps([None if x != x and nan == b"null" else x for x in tile.tolist()])
+            return text
+        return write
+
+    names = {k: _dumps(name).encode("ascii") for k, name in STATUS_NAMES.items()}
     head = (f'{{"metadata":{_dumps(grid.metadata)},"u":{_dumps(grid.us.tolist())},'
             f'"v":{_dumps(grid.vs.tolist())},"greenPlus":[').encode("ascii")
-    green = column(grid.green, lambda v: v)
-    status = column(grid.status, lambda v: [STATUS_NAMES[s] for s in v])
-    annulus = column(grid.annulus, lambda v: [None if x != x else x for x in v])
+    green = column(grid.green, floats(b"nan"))
+    status = column(grid.status, lambda v: b",".join(map(names.__getitem__, v.tolist())))
+    annulus = column(grid.annulus, floats(b"null"))
     return grid.green.shape[1], [head, green, b'],"status":[', status,
                                  b'],"annulusRadius":[', annulus, b"]}"]
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from henonlab._exact import QC
+from henonlab import boettcher
+from henonlab._exact import QC, as_exact
 from henonlab.boettcher import derive_lift_polynomial, psi
 from henonlab.cli import main, parse_map, parse_point, parse_scalar, UsageError
 from henonlab.covering import RootOfUnity
@@ -296,6 +298,31 @@ def test_formal_q_of_a_dense_degree_100_map_is_exit_2(capsys, cmd):
     assert "d * products = 16665000, past the cap 5000000" in json.loads(err)["message"]
 
 
+def test_formal_q_of_30_digit_coefficients_is_exit_2(capsys):
+    # dense d = 60: 2.2e6 products of 100-bit coefficients weigh 4.6 each; it took 4.4 s uncapped
+    rng = random.Random(60)
+    p = [f"{rng.choice('-+')}{rng.randrange(10 ** 29, 10 ** 30)}/{rng.randrange(10 ** 29, 10 ** 30)}"
+         for _ in range(59)]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "derive-q", "--map", json.dumps({"d": 60, "p": p, "a": 3}))
+    assert time.perf_counter() - t0 < 1
+    _one_line_error(code, out, err, 2, "usage")
+    assert re.search(r"past the cap 5000000, .* b = 100 bits", json.loads(err)["message"])
+
+
+@pytest.mark.parametrize("d, p", [
+    (60, list(range(1, 60))), (74, list(range(1, 74))), (200, [1] + [0] * 197 + [2, 0, 1]),
+    (2, [1]), (3, [1, 0]), (4, [0, 0, 1]),  # the lift-exact maps
+    (20, ["1/3"] * 19), (8, [[1, 2], "1/2-1i", "7/9", 0, 5, "10/3", "3/4"]),
+])
+def test_formal_q_cap_admits(d, p):
+    # the dense d = 74 (1.6 s) is the costliest of these
+    m = parse_map(json.dumps({"d": d, "p": p, "a": 3}))
+    assert m.exact
+    s = [(d - k, as_exact(c)) for k, c in enumerate(m.coeffs) if c != 0]
+    assert boettcher._formal_cost(d, s)[0] <= boettcher._FORMAL_EXACT_CAP
+
+
 def test_fit_past_its_cost_cap_is_exit_2(capsys):
     # 922 digits on 410 samples: digits^2 * samples * d = 7.0e10, which took 8.4 s uncapped
     m = json.dumps({"d": 200, "p": [0] * 199, "a": 1e300})
@@ -375,6 +402,13 @@ def test_lift_iterate_of_a_huge_n_answers_at_once(capsys, direction, code):
         _one_line_error(got, out, err, 3, "overflow")
     else:
         assert got == 0 and json.loads(out)["gamma"] == [0.0, 0.0]
+
+
+def test_lift_iterate_of_gamma_0_at_a_huge_n_is_0(capsys):
+    # c_alpha = 0 on y^3, a = 9, so every gamma_n is 0, however far 3^n is past the float range
+    code, out, _ = run(capsys, "lift", "iterate", "--map", M3, "--gamma", "0", "--n", "100000000",
+                       "--direction", "plus", "--e", "2")
+    assert code == 0 and json.loads(out)["gamma"] == [0.0, 0.0]
 
 
 def test_lift_iterate_plus(capsys):
@@ -822,7 +856,8 @@ def test_closed_stdout_and_stderr_is_a_silent_exit_2():
 _NO_MPMATH = """
 import sys
 import henonlab.cli as cli
-assert "mpmath" not in sys.modules and "numpy" not in sys.modules, "import henonlab.cli"
+unloaded = ("mpmath", "numpy", "orjson")
+assert not [mod for mod in unloaded if mod in sys.modules], "import henonlab.cli"
 cfg, out, m = sys.argv[1], sys.argv[2], sys.argv[3]
 for argv in (["green", "--map", m, "--point", "0,100"],
              ["green", "--minus", "--map", m, "--point", "100,0"],
@@ -831,7 +866,7 @@ for argv in (["green", "--map", m, "--point", "0,100"],
              ["symmetries", "--map", m], ["derive-q", "--map", m],
              ["lift", "iterate", "--map", m, "--e", "1", "--gamma", "1/2", "--n", "3"]):
     assert cli.main(argv) == 0, argv
-    assert "mpmath" not in sys.modules and "numpy" not in sys.modules, argv
+    assert not [mod for mod in unloaded if mod in sys.modules], argv
 assert cli.main(["slice", "--config", cfg, "--c", "1", "--out", out, "--format", "csv"]) == 0
 assert "mpmath" not in sys.modules and "numpy" in sys.modules, "slice"
 import henonlab
@@ -842,7 +877,8 @@ assert missing == [], missing
 
 
 def test_commands_without_mpmath_work_do_not_load_it(tmp_path):
-    """In a fresh interpreter; of these commands only slice loads numpy."""
+    """In a fresh interpreter; of these commands only slice loads numpy (and
+    orjson)."""
     cfg = tmp_path / "slice.json"
     cfg.write_text(json.dumps({"map": json.loads(M2), "slice": {
         "origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1], "gridW": 16, "gridH": 16}}))

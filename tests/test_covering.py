@@ -4,10 +4,12 @@ formulas, deck transformations, and the lift-compatible exponent set."""
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from henonlab._exact import QC, as_exact
 from henonlab import (DomainError, HenonMap, compute_L_prime,
                       derive_lift_polynomial, push, push_iterated)
 from henonlab.boettcher import LiftPolynomial
@@ -151,6 +153,30 @@ def test_push_iterated_large_n_returns():
     assert g.alpha == RootOfUnity(3 ** 100000, 8)
     assert g.gamma == Fraction(1, 3 ** 100000) * Fraction(7, 3) + \
         -4 * (1 - Fraction(1, 3 ** 100000)) * Fraction(3, 2)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("direction", ["minus", "plus"])
+def test_push_iterated_past_the_exact_switch_matches_60_digits(direction, e):
+    """|r| = 1 and r = 3/5 + 4/5i (or its inverse) not a unit of Z[i]:
+    r^(10^8) taken in doubles was 4.3e-9 off; c_alpha = 0 only for e = 2."""
+    import mpmath as mp
+    a, n = QC(Fraction(9, 5), Fraction(-12, 5)), 10 ** 8
+    q = LiftPolynomial(3, (QC(Fraction(1, 3), 2), 0, 0))
+    f = FiberAffineMap(3, RootOfUnity(e, 8), QC(Fraction(7, 3), 1))
+    t0 = time.perf_counter()
+    got = push_iterated(f, direction, n, q, a).gamma
+    assert time.perf_counter() - t0 < 2
+    with mp.workdps(60):
+        def mpc(z):
+            z = as_exact(z)
+            return mp.mpc(mp.mpf(z.re.numerator) / z.re.denominator,
+                          mp.mpf(z.im.numerator) / z.im.denominator)
+        r = 3 / mpc(a) if direction == "minus" else mpc(a) / 3
+        c = mpc(c_alpha(f.alpha, q)) * (1 if direction == "minus" else -1)
+        rn = r ** n
+        want = rn * mpc(f.gamma) + c * (rn - 1) / (r - 1)
+        assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_push_invalid_direction():

@@ -384,6 +384,76 @@ def test_small_window_is_formatted_in_one_process(three_cores):
     assert three_cores == []
 
 
+# -- the shortest round-trip float kernel ---------------------------------------
+
+REPR_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 1e-5, 9.999999999999999e-05,
+              1e-4, 123456789.125, 1e15, 9999999999999998.0, 1e16, 1.7976931348623157e308]
+
+
+def bit_patterns(rng, n, fixed):
+    """n random float64 bit patterns; fixed ones have exponents where repr
+    writes no e (2^-13 <= |x| < 2^53), the others any exponent, nan and
+    inf included."""
+    bits = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+    if fixed:
+        exponent = rng.integers(1023 - 13, 1023 + 53, size=n, dtype=np.uint64)
+        bits = bits & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+    return bits.view(np.float64)
+
+
+def bit_pattern_grid(json_safe, strided=False):
+    """A 200 x 500 grid of 10^5 G+ and 10^5 annulus bit patterns: rows 0-99
+    in repr's fixed notation with a quarter of the annulus nan, rows 100-199
+    of any exponent.  Each edge value (negated too, and +-inf and nan) goes
+    into a fixed-notation row of its own, G+ from row 10 and annulus from
+    row 50, so that those rows mix both notations.  json_safe leaves no
+    non-finite G+, u or v and no infinite annulus."""
+    rng = np.random.default_rng(27)
+    H, W = 200, 500
+    green, annulus = (np.concatenate([bit_patterns(rng, H * W // 2, True),
+                                      bit_patterns(rng, H * W // 2, False)]).reshape(H, W)
+                      for _ in range(2))
+    annulus[:H // 2][rng.random((H // 2, W)) < 0.25] = math.nan
+    for j, x in enumerate(REPR_EDGES + [-x for x in REPR_EDGES] + [math.inf, -math.inf, math.nan]):
+        green[10 + j, 7 * j], annulus[50 + j, 3 * j] = x, x
+    us, vs = bit_patterns(rng, W, False), bit_patterns(rng, H, False)
+    if json_safe:
+        for values in (green, us, vs):
+            values[~np.isfinite(values)] = 1.5
+        annulus[np.isinf(annulus)] = math.nan
+    status = rng.integers(0, 4, size=(H, W), dtype=np.int8)
+    if strided:  # every other column of arrays twice as wide
+        green, status, annulus = (np.repeat(x, 2, axis=1)[:, ::2] for x in (green, status, annulus))
+        assert not green.flags.c_contiguous
+    return GridResult(green, np.zeros_like(green), status, annulus, us, vs, {"c": 1.0})
+
+
+def test_float_kernel_writes_the_reprs():
+    g = bit_pattern_grid(json_safe=False)
+    # fixed notation (nan in the annulus), one edge value each, any exponent
+    rows = [g.green[:10], g.annulus[:10], *g.green[10:39], *g.annulus[50:79], g.green[100:110],
+            g.annulus[100:110]]
+    for values in rows:
+        for nan in (b"nan", b"", b"null"):
+            want = ",".join(repr(x) if x == x else nan.decode() for x in values.ravel().tolist())
+            assert grid_module._reprs(values.ravel(), nan) == want.encode()
+
+
+@pytest.mark.parametrize("strided, tile", [(False, _TILE), (True, 500)],
+                         ids=["contiguous", "strided-row-tiles"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bit_patterns_export_as_the_per_cell_oracle(three_cores, monkeypatch, fmt, strided, tile):
+    """A tile of one row puts each edge value in a chunk of its own."""
+    monkeypatch.setattr(grid_module, "_TILE", tile)
+    g = bit_pattern_grid(json_safe=fmt == "json", strided=strided)
+    assert g.green.size >= 3 * _MIN_PIECE
+    want = {"csv": _oracle_csv, "json": _oracle_json}[fmt](g)
+    monkeypatch.setattr(grid_module, "_usable_cores", lambda: 1)
+    assert export_bytes(g, fmt) == want and three_cores == []
+    monkeypatch.setattr(grid_module, "_usable_cores", lambda: 3)
+    assert export_bytes(g, fmt) == want and len(three_cores) == 2
+
+
 def test_cli_far_field_json_exports(tmp_path):
     cfg = tmp_path / "far.json"
     cfg.write_text(json.dumps({
