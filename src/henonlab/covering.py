@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._exact import QC, as_exact
-from .boettcher import LiftPolynomial
+from .boettcher import LiftPolynomial, _mp
 from .dyadic import RingElem
 from .errors import DomainError
 
@@ -140,15 +140,6 @@ def push(f: FiberAffineMap, direction: str, q: LiftPolynomial, a) -> FiberAffine
     return FiberAffineMap(d, f.alpha ** d, gamma)
 
 
-def _mp(x, mp):
-    """x in mpmath, a real one as mpf and an exact part p/q as mpf(p)/q."""
-    e = as_exact(x)
-    if e is None:
-        return mp.mpmathify(x)
-    re, im = (mp.mpf(t.numerator) / t.denominator for t in (e.re, e.im))
-    return mp.mpc(re, im) if im else re
-
-
 def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
                   a) -> FiberAffineMap:
     """Closed form of n pushes, gamma -> r gamma + c each: gamma_n =
@@ -178,7 +169,7 @@ def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
     if big:
         import mpmath as mp
         with mp.workprec(53 + (n - 1).bit_length() + 10):
-            gamma = closed(*(_mp(x, mp) for x in (r, c, gamma)))
+            gamma = closed(*map(_mp, (r, c, gamma)))
         gamma = complex(gamma) if isinstance(gamma, mp.mpc) else float(gamma)
         if not cmath.isfinite(gamma):
             raise OverflowError("gamma_n is past the float range")

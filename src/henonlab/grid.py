@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import orjson
 
 from .errors import DomainError
 from .maps import FiltrationRadius, HenonMap, estimate_filtration_radius
@@ -161,12 +160,13 @@ def sample_slice(m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
 # Export
 # ---------------------------------------------------------------------------
 
-# A forked piece costs about 3 ms (fork, temp file, copy), a CSV cell about
-# 0.55 us and a JSON cell about 0.25 us: on 2 cores (medians of 30) two
-# pieces of CSV lose at 112^2 and win from 128^2, two of JSON lose at 192^2
-# and win from 224^2, so no piece is smaller than this many cells, in
-# between, and the 32^2 far-field window stays whole
-_MIN_PIECE = 16384
+# A forked piece costs about 3 ms (fork, temp files, copy) and a JSON cell
+# about 0.25 us; a CSV cell costs about twice that, so the CSV layout weighs
+# two cells a cell.  On 2 cores (medians of 30, two sweeps) two pieces of CSV
+# lose at 128^2 and 144^2 and win from 160^2, two of JSON lose at 192^2 and
+# 208^2 and win at 224^2, so no piece weighs less than this many cells, and
+# the 32^2 far-field window stays whole
+_MIN_PIECE = 24576
 
 
 def _usable_cores() -> int:
@@ -219,23 +219,36 @@ def _fan_out(files: ExitStack, n: int, cells: int, works) -> list:
 def _reprs(values: np.ndarray, nan: bytes) -> bytes:
     """values as float64, comma-separated, each as repr writes it and a nan
     as `nan`.  orjson's Ryu digits are repr's (both shortest, then nearest);
-    only the notation differs: orjson writes 1e-7, 0.00001 and 1e16 where
-    repr writes 1e-07, 1e-05 and 1e+16, and null for nan and +-inf.  So
-    orjson's bytes stand when they hold no e, one '.' per finite value and
-    no 0.0000 (no nonzero |x| < 1e-4), and no value is infinite; otherwise
-    repr writes them."""
+    only the notation differs, where repr writes an e (0 < |x| < 1e-4 and
+    |x| >= 1e16: orjson writes 1e-7, 0.00001 and 1e16 for repr's 1e-07,
+    1e-05 and 1e+16) and for +-inf and nan, which orjson writes as null.
+    repr writes those tokens alone, or the whole chunk where they are over
+    a third of it; the rest of orjson's bytes stand once they hold no e and
+    one '.' a finite value, else repr writes the chunk."""
+    import orjson  # here, so that PGM exports and scalar commands never load it
     values = np.ascontiguousarray(values, dtype=np.float64)
     text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-    finite = np.count_nonzero(np.isfinite(values))
+    size = np.abs(values)
+    odd = np.flatnonzero((size < 1e-4) & (values != 0.0) | (size >= 1e16))  # +-inf too
     nans = np.count_nonzero(np.isnan(values))
-    # the '.' counted and the 0.0000 tokens found by numpy: bytes.count and a
-    # search for 0.0000 through G+ near c = 1 (1.0000...) cost half of orjson
-    if (finite + nans == values.size and b"e" not in text
-            and not np.any((np.abs(values) < 1e-4) & (values != 0.0))
-            and np.count_nonzero(np.frombuffer(text, np.uint8) == ord(".")) == finite):
-        return text.replace(b"null", nan) if nans and nan != b"null" else text
-    nan = nan.decode("ascii")
-    return ",".join([repr(x) if x == x else nan for x in values.tolist()]).encode("ascii")
+    # by token, a third of 4096 values took 2.0 ms and half 3.3 ms; repr of
+    # the whole chunk 2.9 and 3.1 ms (best of 15, 2-core Xeon)
+    dense = 3 * odd.size > values.size
+    if odd.size and not dense:  # blanked for the byte test, then filled in by repr
+        tokens = text.split(b",")
+        for i in odd.tolist():
+            tokens[i] = b""
+        text = b",".join(tokens)
+    # the '.' counted by numpy: bytes.count cost ~210 us a 16384-cell tile
+    if dense or b"e" in text or np.count_nonzero(
+            np.frombuffer(text, np.uint8) == ord(".")) != values.size - nans - odd.size:
+        nan = nan.decode("ascii")
+        return ",".join([repr(x) if x == x else nan for x in values.tolist()]).encode("ascii")
+    if odd.size:
+        for i, x in zip(odd.tolist(), values[odd].tolist()):
+            tokens[i] = repr(x).encode("ascii")
+        text = b",".join(tokens)
+    return text.replace(b"null", nan) if nans and nan != b"null" else text
 
 
 def _csv(grid: GridResult):
@@ -261,7 +274,8 @@ def _csv(grid: GridResult):
                 cells[2::6], cells[3::6], cells[4::6] = green[row], status[row], annulus[row]
                 yield b"".join(cells)
 
-    return W, [b"u,v,greenPlus,status,annulusRadius\r\n", rows, b""]
+    # a CSV cell weighs two in the split: it costs about two JSON cells
+    return 2 * W, [b"u,v,greenPlus,status,annulusRadius\r\n", rows, b""]
 
 
 def _pgm(grid: GridResult):

@@ -867,6 +867,8 @@ for argv in (["green", "--map", m, "--point", "0,100"],
              ["lift", "iterate", "--map", m, "--e", "1", "--gamma", "1/2", "--n", "3"]):
     assert cli.main(argv) == 0, argv
     assert not [mod for mod in unloaded if mod in sys.modules], argv
+assert cli.main(["slice", "--config", cfg, "--c", "1", "--out", out + ".pgm", "--format", "pgm"]) == 0
+assert not [mod for mod in ("mpmath", "orjson") if mod in sys.modules], "pgm slice"
 assert cli.main(["slice", "--config", cfg, "--c", "1", "--out", out, "--format", "csv"]) == 0
 assert "mpmath" not in sys.modules and "numpy" in sys.modules, "slice"
 import henonlab
@@ -877,8 +879,8 @@ assert missing == [], missing
 
 
 def test_commands_without_mpmath_work_do_not_load_it(tmp_path):
-    """In a fresh interpreter; of these commands only slice loads numpy (and
-    orjson)."""
+    """In a fresh interpreter; of these commands only slice loads numpy, and
+    only a CSV or JSON slice orjson."""
     cfg = tmp_path / "slice.json"
     cfg.write_text(json.dumps({"map": json.loads(M2), "slice": {
         "origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1], "gridW": 16, "gridH": 16}}))

@@ -430,13 +430,31 @@ def bit_pattern_grid(json_safe, strided=False):
 
 def test_float_kernel_writes_the_reprs():
     g = bit_pattern_grid(json_safe=False)
-    # fixed notation (nan in the annulus), one edge value each, any exponent
-    rows = [g.green[:10], g.annulus[:10], *g.green[10:39], *g.annulus[50:79], g.green[100:110],
-            g.annulus[100:110]]
+    # fixed notation (nan in the annulus), one edge value each, a quarter of
+    # the tokens in e-notation, any exponent (nearly all in e-notation)
+    rows = [g.green[:10], g.annulus[:10], *g.green[10:39], *g.annulus[50:79],
+            *(np.concatenate([x[0], x[100, :200]]) for x in (g.green, g.annulus)),
+            g.green[100:110], g.annulus[100:110]]
     for values in rows:
         for nan in (b"nan", b"", b"null"):
             want = ",".join(repr(x) if x == x else nan.decode() for x in values.ravel().tolist())
             assert grid_module._reprs(values.ravel(), nan) == want.encode()
+
+
+def test_float_kernel_reformats_only_the_tokens_orjson_writes_otherwise(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f"{x!r}"
+    monkeypatch.setattr(grid_module, "repr", counted, raising=False)
+    values = np.full(1000, 1.5)
+    values[[3, 400, 999]] = 1e-7, -math.inf, 1e16
+    values[[7, 8]] = math.nan
+    want = ["1.5"] * 1000
+    want[3], want[400], want[999], want[7], want[8] = "1e-07", "-inf", "1e+16", "", ""
+    assert grid_module._reprs(values, b"") == ",".join(want).encode()
+    assert calls == [1e-7, -math.inf, 1e16]
 
 
 @pytest.mark.parametrize("strided, tile", [(False, _TILE), (True, 500)],
