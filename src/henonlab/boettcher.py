@@ -70,7 +70,7 @@ from typing import Optional, Sequence
 from ._exact import as_exact, field, is_zero, support, zero_of
 from .errors import DomainError, InconsistencyError, PrecisionError
 from .maps import (FiltrationRadius, HenonMap, _u_bound, estimate_filtration_radius, evaluate,
-                   horner, in_v_plus, overflow_limit)
+                   filtration_of, horner, in_v_plus, overflow_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +108,6 @@ class BoettcherValue:
     error_bound: float
 
 
-def _q_value(m: HenonMap, x, y):
-    """q(x,y) = p(y) - y^d - a*x computed from the tail coefficients
-    (avoids the catastrophic p(y) - y^d cancellation)."""
-    return horner(m.coeffs_complex, y) - complex(m.a) * x
-
-
 def phi_product(m: HenonMap, z, J: int):
     """Raw truncated product (no domain checks); caller guarantees z in V_R+.
 
@@ -125,19 +119,21 @@ def phi_product(m: HenonMap, z, J: int):
     x, y = complex(z[0]), complex(z[1])
     d = m.d
     lim = overflow_limit(d)
+    doubles = m.doubles
     val = y
     cur = (x, y)
     for j in range(J):
         xj, yj = cur
         if abs(yj) > lim:
             return val, 4.0 * _u_bound(m, abs(yj)) / d ** (j + 1)
-        u = _q_value(m, xj, yj) / yj ** d
+        # q = p(y) - y^d - ax from a_{d-2} .. a_0, without cancelling p(y) - y^d
+        u = (horner(doubles.coeffs, yj) - doubles.a * xj) / yj ** d
         if abs(u) >= 1.0:
             raise DomainError(
                 f"branch safety violated: |q/y^d| = {abs(u):.3f} >= 1 at step {j}")
         if abs(u) > 1e-19:
             val *= cmath.exp(cmath.log(1 + u) / d ** (j + 1))
-        cur = evaluate(m, cur)
+        cur = evaluate(doubles, cur)
     return val, 0.0
 
 
@@ -154,7 +150,7 @@ def phi(m: HenonMap, z, filtration: Optional[FiltrationRadius] = None) -> Boettc
     """Boettcher coordinate at z in V_R+: phi_mp at 30 digits rounded to a
     complex double, with bound |phi| (2^-52 + 10^-20)."""
     import mpmath as mp
-    filt = filtration if filtration is not None else estimate_filtration_radius(m)
+    filt = filtration_of(m, filtration)
     if not in_v_plus(z, filt.R):
         raise DomainError("phi requires z in V_R+; iterate the point forward first")
     with mp.workdps(_PHI_DPS):
@@ -453,7 +449,7 @@ def psi(m: HenonMap, z, q: LiftPolynomial, depth: int,
     import mpmath as mp
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    filt = filtration if filtration is not None else estimate_filtration_radius(m)
+    filt = filtration_of(m, filtration)
     if not in_v_plus(z, filt.R):
         raise DomainError("psi requires z in V_R+")
     need = digits_needed(m, z, depth)
@@ -475,12 +471,12 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
     import mpmath as mp
     if not sample_points:
         return 0.0
-    filt = filtration if filtration is not None else estimate_filtration_radius(m)
+    filt = filtration_of(m, filtration)
     worst = 0.0
     for z in sample_points:
         if not in_v_plus(z, filt.R):
             raise DomainError("semiconjugacy sample point outside V_R+")
-        hz = evaluate(m, (complex(z[0]), complex(z[1])))
+        hz = evaluate(m.doubles, (complex(z[0]), complex(z[1])))
         need = max(digits_needed(m, z, depth), digits_needed(m, hz, depth))
         if precision_digits < need:
             raise PrecisionError(

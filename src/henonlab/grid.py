@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .maps import FiltrationRadius, HenonMap, estimate_filtration_radius
+from .maps import FiltrationRadius, HenonMap, filtration_of
 from .potential import green_plus_grid
 
 STATUS_K_CANDIDATE = 0
@@ -92,8 +92,8 @@ class GridResult:
 
 
 # pixels per tile of rows: every per-pixel temporary of the escape walk is
-# tile-sized and stays in cache (2-core Xeon, a=3 map: the 512^2 walk took
-# 36 ms in 16k-pixel tiles, 46 ms in 4k-pixel tiles and 91 ms whole)
+# tile-sized and stays in cache (2-core Xeon, a=3 map, medians of 9: the 512^2
+# walk took 31 ms in 16k-pixel tiles, 40-41 ms in 4k-pixel tiles, 51-54 ms whole)
 _TILE = 16384
 
 
@@ -109,7 +109,7 @@ def sample_slice(m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
     deterministic for fixed input, and no pixel depends on the tiling."""
     if c <= 0:
         raise DomainError("level c must be positive")
-    filt = filtration if filtration is not None else estimate_filtration_radius(m)
+    filt = filtration_of(m, filtration)
     W, H = spec.grid_w, spec.grid_h
     us = np.linspace(-spec.extent[0], spec.extent[0], W)
     vs = np.linspace(-spec.extent[1], spec.extent[1], H)

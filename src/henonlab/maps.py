@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Optional
 
 from ._exact import QC, as_exact, field, is_zero, support, zero_of
 from .errors import InvalidMapError
@@ -67,6 +68,12 @@ class HenonMap:
         return tuple(complex(c) for c in self.coeffs)
 
     @cached_property
+    def doubles(self) -> "HenonMap":
+        """The map in complex doubles, built once: evaluate on it does the IEEE
+        operations that exact or float coefficients reduce to at a complex point."""
+        return HenonMap(self.d, self.a_complex, self.coeffs_complex)
+
+    @cached_property
     def q_constants(self) -> tuple:
         """(A, B) = (sum |a_j|, |a|), so |q(x,y)| <= A|y|^{d-2} + B|x| for |y| >= 1;
         computed once per map (the cache leaves equality and hashing alone)."""
@@ -80,17 +87,20 @@ class HenonMap:
 
     # -- evaluation ----------------------------------------------------
     def p(self, y):
-        """Evaluate p(y) = y^d + a_{d-2} y^{d-2} + ... + a_0."""
-        return horner((*self.coeffs, 0, 1), y)
+        """Evaluate p(y) = y^d + a_{d-2} y^{d-2} + ... + a_0: monic with no y^(d-1)
+        term, so y leads the Horner coefficients and the first product is y*y."""
+        return horner((*self.coeffs, y), y)
 
 
 def horner(coeffs, t):
     """sum_k coeffs[k] t^k, coefficients low to high, by Horner's rule; works
-    for exact scalars, complex floats, mpmath numbers and numpy arrays."""
+    for exact scalars, complex floats, mpmath numbers and numpy arrays.  Each
+    coefficient is added in place to the fresh product: no product is in place."""
     it = reversed(coeffs)
     acc = next(it)
     for c in it:
-        acc = acc * t + c
+        acc = acc * t
+        acc += c
     return acc
 
 
@@ -294,7 +304,8 @@ def normalize(coeffs, a) -> tuple[HenonMap, AffineConjugation]:
 def evaluate(m: HenonMap, z, inverse: bool = False):
     """One step of H (forward) or H^{-1} (inverse).
 
-    Works for exact scalars, complex floats, mpmath numbers and Poly2 alike.
+    Works for exact scalars, complex floats, mpmath numbers and Poly2, and
+    for numpy arrays on m.doubles.
     """
     x, y = z
     if not inverse:
@@ -368,3 +379,8 @@ def estimate_filtration_radius(m: HenonMap) -> FiltrationRadius:
     """The forward doubling radius: H maps V_R+ = {|y| >= max(|x|, R)} into
     itself with |y'| >= 2|y| (x' = y, so H(z) stays in V_R+)."""
     return FiltrationRadius(doubling_radius(m, 2.0 + abs(m.a_complex)))
+
+
+def filtration_of(m: HenonMap, filtration: Optional[FiltrationRadius]) -> FiltrationRadius:
+    """filtration, or the map's estimate_filtration_radius when it is None."""
+    return filtration if filtration is not None else estimate_filtration_radius(m)

@@ -1,13 +1,14 @@
 """Escape-rate potentials G+ and G- and orbit classification.
 
 G+(z) = lim d^{-n} log+ ||H^n z|| (sup-norm).  Every value starts from one
-escape walk: _walk per point, forwards or backwards, and green_plus_grid
-over numpy arrays.  V_R+ = {|y| >= max(|x|, R)} is forward invariant with
-|y'| >= 2|y| (V_R- backwards with |x'| >= 2|x|, R the larger of the two
-doubling radii), so entry and climb are one loop.  It stops at the first
-of: in V_R+- with the leading coordinate (y, or x backwards) at a height;
-the sup-norm past the overflow limit; the budget spent outside V_R+-.  A
-step to inf or nan raises OverflowError.  G-, crude_green_plus and the grid
+escape walk, one step (evaluate on the map's doubles) and one stop rule
+(_stop), driven by _walk per point, forwards or backwards, and by
+green_plus_grid over numpy arrays.  V_R+ = {|y| >= max(|x|, R)} is forward
+invariant with |y'| >= 2|y| (V_R- backwards with |x'| >= 2|x|, R the larger
+of the two doubling radii), so entry and climb are one loop.  It stops at
+the first of: in V_R+- with the leading coordinate (y, or x backwards) at a
+height; the sup-norm past the overflow limit; the budget spent outside
+V_R+-.  A step to inf or nan raises OverflowError.  G-, crude_green_plus and the grid
 climb to max(1e13, 2R); green_plus stops at entry and refines through
 the boettcher product with a certified tail bound, unless y is past the
 overflow limit, where no factor of the product can be formed.
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .maps import (FiltrationRadius, HenonMap, _u_bound, doubling_radius,
-                   estimate_filtration_radius, evaluate, overflow_limit)
+from .maps import (FiltrationRadius, HenonMap, _u_bound, doubling_radius, evaluate,
+                   filtration_of, overflow_limit)
 
 DEFAULT_BUDGET = 200
 DEFAULT_TARGET_ERROR = 1e-9
@@ -78,8 +79,12 @@ class OrbitClassification:
     green_plus: GreenValue
 
 
-def _filtration(m: HenonMap, filtration: Optional[FiltrationRadius]) -> FiltrationRadius:
-    return filtration if filtration is not None else estimate_filtration_radius(m)
+def _stop(top, other, R, height, lim):
+    """(inside, escaped) at |lead| = top, |other| = other: in V_R+-, and stopped in it
+    at the height or with the sup-norm past lim (nan is past it).  Only &, |,
+    ^ True and comparisons, so floats and numpy arrays take the same code."""
+    inside = (top >= other) & (top >= R)
+    return inside, inside & (top >= height) | ((top <= lim) & (other <= lim)) ^ True
 
 
 def _walk(m: HenonMap, z, budget: int, R: float, height: float, inverse: bool = False):
@@ -97,19 +102,19 @@ def _walk(m: HenonMap, z, budget: int, R: float, height: float, inverse: bool = 
     n = 0
     while True:
         top, other = abs(w[lead]), abs(w[1 - lead])
-        mag = other if other > top else top  # max(top, other) without the call
-        if not math.isfinite(mag):  # escape is certain, but there is no height to take
-            raise OverflowError(f"the orbit leaves the float range at step {n}")
-        inside = top >= other and top >= R
+        inside, escaped = _stop(top, other, R, height, lim)
         if inside and entry is None:
             entry = n
-        if inside and top >= height or mag > lim:
+        if escaped:
             break
         if n >= budget and not inside:
-            bound = _exhausted_bound(m, n, max(mag, R), inverse)
+            bound = _exhausted_bound(m, n, max(top, other, R), inverse)
             return None, w, GreenValue(0.0, bound, "crude", n, budget_exhausted=True)
-        w = evaluate(m, w, inverse)
+        w = evaluate(m.doubles, w, inverse)
         n += 1
+    mag = max(top, other)
+    if not math.isfinite(mag):  # escape is certain, but there is no height to take
+        raise OverflowError(f"the orbit leaves the float range at step {n}")
     g, err = _stopped(m, n, mag, entry is not None, inverse)
     return entry, w, GreenValue(g, err, "crude", n, entry=n if entry is None else entry)
 
@@ -170,7 +175,7 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
         raise ValueError(f"target_error must be finite and positive, got {target_error!r}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget!r}")
-    filt = _filtration(m, filtration)
+    filt = filtration_of(m, filtration)
     n_entry, w, crude = _walk(m, z, budget, filt.R, filt.R)  # stops at entry
     lim = overflow_limit(m.d)
     if n_entry is None or abs(w[1]) > lim:  # no product factor can be formed past the limit
@@ -183,7 +188,7 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     n = n_entry
     tail = phi_tail_bound(m, abs(w[1]), 1)
     while abs(w[1]) < min(_DEEP, lim) and tail * m.d ** (-n) > target_error * 0.25:
-        w = evaluate(m, w)
+        w = evaluate(m.doubles, w)
         n += 1
         tail = phi_tail_bound(m, abs(w[1]), 1)
 
@@ -208,7 +213,7 @@ def crude_green_plus(m: HenonMap, z, budget: int = DEFAULT_BUDGET,
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget!r}")
-    R = _filtration(m, filtration).R
+    R = filtration_of(m, filtration).R
     return _walk(m, z, budget, R, max(_DEEP, 2.0 * R))[2]
 
 
@@ -227,7 +232,7 @@ def green_minus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget!r}")
     # |x| doubles backwards on V_R- only past the backward radius
-    R = max(_filtration(m, filtration).R, doubling_radius(m, 1.0 + 2.0 * abs(m.a_complex)))
+    R = max(filtration_of(m, filtration).R, doubling_radius(m, 1.0 + 2.0 * abs(m.a_complex)))
     return _walk(m, z, budget, R, max(_DEEP, 2.0 * R), inverse=True)[2]
 
 
@@ -247,7 +252,7 @@ def sample_escaping_points(m: HenonMap, count: int, seed: int = 0, box: float = 
                            budget: int = 100,
                            filtration: Optional[FiltrationRadius] = None) -> list:
     """Deterministic pseudo-random escaping sample points in a box."""
-    filt = _filtration(m, filtration)
+    filt = filtration_of(m, filtration)
     rng = random.Random(seed)
     out = []
     attempts = 0
@@ -271,19 +276,15 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
     """G+ over flat complex arrays (X, Y) of equal shape.
 
     Returns (green, err, escaped) float/bool numpy arrays: the walk of
-    crude_green_plus on every point, stopped by the same three masks, in the
-    same order, and valued by the same _stopped and _exhausted_bound.
-    OverflowError when a walk leaves the float range, as in the scalar walk.
-    numpy is imported here, not with the module, so the scalar path never
-    loads it.
+    crude_green_plus on every point still walking, with its step, _stop,
+    _stopped and _exhausted_bound; no product is in place, so no pixel
+    depends on the others.  OverflowError when a walk leaves the float
+    range.  numpy is imported here, so the scalar path never loads it.
     """
     import numpy as np
-    R = _filtration(m, filtration).R
+    R = filtration_of(m, filtration).R
     height = max(_DEEP, 2.0 * R)
-    d = m.d
-    a = complex(m.a)
-    lim = overflow_limit(d)
-    tail = m.coeffs_complex[::-1]  # a_{d-2} .. a_0
+    lim = overflow_limit(m.d)
 
     x = np.array(X, dtype=np.complex128).ravel()
     y = np.array(Y, dtype=np.complex128).ravel()
@@ -296,32 +297,16 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
         ax = np.abs(x)  # after a step |x| is the |y| before it
         while live.size:
             ay = np.abs(y)
-            mag = np.maximum(ax, ay)
-            inside = ay >= np.maximum(ax, R, out=ax)
-            # V_R+ is forward invariant with |y'| >= 2|y|, so entry and climb
-            # are one walk; past the limit (or at inf or nan, which raises
-            # after the loop) escape is certain
-            deep = inside & (ay >= height)
-            over = ~(deep | (mag <= lim))
-            esc = deep | over
+            inside, esc = _stop(ay, ax, R, height, lim)
             done = esc | ~inside if step >= budget else esc
             if done.any():
                 stop_step[live[esc]] = step
-                top[live[done]] = mag[done]
+                top[live[done]] = np.maximum(ax[done], ay[done])
                 entered[live[esc & inside]] = True
                 keep = ~done
                 x, y, ay, live = x[keep], y[keep], ay[keep], live[keep]
-            # y' = p(y) - a x by Horner's rule in place, from y*y: p is monic
-            # with no y^(d-1) term, and the 1*y + 0 of maps.horner differs
-            # from y (finite here) in the sign of a zero at most, which no
-            # |.| downstream sees
-            nxt = y * y
-            for k, c in enumerate(tail):
-                if k:
-                    nxt *= y
-                nxt += c
-            nxt -= a * x
-            x, y, ax = y, nxt, ay
+            x, y = evaluate(m.doubles, (x, y))
+            ax = ay
             step += 1
 
         if not np.isfinite(top).all():

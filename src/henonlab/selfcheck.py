@@ -331,7 +331,7 @@ def check_grid_sampling() -> CheckResult:
     us, vs = np.meshgrid(g1.us, g1.vs)
     X = us[mask].astype(np.complex128)
     Y = vs[mask].astype(np.complex128)
-    gh, _, esc = green_plus_grid(m, *evaluate(m, (X, Y)), budget=200, filtration=filt)
+    gh, _, esc = green_plus_grid(m, *evaluate(m.doubles, (X, Y)), budget=200, filtration=filt)
     frac = float(np.mean(esc & (gh < m.d * 1.0))) if mask.any() else 1.0
 
     # cross-format agreement

@@ -20,8 +20,8 @@ from ._exact import support
 from .boettcher import LiftPolynomial
 from .covering import compute_L_prime, congruence_subgroup, root_value
 from .errors import DomainError, InconsistencyError
-from .maps import (XY, FiltrationRadius, HenonMap, PolyMap2, estimate_filtration_radius,
-                   evaluate, overflow_limit)
+from .maps import (XY, FiltrationRadius, HenonMap, PolyMap2, evaluate, filtration_of,
+                   overflow_limit)
 from .potential import green_plus, sample_escaping_points
 
 _COEFF_ZERO = 1e-12
@@ -111,12 +111,14 @@ def verify_rigidity_family(m: HenonMap, s: int, exponents=None, samples: int = 1
     compared sample.  Samples whose orbit passes the overflow limit within
     |s| steps are skipped (certain escape); DomainError when all of them are.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     group = detect_linear_symmetries(m)
     exps = group.exponents if exponents is None else [e % group.modulus for e in exponents]
     for e in exps:
         if e not in group.exponents:
             raise DomainError(f"exponent {e} is not a detected symmetry")
-    filt = filtration if filtration is not None else estimate_filtration_radius(m)
+    filt = filtration_of(m, filtration)
     pts = sample_escaping_points(m, samples, seed=seed, filtration=filt)
     worst = -math.inf
     scale = float(m.d) ** s
@@ -124,7 +126,7 @@ def verify_rigidity_family(m: HenonMap, s: int, exponents=None, samples: int = 1
     for z in pts:
         hz = z
         for _ in range(abs(s)):
-            hz = evaluate(m, hz, inverse=s < 0)
+            hz = evaluate(m.doubles, hz, inverse=s < 0)
             if not max(abs(hz[0]), abs(hz[1])) <= lim:  # certain escape: skip the sample
                 break
         else:

@@ -197,6 +197,13 @@ def test_grid_matches_the_walk_it_replaced():
         assert escaped.tobytes() == old_escaped.tobytes(), m
         # the oracle never bounded the points that exhausted the budget
         assert err[escaped].tobytes() == old_err[escaped].tobytes(), m
+        # and each point walked alone takes the same bits: every product is
+        # out of place, whose rounding does not depend on the batch
+        for i in range(X.size):
+            g, e, esc = green_plus_grid(m, X[i:i + 1], Y[i:i + 1], filtration=filt)
+            assert g.tobytes() == old_green[i:i + 1].tobytes(), (m, i)
+            assert esc.tobytes() == old_escaped[i:i + 1].tobytes(), (m, i)
+            assert not esc[0] or e.tobytes() == old_err[i:i + 1].tobytes(), (m, i)
 
 
 def _orbit_truth(m, z, inverse=False, n=14):

@@ -125,6 +125,13 @@ def test_rigidity_family_steps_either_way_and_skips_overflow(s):
         assert verify_rigidity_family(CUBIC, s, [e], samples=30, seed=54) <= 0.0
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_rigidity_family_refuses_fewer_than_one_sample(samples):
+    # not the DomainError of a family whose every sample overflows
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_rigidity_family(CUBIC, 0, samples=samples)
+
+
 def test_congruence_subgroup_matches_brute_force():
     rng = random.Random(61)
     for _ in range(40):
