@@ -250,7 +250,7 @@ def cmd_units(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    from .grid import SliceSpec, export_grid, sample_slice
+    from .grid import SliceSampler, SliceSpec, export_grid
     if not cmath.isfinite(args.c):
         raise UsageError(f"not a finite number: {args.c!r}")
     try:
@@ -274,7 +274,7 @@ def cmd_slice(args) -> int:
     budget = doc.get("budget", 200)
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise UsageError(f"budget must be a non-negative integer, got {budget!r}")
-    grid = sample_slice(m, spec, args.c, budget=budget)
+    grid = SliceSampler(m, spec, args.c, budget=budget)  # each span is walked where it is formatted
     try:
         export_grid(grid, args.format, args.out)
     except OSError as exc:

@@ -9,10 +9,11 @@ error bound of the level c are tagged boundary-uncertain rather than
 misclassified.
 
 The sampler walks the window in tiles of rows, so the escape walk's
-temporaries are tile-sized and only the four result arrays are full-size.
-export_grid formats every piece of the export, CSV and JSON on every usable
-core, before it opens its path; their floats come from one shortest
-round-trip kernel, _reprs, with the bytes of repr.
+temporaries are tile-sized and only the four result arrays grow with the
+rows asked for.  export_grid formats every piece of the export on every
+usable core before it opens its path; given a SliceSampler, each process
+walks only the rows it formats.  CSV and JSON floats come from one
+shortest round-trip kernel, _reprs, with the bytes of repr.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ class GridResult:
     vs: np.ndarray          # (H,) slice parameter values
     metadata: dict = field(default_factory=dict)
 
+    def rows(self, lo: int, hi: int) -> GridResult:
+        """Rows lo..hi of the grid, as views."""
+        return GridResult(self.green[lo:hi], self.error[lo:hi], self.status[lo:hi],
+                          self.annulus[lo:hi], self.us, self.vs[lo:hi], self.metadata)
+
 
 # pixels per tile of rows: every per-pixel temporary of the escape walk is
 # tile-sized and stays in cache (2-core Xeon, a=3 map, medians of 9: the 512^2
@@ -103,57 +109,71 @@ def _row_tiles(H: int, W: int):
     return (slice(r0, min(r0 + rows, H)) for r0 in range(0, H, rows))
 
 
+class SliceSampler:
+    """A slice before its walk: the grid's us, vs and metadata, and rows(lo,
+    hi), the GridResult of rows lo..hi, walked a row tile at a time.  No
+    pixel depends on the tiling or on the rows asked for, so export_grid
+    and export_bytes sample each span in the process that formats it."""
+
+    def __init__(self, m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
+                 filtration: Optional[FiltrationRadius] = None):
+        if not 0 < c < np.inf:
+            raise DomainError("level c must be positive and finite")
+        self.m, self.c, self.budget = m, c, budget
+        self.filt = filt = filtration_of(m, filtration)
+        self.us = np.linspace(-spec.extent[0], spec.extent[0], spec.grid_w)
+        self.vs = np.linspace(-spec.extent[1], spec.extent[1], spec.grid_h)
+        self.points = o0, o1, su0, su1, sv0, sv1 = [
+            complex(z) for pair in (spec.origin, spec.span_u, spec.span_v) for z in pair]
+        self.metadata = {
+            "map": {"d": m.d, "a": [complex(m.a).real, complex(m.a).imag],
+                    "p": [[complex(cf).real, complex(cf).imag] for cf in m.coeffs]},
+            "c": float(c),
+            "budget": int(budget),
+            "R": float(filt.R),
+            "slice": {
+                "origin": [[o0.real, o0.imag], [o1.real, o1.imag]],
+                "spanU": [[su0.real, su0.imag], [su1.real, su1.imag]],
+                "spanV": [[sv0.real, sv0.imag], [sv1.real, sv1.imag]],
+                "gridW": spec.grid_w,
+                "gridH": spec.grid_h,
+                "extent": [spec.extent[0], spec.extent[1]],
+            },
+            "statusLegend": {str(k): v for k, v in sorted(STATUS_NAMES.items())},
+        }
+
+    def rows(self, lo: int, hi: int) -> GridResult:
+        c, W, H = self.c, len(self.us), hi - lo
+        o0, o1, su0, su1, sv0, sv1 = self.points
+        # allocated before the walk: a grid too large fails here, at once
+        green, err, annulus = np.empty((H, W)), np.empty((H, W)), np.empty((H, W))
+        status = np.empty((H, W), dtype=np.int8)
+        u, vs = self.us[np.newaxis, :], self.vs[lo:hi]
+        for tile in _row_tiles(H, W):
+            v = vs[tile, np.newaxis]
+            g, e, escaped = (r.reshape(-1, W) for r in green_plus_grid(
+                self.m, o0 + u * su0 + v * sv0, o1 + u * su1 + v * sv1,
+                budget=self.budget, filtration=self.filt))
+            green[tile], err[tile] = g, e
+
+            st = status[tile]
+            st.fill(STATUS_K_CANDIDATE)
+            st[escaped & (g < c)] = STATUS_OMEGA_PRIME
+            st[escaped & (g >= c)] = STATUS_OUTSIDE
+            st[escaped & (np.abs(g - c) <= np.maximum(e, 1e-9))] = STATUS_BOUNDARY
+
+            ann = annulus[tile]
+            ann.fill(np.nan)
+            mask = (g > 0.0) & (g < c)
+            ann[mask] = np.exp(g[mask])
+        return GridResult(green, err, status, annulus, self.us, vs, self.metadata)
+
+
 def sample_slice(m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
                  filtration: Optional[FiltrationRadius] = None) -> GridResult:
     """Classify every grid pixel of the slice, a row tile at a time;
     deterministic for fixed input, and no pixel depends on the tiling."""
-    if c <= 0:
-        raise DomainError("level c must be positive")
-    filt = filtration_of(m, filtration)
-    W, H = spec.grid_w, spec.grid_h
-    us = np.linspace(-spec.extent[0], spec.extent[0], W)
-    vs = np.linspace(-spec.extent[1], spec.extent[1], H)
-    o0, o1 = complex(spec.origin[0]), complex(spec.origin[1])
-    su0, su1 = complex(spec.span_u[0]), complex(spec.span_u[1])
-    sv0, sv1 = complex(spec.span_v[0]), complex(spec.span_v[1])
-
-    green, err, annulus = np.empty((H, W)), np.empty((H, W)), np.empty((H, W))
-    status = np.empty((H, W), dtype=np.int8)
-    u = us[np.newaxis, :]
-    for tile in _row_tiles(H, W):
-        v = vs[tile, np.newaxis]
-        g, e, escaped = (r.reshape(-1, W) for r in green_plus_grid(
-            m, o0 + u * su0 + v * sv0, o1 + u * su1 + v * sv1, budget=budget, filtration=filt))
-        green[tile], err[tile] = g, e
-
-        st = status[tile]
-        st.fill(STATUS_K_CANDIDATE)
-        st[escaped & (g < c)] = STATUS_OMEGA_PRIME
-        st[escaped & (g >= c)] = STATUS_OUTSIDE
-        st[escaped & (np.abs(g - c) <= np.maximum(e, 1e-9))] = STATUS_BOUNDARY
-
-        ann = annulus[tile]
-        ann.fill(np.nan)
-        mask = (g > 0.0) & (g < c)
-        ann[mask] = np.exp(g[mask])
-
-    meta = {
-        "map": {"d": m.d, "a": [complex(m.a).real, complex(m.a).imag],
-                "p": [[complex(cf).real, complex(cf).imag] for cf in m.coeffs]},
-        "c": float(c),
-        "budget": int(budget),
-        "R": float(filt.R),
-        "slice": {
-            "origin": [[o0.real, o0.imag], [o1.real, o1.imag]],
-            "spanU": [[su0.real, su0.imag], [su1.real, su1.imag]],
-            "spanV": [[sv0.real, sv0.imag], [sv1.real, sv1.imag]],
-            "gridW": W,
-            "gridH": H,
-            "extent": [spec.extent[0], spec.extent[1]],
-        },
-        "statusLegend": {str(k): v for k, v in sorted(STATUS_NAMES.items())},
-    }
-    return GridResult(green, err, status, annulus, us, vs, meta)
+    return SliceSampler(m, spec, c, budget, filtration).rows(0, spec.grid_h)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +181,17 @@ def sample_slice(m: HenonMap, spec: SliceSpec, c: float, budget: int = 200,
 # ---------------------------------------------------------------------------
 
 # A forked piece costs about 3 ms (fork, temp files, copy) and a JSON cell
-# about 0.25 us; a CSV cell costs about twice that, so the CSV layout weighs
-# two cells a cell.  On 2 cores (medians of 30, two sweeps) two pieces of CSV
-# lose at 128^2 and 144^2 and win from 160^2, two of JSON lose at 192^2 and
-# 208^2 and win at 224^2, so no piece weighs less than this many cells, and
-# the 32^2 far-field window stays whole
+# about 0.2 us; a CSV cell costs about twice that, so the CSV layout weighs
+# two cells a cell.  On 2 cores (a=3 map, medians of 41 alternating runs) two
+# pieces of a sampled grid's CSV lose at 128^2 and win from 160^2, two of
+# JSON lose at 192^2, tie at 208^2 and win at 224^2, so no piece weighs less
+# than this many cells, and the 32^2 far-field window stays whole
 _MIN_PIECE = 24576
+# A SliceSampler's span is walked where it is formatted, and a pixel's walk
+# weighs one cell more: the a=3 walk costs 60-130 ns a pixel, the dissipative
+# y^2-1.2, a=0.3 one about 900.  Walked and formatted, two pieces of a=3 PGM
+# lose at 160^2 and win from 192^2, CSV wins from 112^2 and JSON from 144^2
+_WALK = 1
 
 
 def _usable_cores() -> int:
@@ -175,19 +200,23 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out(files: ExitStack, n: int, cells: int, works) -> list:
+def _fan_out(files: ExitStack, grid, cells: int, works) -> list:
     """For each of works, unlinked temp files (entered on files) holding its
-    work(lo, hi) over spans of range(n) in order, `cells` cells an index: one
-    span per usable core, none under _MIN_PIECE cells.  Forked children format
-    all spans but the first (a full pipe would stall them); the parent redoes
-    a failed child's span, so errors surface as in one process."""
+    work(lo, grid.rows(lo, hi)) over spans of the grid's rows in order,
+    `cells` cells a row: one span per usable core, none under _MIN_PIECE
+    cells.  Forked children take all spans but the first (a full pipe would
+    stall them); the parent redoes a failed child's span, so errors surface
+    as in one process."""
+    n = len(grid.vs)
     k = max(1, min(_usable_cores(), n * cells // _MIN_PIECE))
     spans = [(n * i // k, n * (i + 1) // k) for i in range(k)]
     pieces = [[files.enter_context(tempfile.TemporaryFile()) for _ in spans] for _ in works]
 
     def fill(i):
+        lo, hi = spans[i]
+        rows = grid.rows(lo, hi)
         for work, column in zip(works, pieces):
-            column[i].writelines(work(*spans[i]))
+            column[i].writelines(work(lo, rows))
             column[i].flush()
 
     children = []
@@ -254,20 +283,20 @@ def _reprs(values: np.ndarray, nan: bytes) -> bytes:
 def _csv(grid: GridResult):
     # RFC-4180 with CRLF line endings; no field ever needs quoting (floats,
     # status names, empty strings), so a row is its six columns joined
-    W = grid.green.shape[1]
+    W = len(grid.us)
     us = [repr(u).encode("ascii") + b"," for u in grid.us.tolist()]
-    vs = [repr(v).encode("ascii") + b"," for v in grid.vs.tolist()]
     names = {k: f",{name},".encode("ascii") for k, name in STATUS_NAMES.items()}
 
-    def rows(lo, hi):
+    def rows(lo, part):
+        vs = [repr(v).encode("ascii") + b"," for v in part.vs.tolist()]
         cells = [b"\r\n"] * (6 * W)  # u, v, G+, status, annulus, line end
         cells[0::6] = us
         step = max(1, _TILE // (4 * W))  # rows: a whole tile's tokens cost 3 MB of peak RSS
-        for r0 in range(lo, hi, step):
-            r1 = min(r0 + step, hi)
-            green = _reprs(grid.green[r0:r1].ravel(), b"nan").split(b",")
-            status = [*map(names.__getitem__, grid.status[r0:r1].ravel().tolist())]
-            annulus = _reprs(grid.annulus[r0:r1].ravel(), b"").split(b",")
+        for r0 in range(0, len(vs), step):
+            r1 = min(r0 + step, len(vs))
+            green = _reprs(part.green[r0:r1].ravel(), b"nan").split(b",")
+            status = [*map(names.__getitem__, part.status[r0:r1].ravel().tolist())]
+            annulus = _reprs(part.annulus[r0:r1].ravel(), b"").split(b",")
             for k in range(r1 - r0):
                 row = slice(k * W, (k + 1) * W)
                 cells[1::6] = [vs[r0 + k]] * W
@@ -280,14 +309,15 @@ def _csv(grid: GridResult):
 
 def _pgm(grid: GridResult):
     c = grid.metadata.get("c", 1.0)
-    H, W = grid.green.shape
+    H, W = len(grid.vs), len(grid.us)
 
-    def rows(lo, hi):  # big-endian samples
-        for tile in _row_tiles(hi - lo, W):
-            scaled = np.clip(grid.green[lo:hi][tile] / c, 0.0, 1.0)
+    def rows(lo, part):  # big-endian samples
+        for tile in _row_tiles(len(part.vs), W):
+            scaled = np.clip(part.green[tile] / c, 0.0, 1.0)
             yield np.round(scaled * 65535.0).astype(">u2").tobytes()
 
-    # numpy packs a row far faster than a fork pays back: no cells, one piece
+    # numpy packs a row far faster than a fork pays back: no cells, so only
+    # a walk splits a PGM
     return 0, [f"P5\n{W} {H}\n65535\n".encode("ascii"), rows, b""]
 
 
@@ -297,13 +327,12 @@ def _dumps(value) -> str:
 
 
 def _json(grid: GridResult):
-    def column(values, write):
-        flat, W = values.ravel(), values.shape[1]
-
-        def piece(lo, hi):  # without the list's brackets, a tile of cells at a time
-            for a in range(lo * W, hi * W, _TILE):
-                yield b"," * (a > 0)
-                yield write(flat[a:min(a + _TILE, hi * W)])
+    def column(name, write):
+        def piece(lo, part):  # without the list's brackets, a tile of cells at a time
+            flat = getattr(part, name).ravel()
+            for a in range(0, flat.size, _TILE):
+                yield b"," * (lo > 0 or a > 0)
+                yield write(flat[a:a + _TILE])
         return piece
 
     def floats(nan):  # nan as `nan`, and json.dumps's ValueError where JSON has no literal
@@ -317,26 +346,29 @@ def _json(grid: GridResult):
     names = {k: _dumps(name).encode("ascii") for k, name in STATUS_NAMES.items()}
     head = (f'{{"metadata":{_dumps(grid.metadata)},"u":{_dumps(grid.us.tolist())},'
             f'"v":{_dumps(grid.vs.tolist())},"greenPlus":[').encode("ascii")
-    green = column(grid.green, floats(b"nan"))
-    status = column(grid.status, lambda v: b",".join(map(names.__getitem__, v.tolist())))
-    annulus = column(grid.annulus, floats(b"null"))
-    return grid.green.shape[1], [head, green, b'],"status":[', status,
-                                 b'],"annulusRadius":[', annulus, b"]}"]
+    green = column("green", floats(b"nan"))
+    status = column("status", lambda v: b",".join(map(names.__getitem__, v.tolist())))
+    annulus = column("annulus", floats(b"null"))
+    return len(grid.us), [head, green, b'],"status":[', status,
+                          b'],"annulusRadius":[', annulus, b"]}"]
 
 
 _LAYOUTS = {"csv": _csv, "pgm": _pgm, "json": _json}
 
 
-def _export(grid: GridResult, fmt: str, open_out) -> None:
+def _export(grid, fmt: str, open_out) -> None:
     """Format every piece of the export, then write them to open_out().  A
     format's layout is (cells, [text, work, text, ..., work, text]): the
-    export is each text and, between two texts, work(r0, r1) over spans of
-    rows in order; the split weighs `cells` cells a row."""
+    export is each text and, between two texts, work(lo, grid.rows(lo, hi))
+    over spans of rows in order; the split weighs `cells` cells a row, and
+    a SliceSampler's walk _WALK more a pixel."""
     if fmt not in _LAYOUTS:
         raise ValueError(f"unknown export format {fmt!r} (choose csv, pgm, or json)")
     cells, parts = _LAYOUTS[fmt](grid)
+    if isinstance(grid, SliceSampler):
+        cells += _WALK * len(grid.us)
     with ExitStack() as files:
-        columns = _fan_out(files, grid.green.shape[0], cells, parts[1::2])
+        columns = _fan_out(files, grid, cells, parts[1::2])
         with open_out() as out:
             for text, pieces in zip(parts[::2], [*columns, []]):
                 out.write(text)
@@ -345,17 +377,19 @@ def _export(grid: GridResult, fmt: str, open_out) -> None:
                     shutil.copyfileobj(fh, out)
 
 
-def export_bytes(grid: GridResult, fmt: str) -> bytes:
-    """The export as one bytes object, for in-memory callers."""
+def export_bytes(grid, fmt: str) -> bytes:
+    """The export of a GridResult or a SliceSampler as one bytes object,
+    for in-memory callers."""
     out = io.BytesIO()
     _export(grid, fmt, lambda: nullcontext(out))
     return out.getvalue()
 
 
-def export_grid(grid: GridResult, fmt: str, path) -> None:
-    """Write the grid to path, byte-deterministic for identical input.  Every
-    piece is formatted before path is opened, so a failed export, in its
-    format, its values or part way through, leaves path as it was."""
+def export_grid(grid, fmt: str, path) -> None:
+    """Write a GridResult or a SliceSampler to path, byte-deterministic for
+    identical input.  Every piece is sampled and formatted before path is
+    opened, so a failed export, in its walk, its format, its values or part
+    way through, leaves path as it was."""
     try:
         _export(grid, fmt, lambda: open(path, "wb"))
     except OSError as exc:

@@ -282,6 +282,8 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
     range.  numpy is imported here, so the scalar path never loads it.
     """
     import numpy as np
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget!r}")
     R = filtration_of(m, filtration).R
     height = max(_DEEP, 2.0 * R)
     lim = overflow_limit(m.d)

@@ -1,6 +1,7 @@
 """Slice sampling of sub-level sets and byte-deterministic export."""
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -64,6 +65,19 @@ def test_tiny_grid_rejected():
 def test_nonpositive_level_rejected():
     with pytest.raises(DomainError):
         sample_slice(QUAD, small_spec(8), c=0.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_non_finite_level_rejected(c):
+    with pytest.raises(DomainError):
+        sample_slice(QUAD, small_spec(8), c=c)
+
+
+def test_negative_budget_rejected():
+    for sample in (lambda: green_plus_grid(QUAD, [1.0], [1.0], budget=-1),
+                   lambda: sample_slice(QUAD, small_spec(8), c=1.0, budget=-1)):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            sample()
 
 
 def test_annulus_is_exp_green_inside_the_level(grid):
@@ -354,8 +368,8 @@ def test_span_of_a_child_that_fails_part_way_is_redone(three_cores, monkeypatch)
     def child_fails_after_two_rows(grid):
         cells, (head, rows, tail) = csv_layout(grid)
 
-        def flaky(lo, hi):
-            for r, row in enumerate(rows(lo, hi)):
+        def flaky(lo, part):
+            for r, row in enumerate(rows(lo, part)):
                 if r == 2 and os.getpid() != parent:
                     raise OSError("no space left on device")
                 yield row
@@ -497,3 +511,85 @@ def test_cli_far_field_json_exports(tmp_path):
             scalar = green_plus(QUAD, (1e200 + u, 1e199 + v))
             assert math.isfinite(g.green[r, col])
             assert abs(g.green[r, col] - scalar.value) <= g.error[r, col] + scalar.error_bound
+
+
+# -- the CLI samples each span in the process that formats it -------------------
+
+CLI_WINDOWS = {  # (map, slice, budget); the dissipative window has full-budget pixels,
+    # and all but the far one fork in every format
+    "acceptance": ({"d": 2, "p": [0], "a": 3},
+                   {"origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1],
+                    "gridW": 256, "gridH": 256, "extent": 3}, 200),
+    "cubic": ({"d": 3, "p": [0, 0], "a": 9},
+              {"origin": [[0.25, 0], [-0.5, 0.125]], "spanU": [1, 0], "spanV": [[0, 1], [0.5, 0]],
+               "gridW": 181, "gridH": 277, "extent": [2.5, 2]}, 200),
+    "dissipative": ({"d": 2, "p": [-1.2], "a": 0.3},
+                    {"origin": [0, 0], "spanU": [1, 0], "spanV": [0, 1],
+                     "gridW": 224, "gridH": 229, "extent": 2}, 60),
+    "far": ({"d": 2, "p": [0], "a": 3},
+            {"origin": [[1e200, 0], [1e199, 0]], "spanU": [1, 0], "spanV": [0, 1],
+             "gridW": 32, "gridH": 32, "extent": 3}, 200),
+}
+
+
+def _complex(v):
+    return complex(*v) if isinstance(v, list) else complex(v)
+
+
+@functools.cache
+def _library_exports(key):
+    """export_bytes(sample_slice(...)) of a CLI window, in each format."""
+    doc, win, budget = CLI_WINDOWS[key]
+    ext = win["extent"] if isinstance(win["extent"], list) else [win["extent"]] * 2
+    spec = SliceSpec(origin=tuple(map(_complex, win["origin"])),
+                     span_u=tuple(map(_complex, win["spanU"])),
+                     span_v=tuple(map(_complex, win["spanV"])),
+                     grid_w=win["gridW"], grid_h=win["gridH"], extent=tuple(ext))
+    m = HenonMap(doc["d"], doc["a"], tuple(doc["p"]))
+    g = sample_slice(m, spec, c=1.0, budget=budget)
+    if key == "dissipative":
+        assert (g.status == STATUS_K_CANDIDATE).sum() > g.status.size // 4
+    return {fmt: export_bytes(g, fmt) for fmt in ("csv", "json", "pgm")}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("key", list(CLI_WINDOWS))
+def test_cli_slice_bytes_are_the_library_bytes(tmp_path, capsys, three_cores, monkeypatch,
+                                                key, cores):
+    from henonlab.cli import main
+    want = _library_exports(key)
+    three_cores.clear()
+    monkeypatch.setattr(grid_module, "_usable_cores", lambda: cores)
+    doc, win, budget = CLI_WINDOWS[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"map": doc, "slice": win, "budget": budget}))
+    for fmt in ("csv", "json", "pgm"):
+        if key == "acceptance":
+            assert hashlib.sha256(want[fmt]).hexdigest() == ACCEPTANCE_SHA256[fmt]
+        out, forks = tmp_path / f"g.{fmt}", len(three_cores)
+        assert main(["slice", "--config", str(cfg), "--c", "1", "--out", str(out),
+                     "--format", fmt]) == 0
+        assert out.read_bytes() == want[fmt], (key, fmt, cores)
+        # every format forks, PGM too, but in the 32^2 far-field window
+        assert (len(three_cores) > forks) == (cores > 1 and key != "far"), (key, fmt, cores)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "pgm"])
+@pytest.mark.parametrize("x0", [-1e8, 1e8], ids=["parent", "child"])
+def test_cli_walk_past_the_float_range_after_the_fork(tmp_path, capsys, three_cores, fmt, x0):
+    """a = 1e300 sends x > 1.8e8 to inf in one step: here the rows with v below
+    -1.6 (the parent's span), or above 1.6 (the last child's)."""
+    from henonlab.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "map": {"d": 2, "p": [0], "a": 1e300},
+        "slice": {"origin": [x0, 1], "spanU": [0, 0.1], "spanV": [5e7, 0],
+                  "gridW": 224, "gridH": 224, "extent": 3}}))
+    out = tmp_path / f"g.{fmt}"
+    out.write_bytes(b"the previous export\r\n")
+    code = main(["slice", "--config", str(cfg), "--c", "1", "--out", str(out), "--format", fmt])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3 and len(err) == 1 and json.loads(err[0])["error"] == "overflow"
+    assert out.read_bytes() == b"the previous export\r\n"
+    assert three_cores  # the walk failed after the fork; the fixture reaps every child
