@@ -45,7 +45,8 @@ phi^{d-j}, since [y^-1] y f' = -[y^-1] f.  Both strategies read Q from it:
   1000 R gives [y^-1] phi^k as the mean of y phi(0, y)^k, with aliasing
   error (R/rho)^N.  The largest summand, y phi^{d-1}, has size rho^d and
   carries that times each sample's rounding, so the fit runs at
-  ceil(d (3 + log10 R)) + 20 digits.
+  ceil(d (3 + log10 R)) + 20 digits.  A real map walks phi only at the
+  d + 6 samples of Im y >= 0: the others are their conjugates.
 
 The constant A_0 is a gauge freedom of psi whenever a != d (shifting psi
 by a constant reshuffles A_0); both strategies pin A_0 = 0.
@@ -298,29 +299,41 @@ def cross_check_lift(m: HenonMap, tol: float = 1e-8) -> LiftPolynomial:
 
 # -- formal-series strategy -------------------------------------------------
 
-# cap on _formal_cost.  On a 2-core Xeon (median of 3) p = y^200 + 2y^198 + 1
-# (4.0e6) took 0.60 s, a dense d = 60 (a_k = k + 1, 2.2e6) 0.82 s, a dense
-# d = 74 (5.0e6) 1.64 s, p = y^316 + 2y (948) 0.01 s and a dense d = 100
-# (1.7e7) 3.74 s; with random 30-digit p/q coefficients (b = 100, weight
-# 4.6) a dense d = 40 (2.0e6) 0.62 s and a dense d = 60 (1.0e7) 3.89 s, and
-# with 300-digit ones (b = 997, weight 179) a dense d = 20 (4.7e6) 0.54 s
-# (the weight fits a dense d = 60 at b = 34, 100 and 333, 1.7, 4.5 and 30
-# times its time at b = 6, within 15 %)
-_FORMAL_EXACT_CAP = 5 * 10 ** 6
-# the fit's cap on digits^2 * samples * d: d = 100 with a = 1e100 (3.7e9) took
-# 0.9 s, y^200 with a = 3 (3.2e10) 5.4 s and with a = 1e300 (7.0e10) 8.4 s
+# cap on _formal_cost, re-timed with _FIT_CAP in one process on a 2-core Xeon
+# (median of 3 under 2 s, else one run; two such runs on the shared host
+# differed by up to 1.5x): p = y^200 + 2y^198 + 1 (4.0e6) took 0.66 s, a dense
+# d = 60 (a_k = k + 1, 2.2e6) 0.94-1.4 s, a dense d = 74 (5.0e6) 2.0 s,
+# p = y^316 + 2y (948) 0.01 s and a dense d = 100 (1.7e7) 5.7 s; with random
+# 30-digit p/q coefficients (b = 100, weight 4.6) a dense d = 40 (2.0e6)
+# 0.79 s and a dense d = 60 (1.0e7) 5.0 s, and with 300-digit ones (b = 997,
+# weight 179) a dense d = 20 (4.7e6) 0.57 s (the weight fits a dense d = 60 at
+# b = 34, 100 and 333, 1.7, 4.5 and 30 times its time at b = 6, within 15 %);
+# of float maps (a_k = k + 1.0) a dense d = 100 (1.8e6) 0.63 s, a dense
+# d = 139 (4.9e6) 2.5 s, d = 140 (5.0e6) 2.4 s and d = 200 (1.5e7) 6.9 s
+_FORMAL_CAP = 5 * 10 ** 6
+# a float map's product, a Fraction times two complex doubles, took 3.3-5.6 us
+# at d = 60..200, about 11 times the 0.35-0.40 us of an exact unit at the
+# dense d = 74
+_FLOAT_PRODUCT = 11
+# the fit's cap on digits^2 * walks * d: d = 100 with a = 1e100 (1.9e9) took
+# 0.46 s and with a = 1e100 i (3.7e9, not a real map) 0.83 s, d = 120 with
+# a = 1e100 i (7.0e9) 1.4 s, d = 150 with a = 1e100 (7.6e9) 1.2 s, and y^200
+# with a = 3 (1.6e10) 2.7 s and with a = 1e300 (3.5e10) 5.4 s
 _FIT_CAP = 5 * 10 ** 9
 
 
-def _formal_cost(d: int, s: list) -> tuple:
-    """(cost, b) of the exact formal Q over the nonzero s_i: d times the
-    products of Miller's recurrence, as its operands grow with d, each
-    counted ((b + 72)/80)^2 >= 1 times, as they grow with the largest
-    numerator or denominator bit length b of the s_i too."""
-    bits = max((max(abs(t.numerator).bit_length(), t.denominator.bit_length())
-                for _, c in s for t in (c.re, c.im)), default=0)
+def _formal_cost(d: int, s: list, exact: bool) -> tuple:
+    """(cost, b) of the formal Q over the nonzero s_i: the products of
+    Miller's recurrence.  A float product counts _FLOAT_PRODUCT times.  An
+    exact one counts d times, as its operands grow with d, and ((b + 72)/80)^2
+    >= 1 times, as they grow with the largest numerator or denominator bit
+    length b of the s_i too (b is None for a float map)."""
     # s_i makes one product at each order n = i..k+1: (d+1-i)(d+2-i)/2 over all k
     products = sum((d + 1 - i) * (d + 2 - i) // 2 for i, _ in s)
+    if not exact:
+        return products * _FLOAT_PRODUCT, None
+    bits = max((max(abs(t.numerator).bit_length(), t.denominator.bit_length())
+                for _, c in s for t in (c.re, c.im)), default=0)
     return d * products * max(80, bits + 72) ** 2 // 80 ** 2, bits
 
 
@@ -330,12 +343,14 @@ def _derive_formal(m: HenonMap) -> LiftPolynomial:
     zero = zero_of(a)
     # at x = 0, phi = y (1 + s)^{1/d} to t^d, t = 1/y, s = sum_{i=2..d} a_{d-i} t^i
     s = [(d - k, c) for k, c in enumerate(coeffs) if not is_zero(c)]
-    if m.exact:
-        cost, bits = _formal_cost(d, s)
-        if cost > _FORMAL_EXACT_CAP:
-            raise ValueError(f"the exact formal Q of this map costs about d * products = "
-                             f"{cost}, past the cap {_FORMAL_EXACT_CAP}, a product counting "
-                             f"((b + 72)/80)^2 >= 1 times for coefficients of b = {bits} bits")
+    cost, bits = _formal_cost(d, s, m.exact)
+    if cost > _FORMAL_CAP:
+        raise ValueError(
+            f"the exact formal Q of this map costs about d * products = {cost}, past the cap "
+            f"{_FORMAL_CAP}, a product counting ((b + 72)/80)^2 >= 1 times for coefficients "
+            f"of b = {bits} bits" if m.exact else
+            f"the float formal Q of this map costs about products * {_FLOAT_PRODUCT} = "
+            f"{cost}, past the cap {_FORMAL_CAP}")
 
     lo = min((i for i, _ in s), default=d + 1)  # g_n = 0 for 0 < n < lo
     A = []  # A_1 .. A_{d-1}
@@ -367,18 +382,25 @@ def _derive_fit(m: HenonMap) -> LiftPolynomial:
     R = estimate_filtration_radius(m).R
     digits = fit_digits_needed(d, R)
     N = 2 * d + 10  # aliasing error (R/rho)^N
-    if digits ** 2 * N * d > _FIT_CAP:
-        raise ValueError(f"the fit Q of this map costs about digits^2 * samples * d = "
-                         f"{digits ** 2 * N * d}, past the cap {_FIT_CAP}")
     with mp.workdps(digits):
+        # a real map (_mp makes every coefficient an mpf) commutes with
+        # conjugation, so phi(0, conj y) = conj phi(0, y); as y_{N-n} = conj
+        # y_n, it walks n = 0..N/2 only and sums Re(y_n phi_n^k), twice for
+        # 0 < n < N/2, which makes its A exactly real
+        real = all(isinstance(c, mp.mpf) for c in _mp_all((m.a, *m.coeffs), mp.mp.prec))
+        walks = N // 2 + 1 if real else N
+        if digits ** 2 * walks * d > _FIT_CAP:
+            raise ValueError(f"the fit Q of this map costs about digits^2 * walks * d = "
+                             f"{digits ** 2 * walks * d}, past the cap {_FIT_CAP}")
         rho = 1000 * mp.mpf(R)
         res = [0] * d  # res[k]: N [y^-1] phi^k by the trapezoidal rule
-        for n in range(N):
+        for n in range(walks):
             y = rho * mp.expjpi(mp.mpf(2 * n) / N)
             f, t = phi_mp(m, (mp.mpf(0), y), digits), y
+            w = 2 if real and 0 < n < N // 2 else 1
             for k in range(1, d):
                 t *= f
-                res[k] += t
+                res[k] += w * t.real if real else t
         # A_{d-k} = -[y^-1] phi^k / k
         return LiftPolynomial(d, (0j, *(complex(-res[k] / (N * k)) for k in range(d - 1, 0, -1))))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from henonlab import boettcher
-from henonlab._exact import QC, as_exact
+from henonlab._exact import QC, field, is_zero
 from henonlab.boettcher import derive_lift_polynomial, psi
 from henonlab.cli import main, parse_map, parse_point, parse_scalar, UsageError
 from henonlab.covering import RootOfUnity
@@ -310,27 +310,39 @@ def test_formal_q_of_30_digit_coefficients_is_exit_2(capsys):
     assert re.search(r"past the cap 5000000, .* b = 100 bits", json.loads(err)["message"])
 
 
+@pytest.mark.parametrize("cmd", ["derive-q", "symmetries"])
+def test_formal_q_of_a_dense_float_degree_200_map_is_exit_2(capsys, cmd):
+    # a_k = k + 1.0: 1.3e6 float products weigh 11 each; it took 4.8-8.7 s uncapped
+    m = json.dumps({"d": 200, "p": [k + 1.0 for k in range(199)], "a": 3})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, cmd, "--map", m)
+    assert time.perf_counter() - t0 < 1
+    _one_line_error(code, out, err, 2, "usage")
+    assert "products * 11 = 14666300, past the cap 5000000" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("d, p", [
     (60, list(range(1, 60))), (74, list(range(1, 74))), (200, [1] + [0] * 197 + [2, 0, 1]),
     (2, [1]), (3, [1, 0]), (4, [0, 0, 1]),  # the lift-exact maps
     (20, ["1/3"] * 19), (8, [[1, 2], "1/2-1i", "7/9", 0, 5, "10/3", "3/4"]),
+    (100, [k + 1.0 for k in range(99)]), (139, [k + 1.0 for k in range(138)]),
+    (40, [[0.5, 0.25]] * 39),  # as costly as the costliest float map of the other tests
 ])
 def test_formal_q_cap_admits(d, p):
-    # the dense d = 74 (1.6 s) is the costliest of these
+    # the dense float d = 139 (1.9-2.5 s) is the costliest of these
     m = parse_map(json.dumps({"d": d, "p": p, "a": 3}))
-    assert m.exact
-    s = [(d - k, as_exact(c)) for k, c in enumerate(m.coeffs) if c != 0]
-    assert boettcher._formal_cost(d, s)[0] <= boettcher._FORMAL_EXACT_CAP
+    s = [(d - k, c) for k, c in enumerate(field(m.coeffs)) if not is_zero(c)]
+    assert boettcher._formal_cost(d, s, m.exact)[0] <= boettcher._FORMAL_CAP
 
 
 def test_fit_past_its_cost_cap_is_exit_2(capsys):
-    # 922 digits on 410 samples: digits^2 * samples * d = 7.0e10, which took 8.4 s uncapped
+    # 922 digits on 206 walks (a real map): digits^2 * walks * d = 3.5e10, 3.9-5.8 s uncapped
     m = json.dumps({"d": 200, "p": [0] * 199, "a": 1e300})
     t0 = time.perf_counter()
     code, out, err = run(capsys, "derive-q", "--map", m, "--strategy", "fit")
     assert time.perf_counter() - t0 < 1
     _one_line_error(code, out, err, 2, "usage")
-    assert "digits^2 * samples * d = 69706888000, past the cap 5000000000" \
+    assert "digits^2 * walks * d = 35023460800, past the cap 5000000000" \
         in json.loads(err)["message"]
 
 

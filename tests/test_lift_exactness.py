@@ -8,6 +8,7 @@ the exact k' count."""
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from henonlab import (HenonMap, classify_aut1, derive_lift_polynomial,
@@ -250,15 +251,53 @@ def test_fit_runs_at_needed_digits_and_matches_formal(monkeypatch):
         return true_phi_mp(m, z, digits, *args)
 
     monkeypatch.setattr(boettcher, "phi_mp", counted_phi_mp)
+    reals = 0
     for m in maps:
         need = boettcher.fit_digits_needed(m.d, estimate_filtration_radius(m).R)
         formal = derive_lift_polynomial(m, "formal-series")
         dps.clear()
         fit = derive_lift_polynomial(m, "bigfloat-fit")
-        assert dps == [need] * (2 * m.d + 10), (m, need, dps)
+        # a real map walks one of each conjugate pair of samples
+        real = not any(isinstance(c, complex) or as_exact(c) is not None and as_exact(c).im
+                       for c in (m.a, *m.coeffs))
+        reals += real
+        assert dps == [need] * (m.d + 6 if real else 2 * m.d + 10), (m, need, dps)
         assert fit.A[0] == 0j and all(type(c) is complex for c in fit.A)
+        assert not real or all(c.imag == 0.0 for c in fit.A), (m, fit.A)
         for x, y in zip(formal.A_complex, fit.A):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (m, x, y)
+    assert reals == 4
+
+
+def _real_maps(seed: int):
+    """Seeded real maps of degree 2..7, one per coefficient type: int,
+    Fraction, float and QC with imaginary part 0."""
+    rng = random.Random(seed)
+    kinds = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+             lambda: rng.uniform(-3, 3), lambda: QC(Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+    for d in range(2, 8):
+        for scalar in kinds:
+            a = scalar()
+            yield HenonMap(d, 3 if is_zero(a) else a, tuple(scalar() for _ in range(d - 1)))
+
+
+def test_phi_mp_commutes_with_conjugation_on_real_maps():
+    # the fit's pairing of samples: phi(conj z) = conj phi(z) at every fit
+    # angle on |y| = rho, y = -rho among them, where the winding k is not 0
+    rng = random.Random(93)
+    for m in _real_maps(94):
+        assert all(isinstance(c, mp.mpf) for c in boettcher._mp_all((m.a, *m.coeffs), 53))
+        R = estimate_filtration_radius(m).R
+        dps = boettcher.fit_digits_needed(m.d, R)
+        N = 2 * m.d + 10
+        with mp.workdps(dps):
+            rho = 1000 * mp.mpf(R)
+            for n in range(N):
+                y = rho * mp.expjpi(mp.mpf(2 * n) / N)
+                for x in (mp.mpf(0), mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))):
+                    f = boettcher.phi_mp(m, (x, y), dps)
+                    g = boettcher.phi_mp(m, (mp.conj(x), mp.conj(y)), dps)
+                    assert abs(g - mp.conj(f)) <= mp.mpf(10) ** (10 - dps) * abs(f), (m, n, x)
 
 
 # -- closed forms ------------------------------------------------------------
