@@ -5,13 +5,13 @@ q(x,y) = p(y) - ax - y^d, satisfying phi o H = phi^d and G+ = log|phi|.
 Every factor uses the principal branch, which needs only Re(1+u) > 0 for
 u = q/y^d; the guard |u| < 1 is enforced at runtime, never assumed (on
 V_R+ the doubling radius gives |u| <= 1 - 2/|y|^{d-1}, not 1/2).  The
-product to J equals y_J^{1/d^J}: phi_mp takes that root with one log and
-one exp, its winding theta_{j+1} = d theta_j + Arg(1+u_j) tracked in
-doubles (u_j too is a double quotient, except where the big-float one
-must decide |u_j| < 1), and stops once the factors left are below
-10^-(dps+10).  phi is phi_mp at 30 digits rounded to a complex double.
-mpmath computes a high-precision mpc**n as exp(n log z), so the mpmath
-paths carry integer powers by multiplication.
+product to J equals y_J^{1/d^J}: phi_mp stops once the factors left are
+below 10^-(dps+10), tracks the winding theta_{j+1} = d theta_j + Arg(1+u_j)
+in doubles (u_j too is a double quotient, except where the big-float one
+must decide |u_j| < 1), and takes the root by a log and an exp at
+min(prec, 512) bits, then Newton steps doubling the bits up to prec.  phi
+is phi_mp at 30 digits rounded to a complex double.  mpmath computes a
+high-precision mpc**n, n > 2, as exp(n log z), so powers go by squaring.
 
 The refined G+ of the potential module still takes the float product
 phi_product with its tail bound phi_tail_bound, which uses
@@ -65,7 +65,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from ._exact import as_exact, field, is_zero, support, zero_of
@@ -140,11 +140,15 @@ def phi_product(m: HenonMap, z, J: int):
 
 # phi's working precision.  phi_mp stops once the factors left are below
 # 10^-(dps+10); its J steps at dps digits carry each step's rounding into
-# log phi divided by d^(j+1), and the final log and exp add |log phi|
-# (below 10^3 for any double y) times 10^-dps, so the computed log phi is
-# within 10^-(dps-10) with room to spare
+# log phi divided by d^(j+1).  Its root w = y_J^(1/n), n = d^J, starts from
+# a log and an exp at b = min(prec, _ROOT_START) bits, off by |log phi|
+# (below 10^3 for any double y) times 2^-b.  Past START bits, from p = START
+# - g - 20, a Newton step e -> (n - 1) e^2/2 plus rounding at p + g bits keeps
+# w within 2^-(p + g/2) as p doubles to prec.  So the computed log phi is
+# within 10^-(dps-10) with room to spare; at 30 digits no Newton step runs
 _PHI_DPS = 30
 _PHI_REL = 2.0 ** -52 + 10.0 ** -(_PHI_DPS - 10)
+_ROOT_START = 512
 
 
 def phi(m: HenonMap, z, filtration: Optional[FiltrationRadius] = None) -> BoettcherValue:
@@ -185,10 +189,11 @@ def _mp_all(values: tuple, prec: int) -> tuple:
 
 
 def _ipow(w, n: int):
-    """w**n, n >= 1, by multiplication (mpmath's mpc**n may take a log)."""
+    """w**n, n >= 1, by squaring: mpmath's w**2 is mpc_square (3 real products),
+    while its mpc**n for n > 2 is exp(n log w) past about 10^4 bits."""
     out = w
-    for _ in range(n - 1):
-        out *= w
+    for bit in bin(n)[3:]:
+        out = out ** 2 * w if bit == "1" else out ** 2
     return out
 
 
@@ -227,13 +232,22 @@ def phi_mp(m: HenonMap, z, dps: int, orbit: Optional[list] = None):
         x, y, J = y, yd + q, J + 1
         if orbit is not None:
             orbit.append((x, y))
-    log_y = mp.log(y)
+    n, prec = d ** J, mp.mp.prec
+    log_y = mp.ln(y, prec=min(prec, _ROOT_START))
     turns = (theta - float(log_y.imag)) / (2 * math.pi)
     # |theta| < 2^40 keeps its double rounding error far below a quarter turn
     if not (abs(theta) < 2.0 ** 40 and abs(turns - round(turns)) <= 0.25):
         raise PrecisionError(f"phi_mp winding not resolved: {turns:.3f} turns")
     k = round(turns)
-    return mp.exp((log_y + (mp.mpc(0, 2 * mp.pi * k) if k else 0)) / d ** J)
+    w = mp.exp((log_y + (mp.mpc(0, 2 * mp.pi * k) if k else 0)) / n, prec=min(prec, _ROOT_START))
+    # Newton on w^n = y_J, w^n as J d-th powers, w within 2^-(p + g/2) of the root
+    g = 2 * n.bit_length() + 10
+    p = prec if prec <= _ROOT_START else _ROOT_START - g - 20
+    while p < prec:
+        p = min(2 * p, prec)
+        with mp.workprec(p + g):
+            w += w * (y / reduce(_ipow, [d] * J, w) - 1) / n
+    return +w
 
 
 def _q_mp(A: tuple, w, wd):

@@ -13,11 +13,14 @@ from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
                       derive_lift_polynomial, evaluate, phi, psi,
                       semiconjugacy_residual)
 from henonlab._exact import QC
-from henonlab.boettcher import _mp, _psi_partials, digits_needed, fit_digits_needed, phi_mp
+from henonlab.boettcher import (_ipow, _mp, _psi_partials, digits_needed, fit_digits_needed,
+                                phi_mp)
 from henonlab.maps import estimate_filtration_radius, horner, in_v_plus, overflow_limit
 
 QUAD = HenonMap(2, 3, (0,))
 CUBIC = HenonMap(3, 9, (0, 0))
+# the maps of perfbench's lift-exact workload: y^2+1, y^3+1 and y^4+y^2
+LIFT_EXACT_MAPS = [HenonMap(2, 3, (1,)), HenonMap(3, 9, (1, 0)), HenonMap(4, 16, (0, 0, 1))]
 
 
 # -- Boettcher coordinate ----------------------------------------------------
@@ -115,11 +118,13 @@ def _complex_maps():
 def test_phi_mp_matches_per_factor_product(dps):
     """phi_mp = y_J^(1/d^J) with a tracked winding agrees with the per-factor
     product, including arg y within 1e-3 of +-pi and windings of several turns.
-    At 1800 digits, the precision of the deepest psi, two maps are enough to
-    hold phi_mp's exponent stop rule to the reference's mpf cutoff."""
+    At 1800 digits, the precision of the deepest psi, where the root is taken
+    by Newton steps, two of the random maps hold phi_mp's exponent stop rule
+    to the reference's mpf cutoff, and the three lift-exact maps are checked
+    too.  A point with |y| already past the stop has J = 0, so d^J = 1."""
     windings = set()
     maps = list(_complex_maps())
-    for m in maps[:2] if dps > 400 else maps:
+    for m in maps[:2] + LIFT_EXACT_MAPS if dps > 400 else maps:
         r = 3 * estimate_filtration_radius(m).R
         for t in (math.pi - 5e-4, -math.pi + 5e-4, 2.5, -0.7):
             z = (cmath.rect(0.5 * r, 1.0 - t), cmath.rect(r, t))
@@ -129,6 +134,82 @@ def test_phi_mp_matches_per_factor_product(dps):
                 assert abs(got - want) <= mp.mpf(10) ** (2 - dps) * abs(want)
                 windings.add(int(mp.nint((m.d ** J * mp.arg(want) - mp.arg(yJ)) / (2 * mp.pi))))
     assert max(map(abs, windings)) >= 3
+    with mp.workdps(dps):
+        z = (mp.mpf(1), mp.mpc(-3, 4) * mp.mpf(10) ** (dps + 20))  # 3/|y| < 10^-(dps+10)
+        want, J, _ = _phi_mp_per_factor(QUAD, z, dps)
+        assert J == 0 and abs(phi_mp(QUAD, z, dps) - want) <= mp.mpf(10) ** (2 - dps) * abs(want)
+
+
+def _psi_per_factor(m, q, z, depth, dps):
+    """Reference psi_depth = (d/a)^N x_N y_N - sum_{j<N} (d/a)^{j+1} Q(phi(H^j z))
+    on an orbit walked here, with the per-factor phi at each of its points;
+    returns (psi_N, |(d/a)^N x_N y_N|)."""
+    d, a = m.d, _mp(m.a)
+    coeffs, A = [_mp(c) for c in m.coeffs], [_mp(c) for c in q.A]
+    orbit = [(_mp(z[0]), _mp(z[1]))]
+    for _ in range(depth):
+        x, y = orbit[-1]
+        orbit.append((y, y ** d + sum(c * y ** i for i, c in enumerate(coeffs)) - a * x))
+    total = 0
+    for j in range(depth):
+        f = _phi_mp_per_factor(m, orbit[j], dps)[0]
+        total -= (d / a) ** (j + 1) * (f ** (d + 1) + sum(c * f ** i for i, c in enumerate(A)))
+    big = (d / a) ** depth * orbit[depth][0] * orbit[depth][1]
+    return big + total, abs(big)
+
+
+@pytest.mark.parametrize("m,depth", [(LIFT_EXACT_MAPS[2], 5), (LIFT_EXACT_MAPS[1], 6)],
+                         ids=["psi(4,5)", "psi(3,6)"])
+def test_psi_matches_per_factor_oracle_at_its_precision(m, depth):
+    """psi_N at digits_needed (1677-1848 digits here) agrees with a reference
+    built from a freshly walked orbit and the per-factor phi at each point,
+    within 10^(10-dps) of its largest term, at seeded V_R+ points of radius
+    2R to 2.2R; psi_(N-1) too."""
+    rng = random.Random(f"psi-oracle/{m.d}")
+    R = estimate_filtration_radius(m).R
+    q = derive_lift_polynomial(m, "formal-series")
+    for _ in range(2):
+        z = (cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)),
+             cmath.rect(2 * R * rng.uniform(1.0, 1.1), rng.uniform(0, 2 * math.pi)))
+        dps = digits_needed(m, z, depth)
+        with mp.workdps(dps):
+            got, prev, _ = _psi_partials(m, z, q, depth, dps)
+            for n, value in ((depth, got), (depth - 1, prev)):
+                want, scale = _psi_per_factor(m, q, z, n, dps)
+                assert abs(value - want) <= mp.mpf(10) ** (10 - dps) * scale, (z, n)
+
+
+@pytest.mark.parametrize("prec", [60, 6000])
+def test_ipow_matches_the_straight_product(prec):
+    """Square-and-multiply agrees with n - 1 multiplications within
+    n 2^(1-prec) relative, for an mpf and an mpc."""
+    with mp.workprec(prec):
+        for w in (mp.sqrt(2) / 3, mp.mpc(mp.sqrt(2), -mp.cbrt(3)) / 2):
+            ref = w
+            for n in range(1, 34):
+                got = _ipow(w, n)
+                assert type(got) is type(w)
+                assert abs(got - ref) <= n * mp.mpf(2) ** (1 - prec) * abs(ref), n
+                ref *= w
+
+
+def test_ipow_takes_no_exp_log_route(monkeypatch):
+    """mpmath's mpc**n, n > 2, is exp(n log w) at 10^5 bits; _ipow squares."""
+    import mpmath.libmp.libmpc as libmpc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp-log power")
+
+    with mp.workprec(10 ** 5):
+        w = mp.mpc(mp.mpf(1) / 3, mp.mpf(-2) / 7)
+        ref = w * w * w * w * w
+        monkeypatch.setattr(libmpc, "mpc_log", refuse)
+        monkeypatch.setattr(libmpc, "mpc_exp", refuse)
+        with pytest.raises(AssertionError, match="exp-log"):
+            w ** 5
+        assert abs(_ipow(w, 5) - ref) <= mp.mpf(2) ** (10 - 10 ** 5) * abs(ref)
+        for n in (2, 3, 33):
+            _ipow(w, n)
 
 
 # V_R+ points where |q/y^d| lies in [1/2, 1): the doubling radius proves
