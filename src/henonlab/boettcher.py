@@ -12,11 +12,8 @@ must decide |u_j| < 1), and takes the root by a log and an exp at
 min(prec, 512) bits, then Newton steps doubling the bits up to prec.  phi
 is phi_mp at 30 digits rounded to a complex double.  mpmath computes a
 high-precision mpc**n, n > 2, as exp(n log z), so powers go by squaring.
-
-The refined G+ of the potential module still takes the float product
-phi_product with its tail bound phi_tail_bound, which uses
-|log(1+u)| <= 2|u| and so needs |u| <= 1/2: it starts at J >= 1, where
-|y_J| >= 2R gives that.
+phi_mp is the one phi kernel: G+ needs only |phi_J| = |y_J|^{1/d^J},
+which the potential module reads from the height of its own walk.
 
 Q(zeta) = zeta^{d+1} + A_{d-1} zeta^{d-1} + ... + A_0 is the first-
 coordinate polynomial of the covering model ((a/d)z + Q(zeta), zeta^d).
@@ -62,7 +59,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -70,33 +66,11 @@ from typing import Optional, Sequence
 
 from ._exact import as_exact, field, is_zero, support, zero_of
 from .errors import DomainError, InconsistencyError, PrecisionError
-from .maps import (FiltrationRadius, HenonMap, _u_bound, estimate_filtration_radius, evaluate,
-                   filtration_of, horner, in_v_plus, overflow_limit)
-
-
-# ---------------------------------------------------------------------------
-# Tail and branch bounds
-# ---------------------------------------------------------------------------
-
-def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
-    """Certified bound on |log phi - log phi_J| using |y_j| >= 2^j |y_0|;
-    J >= 1, where |y_J| >= 2R gives the |u| <= 1/2 the bound needs."""
-    if J < 1:
-        raise ValueError(f"phi_tail_bound needs J >= 1, got {J!r}")
-    if y0abs <= 1.0:
-        return float("inf")
-    d = m.d
-    total = 0.0
-    with suppress(OverflowError):  # 2^J or d^(j+1) past the float range: the rest is < 1e-300
-        yj = y0abs * 2.0 ** J
-        for j in range(J, J + 400):
-            u = _u_bound(m, yj)
-            term = 2.0 * u / d ** (j + 1)
-            total += term
-            if term < 1e-300:
-                break
-            yj *= 2.0
-    return total
+from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate,
+                   filtration_of, horner, in_v_plus)
+# kept for perfbench, whose traced run records spans under these names and
+# patches them by identity: they must be the very functions potential calls
+from .potential import phi_product, phi_tail_bound
 
 
 # ---------------------------------------------------------------------------
@@ -107,35 +81,6 @@ def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
 class BoettcherValue:
     value: complex
     error_bound: float
-
-
-def phi_product(m: HenonMap, z, J: int):
-    """Raw truncated product (no domain checks); caller guarantees z in V_R+.
-
-    Returns (product, rest).  Once |y_j| passes the overflow limit, where
-    y_j^d could overflow, the product stops after j < J factors, and
-    rest = 4u/d at |y_j| over d^j bounds the log of the factors skipped,
-    provided |y_j| >= 2R (the caller's to ensure); otherwise rest is 0.
-    """
-    x, y = complex(z[0]), complex(z[1])
-    d = m.d
-    lim = overflow_limit(d)
-    doubles = m.doubles
-    val = y
-    cur = (x, y)
-    for j in range(J):
-        xj, yj = cur
-        if abs(yj) > lim:
-            return val, 4.0 * _u_bound(m, abs(yj)) / d ** (j + 1)
-        # q = p(y) - y^d - ax from a_{d-2} .. a_0, without cancelling p(y) - y^d
-        u = (horner(doubles.coeffs, yj) - doubles.a * xj) / yj ** d
-        if abs(u) >= 1.0:
-            raise DomainError(
-                f"branch safety violated: |q/y^d| = {abs(u):.3f} >= 1 at step {j}")
-        if abs(u) > 1e-19:
-            val *= cmath.exp(cmath.log(1 + u) / d ** (j + 1))
-        cur = evaluate(doubles, cur)
-    return val, 0.0
 
 
 # phi's working precision.  phi_mp stops once the factors left are below
@@ -210,7 +155,9 @@ def phi_mp(m: HenonMap, z, dps: int, orbit: Optional[list] = None):
     # Re y, mag Im y) - 1 <= log2|y| gives _u_bound <= 2 max(A 2^-2L, B 2^-(d-1)L)
     log_a, log_b = (math.log2(c) if c else -math.inf for c in m.q_constants)
     stop = -(dps + 10) * math.log2(10) - 1
-    theta, J = cmath.phase(complex(y)), 0
+    # Arg y from its parts scaled exactly into the double range (complex(y) may be inf)
+    e = -max(mp.mag(y.real), mp.mag(y.imag))
+    theta, J = cmath.phase(complex(mp.ldexp(y.real, e), mp.ldexp(y.imag, e))), 0
     if orbit is not None:
         orbit.append((x, y))
     while J < 4 * dps + 60:

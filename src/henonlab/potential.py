@@ -9,9 +9,10 @@ of the two doubling radii), so entry and climb are one loop.  It stops at
 the first of: in V_R+- with the leading coordinate (y, or x backwards) at a
 height; the sup-norm past the overflow limit; the budget spent outside
 V_R+-.  A step to inf or nan raises OverflowError.  G-, crude_green_plus and the grid
-climb to max(1e13, 2R); green_plus stops at entry and refines through
-the boettcher product with a certified tail bound, unless y is past the
-overflow limit, where no factor of the product can be formed.
+climb to max(1e13, 2R); green_plus stops at entry, unless y is past the
+overflow limit, and walks J more steps: |phi_J| = |y_J|^(1/d^J) for the
+truncated Boettcher product, so phi_product gives d^-J log|y_J| and
+phi_tail_bound bounds the factors past J.
 
 One function, _stopped, values an escaped stop: d^-n (log top - shift),
 shift = log|a|/(d-1) backwards after entry.  The rest of the limit, the
@@ -30,9 +31,6 @@ _exhausted_bound.
 
 The scalar functions use the standard library only; green_plus_grid
 imports numpy itself, so only the slice sampler and selftest load it.
-The refinement's boettcher module loads with the first refined
-green_plus, which loads no other henonlab module beyond maps, potential,
-_exact and errors, so the slice sampler, crude G+ and G- never load it.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -160,6 +159,39 @@ def _stopped(m: HenonMap, n, top, entered, inverse: bool = False, log=math.log):
     return g, rule * scale + _FLOAT_NOISE * (1.0 + abs(g))
 
 
+def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
+    """Certified bound on |log phi - log phi_J| using |y_j| >= 2^j |y_0|;
+    J >= 1, where |y_J| >= 2R gives the |u| <= 1/2 the bound needs."""
+    if J < 1:
+        raise ValueError(f"phi_tail_bound needs J >= 1, got {J!r}")
+    if y0abs <= 1.0:
+        return float("inf")
+    d = m.d
+    total = 0.0
+    with suppress(OverflowError):  # 2^J or d^(j+1) past the float range: the rest is < 1e-300
+        yj = y0abs * 2.0 ** J
+        for j in range(J, J + 400):
+            term = 2.0 * _u_bound(m, yj) / d ** (j + 1)
+            total += term
+            if term < 1e-300:
+                break
+            yj *= 2.0
+    return total
+
+
+def phi_product(m: HenonMap, z, J: int):
+    """(d^-J log|y_J|, rest) after J steps from z in V_R+ (unchecked): log|phi_J(z)|.
+    A |y_j| past the overflow limit at j < J stops the walk with
+    (d^-j log|y_j|, d^-j _crude_bound(|y_j|)), as at every crude stop."""
+    d, lim = m.d, overflow_limit(m.d)
+    for j in range(J):
+        top = abs(z[1])
+        if top > lim:
+            return math.log(top) / d ** j, _crude_bound(m, top) / d ** j
+        z = evaluate(m.doubles, z)
+    return math.log(abs(z[1])) / d ** J, 0.0
+
+
 def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
                budget: int = DEFAULT_BUDGET,
                filtration: Optional[FiltrationRadius] = None) -> GreenValue:
@@ -167,7 +199,7 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
 
     Escaping points: iterate n steps into V_R+, then a few more so the
     product tail at truncation J satisfies d^{-n} * tail <= target_error;
-    the returned value is d^{-n} log|phi(H^n z)|, or the crude value when
+    the returned value is d^{-n} log|phi_J(H^n z)|, or the crude value when
     the entry point is past the overflow limit.  Non-escaping within
     budget: value 0 with the budget flag set.
     """
@@ -178,9 +210,8 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     filt = filtration_of(m, filtration)
     n_entry, w, crude = _walk(m, z, budget, filt.R, filt.R)  # stops at entry
     lim = overflow_limit(m.d)
-    if n_entry is None or abs(w[1]) > lim:  # no product factor can be formed past the limit
+    if n_entry is None or abs(w[1]) > lim:  # no product step can be taken past the limit
         return crude
-    from .boettcher import phi_product, phi_tail_bound  # loaded by the first refinement
 
     # refinement: climb until |y| is deep enough or the tail target is met;
     # tail is always the bound at the current w and truncation J, each
@@ -198,8 +229,8 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
         J += 1
         tail = phi_tail_bound(m, abs(w[1]), J)
     # the product can stop past the limit, at |y_j| >= 2R: j >= 1, or w climbed
-    val, rest = phi_product(m, w, J)
-    g = math.log(abs(val)) / m.d ** n
+    log_phi, rest = phi_product(m, w, J)
+    g = log_phi / m.d ** n
     err = (tail + rest) / m.d ** n + _FLOAT_NOISE * (1.0 + abs(g))
     return GreenValue(g, err, "boettcher-refined", n, entry=n_entry)
 
@@ -319,15 +350,6 @@ def green_plus_grid(m: HenonMap, X, Y, budget: int = DEFAULT_BUDGET,
         green = np.where(escaped, green, 0.0)
         err = np.where(escaped, bound, _exhausted_bound(m, budget, np.maximum(top, R), log=np.log))
     return green, err, escaped
-
-
-def __getattr__(name):
-    """potential.phi_product and potential.phi_tail_bound still resolve: to
-    boettcher's, loaded on first access (PEP 562) as by the first refinement."""
-    if name in ("phi_product", "phi_tail_bound"):
-        from . import boettcher
-        return getattr(boettcher, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -9,6 +9,8 @@ without failing any other test here.  The files are read, never edited.
 import ast
 import importlib
 import importlib.util
+import pkgutil
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,13 +67,34 @@ def _workload_names() -> set:
     return names
 
 
-def test_span_and_count_targets_resolve():
+def _span_targets() -> list:
+    """(module, function) of every ``spans.SPANS`` and ``spans.COUNTS`` entry."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    targets = [(mod, fn) for mod, fn, *_ in spans.SPANS] + list(spans.COUNTS)
+    return [(mod, fn) for mod, fn, *_ in spans.SPANS] + list(spans.COUNTS)
+
+
+def test_span_and_count_targets_resolve():
+    targets = _span_targets()
     assert len(targets) > 10
     assert [t for t in targets if not _resolves(*t)] == []
+
+
+def test_span_and_count_targets_are_the_functions_the_library_calls():
+    """The recorder patches every module attribute that *is* the target, so a
+    target re-exported under another module (boettcher.phi_product is
+    potential's) must be the very object its defining module holds under
+    that name, and no henonlab module may hold another function under it: a
+    wrapper or a copy would leave the spans of the library's calls empty."""
+    modules = [importlib.import_module(f"henonlab.{info.name}")
+               for info in pkgutil.iter_modules(importlib.import_module("henonlab").__path__)]
+    drifted = []
+    for mod, fn in _span_targets():
+        f = getattr(importlib.import_module(f"henonlab.{mod}"), fn)
+        holders = [sys.modules[f.__module__]] + [m for m in modules if callable(getattr(m, fn, None))]
+        drifted += [(mod, fn, h.__name__) for h in holders if getattr(h, fn, None) is not f]
+    assert drifted == []
 
 
 def test_names_the_workloads_call_resolve():

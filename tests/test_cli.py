@@ -676,7 +676,7 @@ def test_slice_too_large_to_allocate_is_exit_2(tmp_path, capsys, monkeypatch):
     assert not out_path.exists()
 
 
-def test_slice_and_green_minus_do_not_load_boettcher(tmp_path):
+def test_slice_green_and_classify_do_not_load_boettcher(tmp_path):
     cfg, out = tmp_path / "cfg.json", tmp_path / "g.csv"
     cfg.write_text(json.dumps({
         "map": {"d": 2, "p": [0], "a": 3},
@@ -694,7 +694,8 @@ seen = []
 for argv in (["slice", "--config", {str(cfg)!r}, "--c", "1", "--out", {str(out)!r},
               "--format", "csv"],
              ["green", "--minus", "--map", {M2!r}, "--point", "0.5,1.2"],
-             ["green", "--map", {M2!r}, "--point", "0,1e6"]):
+             ["green", "--map", {M2!r}, "--point", "0,1e6"],
+             ["classify", "--map", {M2!r}, "--point", "0.5,1.2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert henonlab.cli.main(argv) == 0, argv
     seen.append(loaded())
@@ -703,9 +704,8 @@ print(json.dumps(seen))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    slice_loads, minus_loads, plus_loads = json.loads(proc.stdout)
-    assert not slice_loads and not minus_loads
-    assert plus_loads  # the refined G+ needs it
+    # the refined G+ (green and classify) walks log|phi_J| in potential
+    assert json.loads(proc.stdout) == [False] * 4
 
 
 @pytest.mark.parametrize("point", ["inf,0", "1e400,0", "0,infi", "nan,1"])

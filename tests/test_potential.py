@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from henonlab import (DomainError, HenonMap, classify_point, evaluate, green_minus,
-                      green_plus)
-from henonlab.boettcher import _u_bound
-from henonlab.maps import FiltrationRadius, doubling_radius, estimate_filtration_radius, horner
+                      green_plus, potential)
+from henonlab.maps import (FiltrationRadius, _u_bound, doubling_radius, estimate_filtration_radius,
+                           horner)
 from henonlab.potential import (_DEEP, _FLOAT_NOISE, _crude_bound, crude_green_plus,
                                 green_plus_grid, sample_escaping_points)
 
@@ -231,16 +231,27 @@ def _entry_points(rng, R, count, top=1.2):
     return out
 
 
-def test_green_bounds_hold_against_mpmath_orbit():
-    """|value - truth| <= error_bound, both finite, for G+, crude G+, the
-    grid and G- at V_R+- entry, where |u| may be near 1 until the orbit
-    passes 2R.  Walks that pass the overflow limit before entry, valued by
-    the overflow rule, are not drawn.  The three fixed cases have R = 31.6,
+def test_green_bounds_hold_against_mpmath_orbit(monkeypatch):
+    """|value - truth| <= error_bound, both finite, for G+ (refined at
+    target_error 1e-3, 1e-9 and 1e-14), crude G+, the grid and G- at V_R+-
+    entry, where |u| may be near 1 until the orbit passes 2R.  Walks that
+    pass the overflow limit before entry, valued by the overflow rule, are
+    not drawn.  The three fixed cases have R = 31.6,
     R = 3.16e13 and R = 2.4e87; the last lies past the overflow limit
     4.6e86, so the walk stops below 2R, where u = 0.22 gives the bound 4u/d.
     Forward only: maps of degree 21..40 (the overflow limit below 1e13)
     with coefficients to 1e30, and of degree 2..8 with coefficients to
-    1e200 (R can lie past the limit), at |y| in [R, 100R]."""
+    1e200 (R can lie past the limit), at |y| in [R, 100R].  The refined
+    walks of log|phi_J| reach truncations J > 1 and stop on the overflow
+    limit (rest > 0), both at least once."""
+    walks = []  # (J, rest) of every refined G+'s phi_product
+    true_product = potential.phi_product
+
+    def recorded(m, z, J):
+        out = true_product(m, z, J)
+        walks.append((J, out[1]))
+        return out
+    monkeypatch.setattr(potential, "phi_product", recorded)
     rng = random.Random(37)
     cases = []
     for m, y in ((HenonMap(4, 1, (0, 0, 1000)), 1.0001j), (HenonMap(4, 1, (0, 0, 1e27)), 1.0001j),
@@ -274,9 +285,12 @@ def test_green_bounds_hold_against_mpmath_orbit():
                                         np.array([z[1] for z in fwd]), filtration=filt)
         for i, z in enumerate(fwd):
             truth = _orbit_truth(m, z)
-            g, c = green_plus(m, z, filtration=filt), crude_green_plus(m, z, filtration=filt)
-            for name, v, e in (("plus", g.value, g.error_bound), ("crude", c.value, c.error_bound),
-                               ("grid", green[i], err[i])):
+            c = crude_green_plus(m, z, filtration=filt)
+            checks = [("crude", c.value, c.error_bound), ("grid", green[i], err[i])]
+            for target in (1e-3, 1e-9, 1e-14):
+                g = green_plus(m, z, target, filtration=filt)
+                checks.append((f"plus {target:g}", g.value, g.error_bound))
+            for name, v, e in checks:
                 if not (math.isfinite(v) and abs(v - truth) <= e < math.inf):
                     bad.append((name, m, z, v, e, truth))
         for z in bwd:
@@ -285,6 +299,7 @@ def test_green_bounds_hold_against_mpmath_orbit():
             if not abs(g.value - truth) <= g.error_bound:
                 bad.append(("minus", m, z, g.value, g.error_bound, truth))
     assert not bad, bad
+    assert any(J > 1 for J, _ in walks) and any(rest > 0 for _, rest in walks)
 
 
 def _deep_truth(m, z, inverse=False, steps=40):

@@ -15,7 +15,8 @@ from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
 from henonlab._exact import QC
 from henonlab.boettcher import (_ipow, _mp, _psi_partials, digits_needed, fit_digits_needed,
                                 phi_mp)
-from henonlab.maps import estimate_filtration_radius, horner, in_v_plus, overflow_limit
+from henonlab.maps import _u_bound, estimate_filtration_radius, horner, in_v_plus, overflow_limit
+from henonlab.potential import phi_tail_bound
 
 QUAD = HenonMap(2, 3, (0,))
 CUBIC = HenonMap(3, 9, (0, 0))
@@ -70,14 +71,12 @@ def test_phi_within_its_bound_of_60_digit_phi_mp():
 def test_u_bound_holds_past_1e150():
     # B / |y|^(d-1) for p = y^2, a = 3 (B = 1 backwards); the old 1e-300
     # cutoff undercut it
-    from henonlab.boettcher import _u_bound
     assert _u_bound(QUAD, 1e151) == 3 / 1e151
     assert _u_bound(QUAD, 1e151, inverse=True) == 1 / 1e151
 
 
 def test_phi_tail_bound_needs_truncation_at_least_one():
     # at J = 0 the tail starts below 2R, where |u| <= 1/2 is not proven
-    from henonlab.boettcher import phi_tail_bound
     assert phi_tail_bound(QUAD, 100.0, 1) > 0.0
     with pytest.raises(ValueError, match="J >= 1"):
         phi_tail_bound(QUAD, 100.0, 0)
@@ -121,7 +120,9 @@ def test_phi_mp_matches_per_factor_product(dps):
     At 1800 digits, the precision of the deepest psi, where the root is taken
     by Newton steps, two of the random maps hold phi_mp's exponent stop rule
     to the reference's mpf cutoff, and the three lift-exact maps are checked
-    too.  A point with |y| already past the stop has J = 0, so d^J = 1."""
+    too.  A point with |y| already past the stop has J = 0, so d^J = 1.  At
+    |y| = 10^400, past the double range, the start phase comes from the
+    scaled mantissas (J = 3 at 1800 digits)."""
     windings = set()
     maps = list(_complex_maps())
     for m in maps[:2] + LIFT_EXACT_MAPS if dps > 400 else maps:
@@ -138,6 +139,10 @@ def test_phi_mp_matches_per_factor_product(dps):
         z = (mp.mpf(1), mp.mpc(-3, 4) * mp.mpf(10) ** (dps + 20))  # 3/|y| < 10^-(dps+10)
         want, J, _ = _phi_mp_per_factor(QUAD, z, dps)
         assert J == 0 and abs(phi_mp(QUAD, z, dps) - want) <= mp.mpf(10) ** (2 - dps) * abs(want)
+        for t in (0.3, 1.2, 2.0):
+            z = (mp.mpf(0), mp.mpf(10) ** 400 * mp.expj(t))
+            want = _phi_mp_per_factor(QUAD, z, dps)[0]
+            assert abs(phi_mp(QUAD, z, dps) - want) <= mp.mpf(10) ** (2 - dps) * abs(want)
 
 
 def _psi_per_factor(m, q, z, depth, dps):

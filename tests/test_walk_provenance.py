@@ -50,7 +50,7 @@ _PROVENANCE = (
     (CUBIC, ((2.497-5.419j), (4.576+1.075j)), 200,
      ('0x1.9e73d689350ffp+0', '0x1.7095ccc19a56cp-39', 3, 1, False),
      ('0x1.6356ccdc47f35p-1', '0x1.dcd31f100b8e1p-40', 4, 0, False),
-     ('0x1.9e73d689350fep+0', '0x1.727816c2b8aadp-39', 2, 1, False)),
+     ('0x1.9e73d689350ffp+0', '0x1.727816c2b8aaep-39', 2, 1, False)),
     (CUBIC, ((-2.272-3.718j), (4.198+0.9939j)), 200,
      ('0x1.972f28a0fb9e2p+0', '0x1.6c96e16be53a1p-39', 3, 1, False),
      ('0x1.6d07b36346a12p-2', '0x1.7dd04d6badddep-40', 4, 1, False),
@@ -82,7 +82,7 @@ _PROVENANCE = (
     (QUINTIC, ((4.998-2.312j), (-1.515+0.9911j)), 200,
      ('0x1.42c691fee6a83p-1', '0x1.caec3aff9da26p-40', 3, 1, False),
      ('0x1.ddb349dfff0cap+0', '0x1.935b24d6a92ddp-39', 2, 0, False),
-     ('0x1.42c691fee6a84p-1', '0x1.caef15730f406p-40', 2, 1, False)),
+     ('0x1.42c691fee6a83p-1', '0x1.caef15730f406p-40', 2, 1, False)),
     (QUINTIC, ((-2.432+1.148j), (0.5174-0.7983j)), 200,
      ('0x1.7655ccffd8e05p-4', '0x1.3332f7c1f2d57p-40', 4, 2, False),
      ('0x1.2a05a6ecc4af7p+0', '0x1.3093ad00fd8ebp-39', 3, 0, False),
@@ -90,7 +90,7 @@ _PROVENANCE = (
     (QUINTIC, ((2.079+0.3389j), (632000-13960j)), 200,
      ('0x1.ab6ba19268b15p+3', '0x1.f9235b22d826dp-37', 1, 0, False),
      ('0x1.69bda79a14eccp+1', '0x1.0d3ce54486c5dp-38', 2, 1, False),
-     ('0x1.ab6ba19268b14p+3', '0x1.fd66bdb4d77b4p-37', 0, 0, False)),
+     ('0x1.ab6ba19268b15p+3', '0x1.fd66bdb4d77b6p-37', 0, 0, False)),
     (QUINTIC, ((-9.4e+199+4.297e+199j), (9.976e+199-4.733e+199j)), 200,
      ('0x1.cc9dba4866947p+8', '0x1.fb8d633e31f4bp-32', 0, 0, False),
      ('0x1.cc9dba4866947p+8', '0x1.00000001fb8d6p+0', 0, 0, False),
