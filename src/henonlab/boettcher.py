@@ -372,9 +372,7 @@ def _derive_fit(m: HenonMap) -> LiftPolynomial:
 
 @dataclass(frozen=True)
 class PsiValue:
-    """psi_N at depth N.  convergence_gap is |psi_N - psi_{N-1}|, not a bound
-    on the distance to the limit: for p = y^2, a = 3 at depth 8 the gap is
-    0.044 while psi_8 lies 0.088 from the limit.
+    """psi_N at depth N, with no bound on its distance to the limit.
 
     Use exact coefficients for deep psi: a float map's Q carries ~1e-16
     errors in its A_j, which (d/a)^{j+1} phi_j^k amplifies.  At z = (0.4-0.3i,
@@ -385,7 +383,6 @@ class PsiValue:
     value: complex
     depth: int
     precision_digits: int
-    convergence_gap: float
 
 
 def digits_needed(m: HenonMap, z, depth: int) -> int:
@@ -399,7 +396,7 @@ def digits_needed(m: HenonMap, z, depth: int) -> int:
 
 
 def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
-    """(psi_depth, psi_{depth-1}, phi(z)) inside an mp context of dps digits.
+    """(psi_depth, phi(z)) inside an mp context of dps digits.
     The orbit H^j z is phi_mp's walk, extended here only if it stopped short."""
     import mpmath as mp
     d = m.d
@@ -413,22 +410,19 @@ def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
     doa = mp.mpf(d) / a
     qsum = mp.mpf(0)
     scale, phij = mp.mpf(1), phi0  # (d/a)^j and phi(H^j z) = phi0^(d^j)
-    prev = None
     for j in range(depth):
-        if j == depth - 1:
-            prev = scale * orbit[j][0] * orbit[j][1] - qsum
         scale *= doa
         phin = _ipow(phij, d)
         qsum += scale * _q_mp(A, phij, phin)
         phij = phin
-    psi_n = scale * orbit[depth][0] * orbit[depth][1] - qsum
-    return psi_n, prev, phi0
+    return scale * orbit[depth][0] * orbit[depth][1] - qsum, phi0
 
 
 def psi(m: HenonMap, z, q: LiftPolynomial, depth: int,
         precision_digits: Optional[int] = None,
         filtration: Optional[FiltrationRadius] = None) -> PsiValue:
-    """Telescoping psi_N with validated precision budget."""
+    """Telescoping psi_N with validated precision budget.  OverflowError when
+    psi_N lies past the double range: no value can be reported."""
     import mpmath as mp
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -440,8 +434,10 @@ def psi(m: HenonMap, z, q: LiftPolynomial, depth: int,
     if dps < need:
         raise PrecisionError(f"depth {depth} at this point needs about {need} digits, got {dps}")
     with mp.workdps(dps):
-        psi_n, psi_prev, _ = _psi_partials(m, z, q, depth, dps)
-        return PsiValue(complex(psi_n), depth, dps, float(abs(psi_n - psi_prev)))
+        value = complex(_psi_partials(m, z, q, depth, dps)[0])
+    if not cmath.isfinite(value):
+        raise OverflowError(f"psi at depth {depth} leaves the double range")
+    return PsiValue(value, depth, dps)
 
 
 def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequence,
@@ -466,8 +462,8 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
                 f"depth {depth} needs about {need} digits, got {precision_digits}")
         with mp.workdps(precision_digits):
             aod = _mp_all((m.a, *m.coeffs), mp.mp.prec)[0] / m.d
-            psi_z, _, phi_z = _psi_partials(m, z, q, depth, precision_digits)
-            psi_hz, _, phi_hz = _psi_partials(m, hz, q, depth, precision_digits)
+            psi_z, phi_z = _psi_partials(m, z, q, depth, precision_digits)
+            psi_hz, phi_hz = _psi_partials(m, hz, q, depth, precision_digits)
             phi_zd = _ipow(phi_z, m.d)
             r1 = abs(aod * psi_z + _q_mp(_mp_all(q.A, mp.mp.prec), phi_z, phi_zd) - psi_hz)
             r2 = abs(phi_zd - phi_hz)

@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map(p)
     p.add_argument("--point", required=True)
     p.add_argument("--minus", action="store_true", help="backward potential G-")
-    p.add_argument("--target-error", type=float, default=1e-9)
+    p.add_argument("--target-error", type=float, default=1e-9,
+                   help="tail-bound target of the refined G+ (--minus only checks it)")
     p.add_argument("--budget", type=int, default=200)
     p.set_defaults(fn=cmd_green)
 

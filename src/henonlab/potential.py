@@ -9,10 +9,11 @@ of the two doubling radii), so entry and climb are one loop.  It stops at
 the first of: in V_R+- with the leading coordinate (y, or x backwards) at a
 height; the sup-norm past the overflow limit; the budget spent outside
 V_R+-.  A step to inf or nan raises OverflowError.  G-, crude_green_plus and the grid
-climb to max(1e13, 2R); green_plus stops at entry, unless y is past the
-overflow limit, and walks J more steps: |phi_J| = |y_J|^(1/d^J) for the
-truncated Boettcher product, so phi_product gives d^-J log|y_J| and
-phi_tail_bound bounds the factors past J.
+climb to max(1e13, 2R).  green_plus stops at entry and climbs on, one step
+at a time, until phi_tail_bound meets its target: |phi_1| = |y_1|^(1/d) for
+the Boettcher product truncated after one factor, so phi_product gives
+d^-1 log|y_1| and phi_tail_bound bounds the factors past it.  An entry or
+a climb past the overflow limit takes the crude stop there.
 
 One function, _stopped, values an escaped stop: d^-n (log top - shift),
 shift = log|a|/(d-1) backwards after entry.  The rest of the limit, the
@@ -52,9 +53,9 @@ DEFAULT_TARGET_ERROR = 1e-9
 ESCAPED_FORWARD = "escapes-forward"
 BOUNDED = "bounded-within-budget"
 
-# height at which, for a modest R, the crude log is certified far beyond any
-# requested target: the refinement stops there or at the overflow limit,
-# the crude climb at max(_DEEP, 2R) or the overflow limit
+# crude_green_plus, green_minus and the grid stop at max(_DEEP, 2R), or at
+# the overflow limit before it: there, for a modest R, the crude bound 4u/d
+# is far below any usual target
 _DEEP = 1e13
 _FLOAT_NOISE = 1e-12
 
@@ -159,18 +160,17 @@ def _stopped(m: HenonMap, n, top, entered, inverse: bool = False, log=math.log):
     return g, rule * scale + _FLOAT_NOISE * (1.0 + abs(g))
 
 
-def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
-    """Certified bound on |log phi - log phi_J| using |y_j| >= 2^j |y_0|;
-    J >= 1, where |y_J| >= 2R gives the |u| <= 1/2 the bound needs."""
-    if J < 1:
-        raise ValueError(f"phi_tail_bound needs J >= 1, got {J!r}")
+def phi_tail_bound(m: HenonMap, y0abs: float) -> float:
+    """Certified bound on |log phi - log phi_1| at a point of V_R+ with
+    |y| = y0abs, using |y_j| >= 2^j |y_0|: from j = 1 on |y_j| >= 2R, which
+    gives the |u| <= 1/2 the bound needs."""
     if y0abs <= 1.0:
         return float("inf")
     d = m.d
     total = 0.0
-    with suppress(OverflowError):  # 2^J or d^(j+1) past the float range: the rest is < 1e-300
-        yj = y0abs * 2.0 ** J
-        for j in range(J, J + 400):
+    with suppress(OverflowError):  # d^(j+1) past the float range: the rest is < 1e-300
+        yj = y0abs * 2.0
+        for j in range(1, 401):
             term = 2.0 * _u_bound(m, yj) / d ** (j + 1)
             total += term
             if term < 1e-300:
@@ -179,17 +179,10 @@ def phi_tail_bound(m: HenonMap, y0abs: float, J: int) -> float:
     return total
 
 
-def phi_product(m: HenonMap, z, J: int):
-    """(d^-J log|y_J|, rest) after J steps from z in V_R+ (unchecked): log|phi_J(z)|.
-    A |y_j| past the overflow limit at j < J stops the walk with
-    (d^-j log|y_j|, d^-j _crude_bound(|y_j|)), as at every crude stop."""
-    d, lim = m.d, overflow_limit(m.d)
-    for j in range(J):
-        top = abs(z[1])
-        if top > lim:
-            return math.log(top) / d ** j, _crude_bound(m, top) / d ** j
-        z = evaluate(m.doubles, z)
-    return math.log(abs(z[1])) / d ** J, 0.0
+def phi_product(m: HenonMap, z) -> float:
+    """log|phi_1(z)| = d^-1 log|y_1|, one step from z in V_R+ with |y| within
+    the overflow limit (unchecked)."""
+    return math.log(abs(evaluate(m.doubles, z)[1])) / m.d
 
 
 def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
@@ -197,11 +190,12 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
                filtration: Optional[FiltrationRadius] = None) -> GreenValue:
     """Forward Green's function with certified error bound.
 
-    Escaping points: iterate n steps into V_R+, then a few more so the
-    product tail at truncation J satisfies d^{-n} * tail <= target_error;
-    the returned value is d^{-n} log|phi_J(H^n z)|, or the crude value when
-    the entry point is past the overflow limit.  Non-escaping within
-    budget: value 0 with the budget flag set.
+    Escaping points: walk n steps into V_R+, then climb until
+    d^-n phi_tail_bound(|y_n|) <= target_error/4; the value is
+    d^-n log|phi_1(H^n z)| = d^-(n+1) log|y_(n+1)| with that tail as its
+    bound.  A point that enters V_R+ past the overflow limit, or whose climb
+    passes it first, gets the crude value and bound at that stop.
+    Non-escaping within budget: value 0 with the budget flag set.
     """
     if not 0 < target_error < math.inf:
         raise ValueError(f"target_error must be finite and positive, got {target_error!r}")
@@ -210,28 +204,21 @@ def green_plus(m: HenonMap, z, target_error: float = DEFAULT_TARGET_ERROR,
     filt = filtration_of(m, filtration)
     n_entry, w, crude = _walk(m, z, budget, filt.R, filt.R)  # stops at entry
     lim = overflow_limit(m.d)
-    if n_entry is None or abs(w[1]) > lim:  # no product step can be taken past the limit
+    if n_entry is None or abs(w[1]) > lim:  # no step can be taken past the limit
         return crude
 
-    # refinement: climb until |y| is deep enough or the tail target is met;
-    # tail is always the bound at the current w and truncation J, each
-    # evaluated once
     n = n_entry
-    tail = phi_tail_bound(m, abs(w[1]), 1)
-    while abs(w[1]) < min(_DEEP, lim) and tail * m.d ** (-n) > target_error * 0.25:
+    tail = phi_tail_bound(m, abs(w[1]))
+    while tail * m.d ** (-n) > target_error * 0.25:
         w = evaluate(m.doubles, w)
         n += 1
-        tail = phi_tail_bound(m, abs(w[1]), 1)
-
-    scaled_target = target_error * 0.5 * m.d ** n
-    J = 1
-    while tail > scaled_target and J < 400:
-        J += 1
-        tail = phi_tail_bound(m, abs(w[1]), J)
-    # the product can stop past the limit, at |y_j| >= 2R: j >= 1, or w climbed
-    log_phi, rest = phi_product(m, w, J)
-    g = log_phi / m.d ** n
-    err = (tail + rest) / m.d ** n + _FLOAT_NOISE * (1.0 + abs(g))
+        top = abs(w[1])  # on V_R+ |y| is the sup-norm
+        if top > lim:
+            g, err = _stopped(m, n, top, True)
+            return GreenValue(g, err, "crude", n, entry=n_entry)
+        tail = phi_tail_bound(m, top)
+    g = phi_product(m, w) / m.d ** n
+    err = tail / m.d ** n + _FLOAT_NOISE * (1.0 + abs(g))
     return GreenValue(g, err, "boettcher-refined", n, entry=n_entry)
 
 

@@ -67,11 +67,16 @@ def _workload_names() -> set:
     return names
 
 
-def _span_targets() -> list:
-    """(module, function) of every ``spans.SPANS`` and ``spans.COUNTS`` entry."""
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def _span_targets() -> list:
+    """(module, function) of every ``spans.SPANS`` and ``spans.COUNTS`` entry."""
+    spans = _spans()
     return [(mod, fn) for mod, fn, *_ in spans.SPANS] + list(spans.COUNTS)
 
 
@@ -103,3 +108,19 @@ def test_names_the_workloads_call_resolve():
     assert {("covering", "deck_rational"), ("potential", "green_minus"),
             ("cli", "parse_map"), ("symmetry", "classify_aut1")} <= names
     assert sorted(t for t in names if not _resolves(*t)) == []
+
+
+def test_refined_green_plus_reaches_the_tail_bound_and_product_spans():
+    """A default refined G+ calls both functions the traced scalar-potential
+    rows are read from, so a refactor that stops calling either cannot leave
+    those rows at 0 unnoticed."""
+    from henonlab import HenonMap, potential
+    rec = _spans().Recorder()
+    rec.install()
+    try:
+        g = potential.green_plus(HenonMap(2, 3, (0,)), (1.5 - 2j, 4 + 3j))
+    finally:
+        rec.uninstall()
+    assert g.method == "boettcher-refined"
+    names = {span[0] for span in rec.spans}
+    assert {"boettcher.phi_tail_bound", "boettcher.phi_product"} <= names

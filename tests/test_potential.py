@@ -241,17 +241,17 @@ def test_green_bounds_hold_against_mpmath_orbit(monkeypatch):
     4.6e86, so the walk stops below 2R, where u = 0.22 gives the bound 4u/d.
     Forward only: maps of degree 21..40 (the overflow limit below 1e13)
     with coefficients to 1e30, and of degree 2..8 with coefficients to
-    1e200 (R can lie past the limit), at |y| in [R, 100R].  The refined
-    walks of log|phi_J| reach truncations J > 1 and stop on the overflow
-    limit (rest > 0), both at least once."""
-    walks = []  # (J, rest) of every refined G+'s phi_product
+    1e200 (R can lie past the limit), at |y| in [R, 100R].  At target 1e-14
+    the refined climb takes a step from past 1e13 at least once, and the
+    climb stops on the overflow limit with the crude value at least once."""
+    points = []  # where each refined G+ takes its last step
     true_product = potential.phi_product
 
-    def recorded(m, z, J):
-        out = true_product(m, z, J)
-        walks.append((J, out[1]))
-        return out
+    def recorded(m, z):
+        points.append(z)
+        return true_product(m, z)
     monkeypatch.setattr(potential, "phi_product", recorded)
+    past_deep = on_limit = False
     rng = random.Random(37)
     cases = []
     for m, y in ((HenonMap(4, 1, (0, 0, 1000)), 1.0001j), (HenonMap(4, 1, (0, 0, 1e27)), 1.0001j),
@@ -290,6 +290,11 @@ def test_green_bounds_hold_against_mpmath_orbit(monkeypatch):
             for target in (1e-3, 1e-9, 1e-14):
                 g = green_plus(m, z, target, filtration=filt)
                 checks.append((f"plus {target:g}", g.value, g.error_bound))
+                if target == 1e-14 and g.iterations > g.entry:
+                    if g.method == "crude":
+                        on_limit = True
+                    else:  # x of that point is |y| where the climb took its last step
+                        past_deep |= abs(points[-1][0]) > 1e13
             for name, v, e in checks:
                 if not (math.isfinite(v) and abs(v - truth) <= e < math.inf):
                     bad.append((name, m, z, v, e, truth))
@@ -299,7 +304,7 @@ def test_green_bounds_hold_against_mpmath_orbit(monkeypatch):
             if not abs(g.value - truth) <= g.error_bound:
                 bad.append(("minus", m, z, g.value, g.error_bound, truth))
     assert not bad, bad
-    assert any(J > 1 for J, _ in walks) and any(rest > 0 for _, rest in walks)
+    assert past_deep and on_limit
 
 
 def _deep_truth(m, z, inverse=False, steps=40):

@@ -76,10 +76,8 @@ def test_u_bound_holds_past_1e150():
 
 
 def test_phi_tail_bound_needs_truncation_at_least_one():
-    # at J = 0 the tail starts below 2R, where |u| <= 1/2 is not proven
-    assert phi_tail_bound(QUAD, 100.0, 1) > 0.0
-    with pytest.raises(ValueError, match="J >= 1"):
-        phi_tail_bound(QUAD, 100.0, 0)
+    # the tail starts after one factor, at |y_1| >= 2R, where |u| <= 1/2 is proven
+    assert phi_tail_bound(QUAD, 100.0) > 0.0
 
 
 def test_phi_asymptotic_to_y():
@@ -169,7 +167,7 @@ def test_psi_matches_per_factor_oracle_at_its_precision(m, depth):
     """psi_N at digits_needed (1677-1848 digits here) agrees with a reference
     built from a freshly walked orbit and the per-factor phi at each point,
     within 10^(10-dps) of its largest term, at seeded V_R+ points of radius
-    2R to 2.2R; psi_(N-1) too."""
+    2R to 2.2R; psi_(N-1) at the same digits too."""
     rng = random.Random(f"psi-oracle/{m.d}")
     R = estimate_filtration_radius(m).R
     q = derive_lift_polynomial(m, "formal-series")
@@ -178,8 +176,8 @@ def test_psi_matches_per_factor_oracle_at_its_precision(m, depth):
              cmath.rect(2 * R * rng.uniform(1.0, 1.1), rng.uniform(0, 2 * math.pi)))
         dps = digits_needed(m, z, depth)
         with mp.workdps(dps):
-            got, prev, _ = _psi_partials(m, z, q, depth, dps)
-            for n, value in ((depth, got), (depth - 1, prev)):
+            for n in (depth, depth - 1):
+                value = _psi_partials(m, z, q, n, dps)[0]
                 want, scale = _psi_per_factor(m, q, z, n, dps)
                 assert abs(value - want) <= mp.mpf(10) ** (10 - dps) * scale, (z, n)
 
@@ -251,12 +249,20 @@ def test_phi_accepts_branch_parameter_between_one_half_and_one(m, z):
 
 
 def test_psi_complex_a_depth_5_stable_under_30_more_digits():
+    """The exact QC twin's psi_3..psi_6 agree with each other and with 30
+    more digits; the float map's A_j errors blow psi up with depth until,
+    at depth 6, it leaves the double range and raises."""
     m = HenonMap(3, 5 + 4j, (0.5 - 1j, 1 + 0.25j))
-    q = derive_lift_polynomial(m, "formal-series")
+    twin = HenonMap(3, QC(5, 4), (QC(Fraction(1, 2), -1), QC(1, Fraction(1, 4))))
     z = (0.3 + 0.2j, cmath.rect(2.2 * estimate_filtration_radius(m).R, 2.0))
-    base = psi(m, z, q, 5)
-    more = psi(m, z, q, 5, precision_digits=base.precision_digits + 30)
-    assert abs(more.value - base.value) <= 1e-12 * max(1.0, abs(base.value))
+    q = derive_lift_polynomial(twin, "formal-series")
+    values = []
+    for depth in (3, 4, 5, 6):
+        base = psi(twin, z, q, depth)
+        values += [base.value, psi(twin, z, q, depth, base.precision_digits + 30).value]
+    assert all(abs(v - values[0]) <= 1e-12 * abs(values[0]) for v in values), values
+    with pytest.raises(OverflowError):
+        psi(m, z, derive_lift_polynomial(m, "formal-series"), 6)
 
 
 def test_phi_mp_raises_where_the_branch_ratio_reaches_one():
@@ -402,13 +408,14 @@ def test_pure_power_maps_have_trivial_q():
 # -- psi and the semiconjugacy -----------------------------------------------
 
 def test_psi_gap_decays_geometrically():
-    """gap_{N+1} <= (|d/a| + 0.1) gap_N for a map whose telescoping error
-    approaches a nonzero constant along orbits (p = y^2, a = 3)."""
+    """gap_{N+1} <= (|d/a| + 0.1) gap_N, gap_N = |psi_N - psi_(N-1)|, for a
+    map whose telescoping error approaches a nonzero constant along orbits
+    (p = y^2, a = 3)."""
     q = derive_lift_polynomial(QUAD, "formal-series")
     filt = estimate_filtration_radius(QUAD)
     z = (1.0, 20.0)
-    gaps = [psi(QUAD, z, q, depth, filtration=filt).convergence_gap
-            for depth in range(2, 7)]
+    values = [psi(QUAD, z, q, depth, filtration=filt).value for depth in range(1, 7)]
+    gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     rate = 2 / 3 + 0.1
     for g0, g1 in zip(gaps, gaps[1:]):
         assert g1 <= rate * g0
@@ -451,7 +458,8 @@ def test_psi_converges_for_cubic_with_non_dyadic_q():
     q = derive_lift_polynomial(m, "formal-series")
     assert q.A[1] == Fraction(-1, 3)
     z = (0.5, 10.0)
-    gaps = [psi(m, z, q, depth).convergence_gap for depth in (3, 4, 5)]
+    values = [psi(m, z, q, depth).value for depth in (1, 2, 3, 4)]  # in doubles psi_3 = psi_4
+    gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     assert gaps[2] < gaps[1] < gaps[0]
     hz = evaluate(m, z)
     r3, r4 = (semiconjugacy_residual(

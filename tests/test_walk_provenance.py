@@ -9,7 +9,10 @@ whose limit 4.6e8 lies below the stop height), overflow before entry,
 entry at the last budget step, an exhausted budget, and a step that
 leaves the float range (OverflowError).  The CLI prints `iterations` and
 `nExit`, so they must not move; values and bounds are bit-identical at
-d = 2, where d^-n is exact, and within one ulp at other degrees.
+d = 2, where d^-n is exact, and within one ulp at other degrees.  Two
+more rows freeze green_plus's climb at target_error 1e-14: one that steps
+on from past 1e13, and one that passes the overflow limit and takes the
+crude stop there.
 """
 
 import math
@@ -17,7 +20,8 @@ import math
 import pytest
 
 from henonlab import HenonMap
-from henonlab.potential import classify_point, crude_green_plus, green_minus
+from henonlab.potential import classify_point, crude_green_plus, green_minus, green_plus
+from test_potential import _deep_truth
 
 QUAD = HenonMap(2, 3, (0,))
 CUBIC = HenonMap(3, 9, (0, 0))
@@ -151,3 +155,24 @@ def test_walk_reports_the_frozen_provenance(row):
         assert _same(g.value, float.fromhex(value), m.d), (fn, m, z, g)
         assert _same(g.error_bound, float.fromhex(bound), m.d), (fn, m, z, g)
 
+
+
+# (map, point, target_error, green_plus as (value.hex(), error_bound.hex(),
+# iterations, entry, method)): R = 4.5e13 and R = 3.2e13, overflow limits
+# 4.6e86 and 1e52
+_CLIMB = (
+    (HenonMap(3, 1, (0, 1e27)), (0j, 6.7e13j), 1e-14,
+     ('0x1.fc06ffcf416c1p+4', '0x1.20164ab217ef2p-35', 1, 0, 'boettcher-refined')),
+    (HenonMap(5, 1, (0, 0, 0, 1e27)), (0j, 5e13j), 1e-14,
+     ('0x1.f70dd7227e7c4p+4', '0x1.1d5a5d83031f3p-35', 1, 0, 'crude')),
+)
+
+
+@pytest.mark.parametrize("row", range(len(_CLIMB)))
+def test_refined_climb_reports_the_frozen_provenance(row):
+    m, z, target, (value, bound, *provenance) = _CLIMB[row]
+    g = green_plus(m, z, target)
+    assert (g.iterations, g.entry, g.method) == tuple(provenance), g
+    assert _same(g.value, float.fromhex(value), m.d), g
+    assert _same(g.error_bound, float.fromhex(bound), m.d), g
+    assert abs(g.value - _deep_truth(m, z)) <= g.error_bound
