@@ -7,13 +7,22 @@ u = q/y^d; the guard |u| < 1 is enforced at runtime, never assumed (on
 V_R+ the doubling radius gives |u| <= 1 - 2/|y|^{d-1}, not 1/2).  The
 product to J equals y_J^{1/d^J}: phi_mp stops once the factors left are
 below 10^-(dps+10), tracks the winding theta_{j+1} = d theta_j + Arg(1+u_j)
-in doubles (u_j too is a double quotient, except where the big-float one
-must decide |u_j| < 1), and takes the root by a log and an exp at
-min(prec, 512) bits, then Newton steps doubling the bits up to prec.  phi
-is phi_mp at 30 digits rounded to a complex double.  mpmath computes a
-high-precision mpc**n, n > 2, as exp(n log z), so powers go by squaring.
-phi_mp is the one phi kernel: G+ needs only |phi_J| = |y_J|^{1/d^J},
-which the potential module reads from the height of its own walk.
+in doubles (u_j is a quotient at 64 bits, except where the big-float one
+at the working precision must decide |u_j| < 1), and takes the root by
+Newton steps from a complex-double start, on a ladder of precisions built
+down from the working one.  phi is phi_mp at 30 digits rounded to a
+complex double.  phi_mp is the one phi entry point: G+ needs only |phi_J| =
+|y_J|^{1/d^J}, which the potential module reads from the height of its own
+walk.
+
+The walk, the root, psi, the semiconjugacy residual and the fit's sums
+compute on _Gauss, a complex big float held as a Gaussian integer of
+Python ints over one binary exponent: a product is three integer products
+(two with a real factor), a square two, powers go by squaring, and each
+result is cut to the working precision by one right shift.  Doubles and
+dyadic rationals enter exactly.  mpmath stays at the edges, imported where
+it is used: phi_mp takes and returns its numbers and reads its precision,
+and the fit's sample points are mpmath values.
 
 Q(zeta) = zeta^{d+1} + A_{d-1} zeta^{d-1} + ... + A_0 is the first-
 coordinate polynomial of the covering model ((a/d)z + Q(zeta), zeta^d).
@@ -61,16 +70,170 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
-from ._exact import as_exact, field, is_zero, support, zero_of
+from ._exact import QC, as_exact, field, is_zero, support, zero_of
 from .errors import DomainError, InconsistencyError, PrecisionError
 from .maps import (FiltrationRadius, HenonMap, estimate_filtration_radius, evaluate,
                    filtration_of, horner, in_v_plus)
 # kept for perfbench, whose traced run records spans under these names and
 # patches them by identity: they must be the very functions potential calls
 from .potential import phi_product, phi_tail_bound
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-integer big floats
+# ---------------------------------------------------------------------------
+
+def _dyadic(t, p: int) -> tuple:
+    """(n, e) with n 2^e = t for an int, float, mpf or dyadic Fraction; for
+    any other Fraction n is t 2^-e rounded down, of p or p + 1 bits."""
+    if hasattr(t, "_mpf_"):
+        sign, man, e, _ = t._mpf_
+        if not man and e:
+            raise ValueError("not a finite number")
+        return (-int(man) if sign else int(man)), e
+    n, q = t.as_integer_ratio()
+    if not q & (q - 1):
+        return n, 1 - q.bit_length()
+    k = p + q.bit_length() - n.bit_length()
+    return (n << k) // q if k >= 0 else n // (q << -k), -k
+
+
+def _float(n: int, e: int) -> float:
+    """n 2^e rounded to the nearest double (an infinity past the range)."""
+    try:
+        return float(n << e) if e >= 0 else n / (1 << -e)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+class _Gauss:
+    """The complex big float (re + i im) 2^e: a Gaussian integer re + i im
+    of Python ints and one binary exponent e shared by both parts.  A value
+    keeps at most p bits (the longer part's bit length): each result is
+    formed exactly in integers and then cut to p bits by one right shift, so
+    each part is off by less than one unit of its last bit and, normwise,
+    |error| < sqrt(2) 2^e <= 2^(1.5 - p) |result|.  A product takes three
+    integer products (Gauss: re = c(a + b) - b(c + d), im = c(a + b) +
+    a(d - c)), two when either factor is real, and a square two.  A sum whose
+    exponents lie more than p bits apart cuts the one of lower exponent to
+    the other's exponent - p first, an error below 2^(0.5 - p) times the
+    other operand (zero excepted, which adds nothing).  A quotient, a floor
+    division of integers before the cut, is within 2^(2.5 - p).  Binary
+    operations take a _Gauss on the left and work at its p; the right
+    operand, if not a _Gauss, enters by of."""
+
+    __slots__ = ("re", "im", "e", "p")
+
+    def __init__(self, re: int, im: int, e: int, p: int):
+        n = max(re.bit_length(), im.bit_length()) - p
+        if n > 0:
+            re >>= n
+            im >>= n
+            e += n
+        self.re, self.im, self.e, self.p = re, im, e, p
+
+    @staticmethod
+    def of(v, p: int) -> "_Gauss":
+        """v at p bits: an int, Fraction, float, complex, QC, mpf or mpc.  A
+        double and a dyadic rational enter exactly while they fit in p bits,
+        so an orbit's first products stay short; any other value is rounded
+        down to p bits."""
+        if isinstance(v, (int, float, Fraction)) or hasattr(v, "_mpf_"):
+            n, e = _dyadic(v, p)
+            return _Gauss(n, 0, e, p)
+        re, im = (v.re, v.im) if isinstance(v, QC) else (v.real, v.imag)
+        (nr, er), (ni, ei) = _dyadic(re, p), _dyadic(im, p)
+        e = min(er if nr else ei, ei if ni else er)
+        return _Gauss(nr << (er - e) if nr else 0, ni << (ei - e) if ni else 0, e, p)
+
+    def at(self, p: int) -> "_Gauss":
+        """This value cut to p bits, or relabelled p if it is shorter."""
+        return _Gauss(self.re, self.im, self.e, p)
+
+    def to_mp(self):
+        """The mpmath mpc nearest to this value at mpmath's working precision."""
+        import mpmath as mp
+        return mp.mpc(mp.mpf((self.re, self.e)), mp.mpf((self.im, self.e)))
+
+    def __complex__(self) -> complex:
+        return complex(_float(self.re, self.e), _float(self.im, self.e))
+
+    def top(self) -> tuple:
+        """(t, k): this value is t 2^k, t a complex double of the top 64 bits
+        (relative error below 2^-52)."""
+        k = max(self.re.bit_length(), self.im.bit_length()) - 64
+        if k <= 0:
+            return complex(self.re, self.im), self.e
+        return complex(self.re >> k, self.im >> k), self.e + k
+
+    def mag(self) -> int:
+        """The least m with both parts below 2^m in modulus."""
+        return max(self.re.bit_length(), self.im.bit_length()) + self.e
+
+    def __abs__(self) -> float:
+        t, k = self.top()
+        try:
+            return math.ldexp(abs(t), k)
+        except OverflowError:
+            return math.inf
+
+    def __neg__(self) -> "_Gauss":
+        return _Gauss(-self.re, -self.im, self.e, self.p)
+
+    def __add__(self, other) -> "_Gauss":
+        p, s = self.p, self
+        o = other if other.__class__ is _Gauss else _Gauss.of(other, p)
+        if s.e < o.e:
+            s, o = o, s
+        g = s.e - o.e
+        if g <= p:
+            return _Gauss((s.re << g) + o.re, (s.im << g) + o.im, o.e, p)
+        if not (s.re or s.im):  # a zero's exponent says nothing of its size
+            return o.at(p)
+        g -= p
+        return _Gauss((s.re << p) + (o.re >> g), (s.im << p) + (o.im >> g), s.e - p, p)
+
+    def __sub__(self, other) -> "_Gauss":
+        return self + -other
+
+    def __mul__(self, other) -> "_Gauss":
+        p = self.p
+        o = other if other.__class__ is _Gauss else _Gauss.of(other, p)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b:
+            return _Gauss(a * c, a * d, self.e + o.e, p)
+        if not d:
+            return _Gauss(a * c, b * c, self.e + o.e, p)
+        k = c * (a + b)
+        return _Gauss(k - b * (c + d), k + a * (d - c), self.e + o.e, p)
+
+    def square(self) -> "_Gauss":
+        a, b = self.re, self.im
+        return _Gauss((a + b) * (a - b), (a * b) << 1, 2 * self.e, self.p)
+
+    def __pow__(self, n: int) -> "_Gauss":
+        """self^n, n >= 1, by squaring."""
+        out = self
+        for bit in bin(n)[3:]:
+            out = out.square()
+            if bit == "1":
+                out = out * self
+        return out
+
+    def __truediv__(self, other) -> "_Gauss":
+        """The quotient rounded down to p bits; an int divides exactly."""
+        p = self.p
+        if isinstance(other, int):
+            nr, ni, den, e = self.re, self.im, other, self.e
+        else:
+            o = other if other.__class__ is _Gauss else _Gauss.of(other, p)
+            c, d = o.re, o.im
+            nr, ni = self.re * c + self.im * d, self.im * c - self.re * d
+            den, e = c * c + d * d, self.e - o.e
+        k = max(p + den.bit_length() - max(nr.bit_length(), ni.bit_length()) + 1, 0)
+        return _Gauss((nr << k) // den, (ni << k) // den, e - k, p)
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +247,23 @@ class BoettcherValue:
 
 
 # phi's working precision.  phi_mp stops once the factors left are below
-# 10^-(dps+10); its J steps at dps digits carry each step's rounding into
-# log phi divided by d^(j+1).  Its root w = y_J^(1/n), n = d^J, starts from
-# a log and an exp at b = min(prec, _ROOT_START) bits, off by |log phi|
-# (below 10^3 for any double y) times 2^-b.  Past START bits, from p = START
-# - g - 20, a Newton step e -> (n - 1) e^2/2 plus rounding at p + g bits keeps
-# w within 2^-(p + g/2) as p doubles to prec.  So the computed log phi is
-# within 10^-(dps-10) with room to spare; at 30 digits no Newton step runs
+# 10^-(dps+10).  Its J steps run on _Gauss values of P = mp.prec bits, each
+# result within one unit of its last bit (normwise 2^(1.5 - P)), and a step's
+# error enters log phi divided by d^(j+1).  The root w = y_J^(1/n), n = d^J,
+# starts from the double exp(c), c = (Log y_J + 2 pi i k)/n = log phi, with
+# Log y_J read from y_J = t 2^k2, t its top 64 bits: a relative error e0 <=
+# 2^-52 (4 + 4|c| + (64 + 2|k2| + 13|k|)/n), below 2^-40 for any double y.
+# A Newton step w <- w + w (y_J/w^n - 1)/n takes e to (n - 1) e^2/2, so it
+# contracts where (n - 1)|e|/2 < 1.  The steps climb a ladder built down
+# from P (P, ceil(P/2) + 2, ...) to the first rung r0 the start holds, e0 <=
+# 2^-(r0 + bitlen(n) + 5); at each rung r, computed at r + g bits, g =
+# 2 bitlen(n) + 10, they keep e below 2^-(r + bitlen(n) + 5).  phi_mp raises
+# PrecisionError if r0 < 8 (n e0 > 2^-13: n near 2^30 for a double y, far
+# past any walk's reach).  So the computed log phi is within 10^-(dps-10)
+# with room to spare; at 30 digits two steps run, at 54 and 103 bits
 _PHI_DPS = 30
 _PHI_REL = 2.0 ** -52 + 10.0 ** -(_PHI_DPS - 10)
-_ROOT_START = 512
+_LN2 = math.log(2.0)
 
 
 def phi(m: HenonMap, z, filtration: Optional[FiltrationRadius] = None) -> BoettcherValue:
@@ -108,69 +278,34 @@ def phi(m: HenonMap, z, filtration: Optional[FiltrationRadius] = None) -> Boettc
     return BoettcherValue(val, abs(val) * _PHI_REL)
 
 
-def _mp(v):
-    """v at the working mpmath precision: int, Fraction and QC exactly (a
-    double would cut 1/3 to 53 bits), floats and complex as they are.  Any
-    of them but a complex comes back as an mpf when its imaginary part is
-    0: a real map's coefficients then multiply an mpc with half the big-int
-    work of an mpc product, and the rounded result is the same."""
-    import mpmath as mp
-    if isinstance(v, (mp.mpf, mp.mpc)):
-        return v
-    if isinstance(v, float):
-        return mp.mpf(v)
-    q = as_exact(v)
-    if q is None:
-        return mp.mpc(complex(v))
-    re = mp.mpf(q.re.numerator) / q.re.denominator
-    return mp.mpc(re, mp.mpf(q.im.numerator) / q.im.denominator) if q.im else re
-
-
-@lru_cache(maxsize=128)
-def _mp_all(values: tuple, prec: int) -> tuple:
-    """_mp of each value at prec = mp.mp.prec bits, once per precision; values
-    are a map's (a, a_0, ..., a_{d-2}) or a lift polynomial's A."""
-    return tuple(map(_mp, values))
-
-
-def _ipow(w, n: int):
-    """w**n, n >= 1, by squaring: mpmath's w**2 is mpc_square (3 real products),
-    while its mpc**n for n > 2 is exp(n log w) past about 10^4 bits."""
-    out = w
-    for bit in bin(n)[3:]:
-        out = out ** 2 * w if bit == "1" else out ** 2
-    return out
-
-
 def phi_mp(m: HenonMap, z, dps: int, orbit: Optional[list] = None):
     """Arbitrary-precision phi = exp((Log y_J + 2 pi i k)/d^J), J chosen so the
-    tail is below the working precision.  Call inside an mp.workdps context.
-    If orbit is a list, the walk's points H^0 z .. H^J z are appended to it."""
+    tail is below the working precision, as an mpmath mpc.  Call inside an
+    mp.workdps context; z may hold mpmath numbers.  If orbit is a list, the
+    walk's points H^0 z .. H^J z are appended to it as _Gauss values."""
     import mpmath as mp
-    x, y = _mp(z[0]), _mp(z[1])
-    d = m.d
-    a, *coeffs = _mp_all((m.a, *m.coeffs), mp.mp.prec)
+    P, d = mp.mp.prec, m.d
+    a, *coeffs = (_Gauss.of(c, P) for c in (m.a, *m.coeffs))
+    x, y = _Gauss.of(z[0], P), _Gauss.of(z[1], P)
     # stop once _u_bound(|y|), which bounds this and every later factor, is
-    # below 10^-(dps+10), read in doubles from binary exponents: L = max(mag
-    # Re y, mag Im y) - 1 <= log2|y| gives _u_bound <= 2 max(A 2^-2L, B 2^-(d-1)L)
+    # below 10^-(dps+10), read in doubles from binary exponents: L = mag y - 1
+    # <= log2|y| gives _u_bound <= 2 max(A 2^-2L, B 2^-(d-1)L)
     log_a, log_b = (math.log2(c) if c else -math.inf for c in m.q_constants)
     stop = -(dps + 10) * math.log2(10) - 1
-    # Arg y from its parts scaled exactly into the double range (complex(y) may be inf)
-    e = -max(mp.mag(y.real), mp.mag(y.imag))
-    theta, J = cmath.phase(complex(mp.ldexp(y.real, e), mp.ldexp(y.imag, e))), 0
+    theta, J = cmath.phase(y.top()[0]), 0
     if orbit is not None:
         orbit.append((x, y))
     while J < 4 * dps + 60:
-        L = max(mp.mag(y.real), mp.mag(y.imag)) - 1
+        L = y.mag() - 1
         if max(log_a - 2 * L, log_b - (d - 1) * L) < stop:
             break
         q = horner(coeffs, y) - a * x
-        yd = _ipow(y, d)
-        # only u's guard and phase are read, so u is a double quotient while
-        # |y|^d, between 2^(dL) and 2^(d(L+2)), is in the double range; the
-        # big-float quotient decides the guard where |u| is within 1e-12 of 1
-        # (or not finite), so the guard raises where it always did
-        u = complex(q) / complex(yd) if d * (abs(L) + 2) < 1000 else math.nan
+        yd = y ** d
+        # only u's guard and phase are read, so u is a 64-bit quotient (an
+        # infinity past the double range); the working-precision quotient
+        # decides the guard where |u| is within 1e-12 of 1, so the guard
+        # raises where it always did
+        u = complex(q.at(64) / yd.at(64))
         if not abs(abs(u) - 1.0) > 1e-12:
             u = complex(q / yd)
         if abs(u) >= 1.0:
@@ -179,25 +314,35 @@ def phi_mp(m: HenonMap, z, dps: int, orbit: Optional[list] = None):
         x, y, J = y, yd + q, J + 1
         if orbit is not None:
             orbit.append((x, y))
-    n, prec = d ** J, mp.mp.prec
-    log_y = mp.ln(y, prec=min(prec, _ROOT_START))
-    turns = (theta - float(log_y.imag)) / (2 * math.pi)
+    n = d ** J
+    t, k2 = y.top()
+    turns = (theta - cmath.phase(t)) / (2 * math.pi)
     # |theta| < 2^40 keeps its double rounding error far below a quarter turn
     if not (abs(theta) < 2.0 ** 40 and abs(turns - round(turns)) <= 0.25):
         raise PrecisionError(f"phi_mp winding not resolved: {turns:.3f} turns")
     k = round(turns)
-    w = mp.exp((log_y + (mp.mpc(0, 2 * mp.pi * k) if k else 0)) / n, prec=min(prec, _ROOT_START))
-    # Newton on w^n = y_J, w^n as J d-th powers, w within 2^-(p + g/2) of the root
+    c = complex(math.log(abs(t)) + k2 * _LN2, cmath.phase(t) + 2 * math.pi * k) / n
+    s = math.floor(c.real / _LN2)
+    w = _Gauss.of(cmath.exp(complex(c.real - s * _LN2, c.imag)), 64)
+    w = _Gauss(w.re, w.im, w.e + s, 64)
+    e0 = 2.0 ** -52 * (4 + 4 * abs(c) + (64 + 2 * abs(k2) + 13 * abs(k)) / n)
+    low = -math.log2(e0) - n.bit_length() - 5
+    if low < 8:
+        raise PrecisionError(f"phi_mp root start outside Newton's basin: n = {n}")
+    rungs = [P]
+    while rungs[-1] > low:
+        rungs.append(-(-rungs[-1] // 2) + 2)
     g = 2 * n.bit_length() + 10
-    p = prec if prec <= _ROOT_START else _ROOT_START - g - 20
-    while p < prec:
-        p = min(2 * p, prec)
-        with mp.workprec(p + g):
-            w += w * (y / reduce(_ipow, [d] * J, w) - 1) / n
-    return +w
+    for p in reversed(rungs[:-1]):
+        w = w.at(p + g)
+        wn = w
+        for _ in range(J):
+            wn = wn ** d
+        w = w + w * (y.at(p + g) / wn - 1) / n
+    return w.to_mp()
 
 
-def _q_mp(A: tuple, w, wd):
+def _q(A: list, w: _Gauss, wd: _Gauss) -> _Gauss:
     """Q(w) = w w^d + sum_{i<d} A_i w^i, given wd = w^d."""
     return w * wd + horner(A, w)
 
@@ -276,10 +421,14 @@ _FORMAL_CAP = 5 * 10 ** 6
 # at d = 60..200, about 11 times the 0.35-0.40 us of an exact unit at the
 # dense d = 74
 _FLOAT_PRODUCT = 11
-# the fit's cap on digits^2 * walks * d: d = 100 with a = 1e100 (1.9e9) took
-# 0.46 s and with a = 1e100 i (3.7e9, not a real map) 0.83 s, d = 120 with
-# a = 1e100 i (7.0e9) 1.4 s, d = 150 with a = 1e100 (7.6e9) 1.2 s, and y^200
-# with a = 3 (1.6e10) 2.7 s and with a = 1e300 (3.5e10) 5.4 s
+# the fit's cap on digits^2 * walks * d, re-timed on the _Gauss kernel (2-core
+# Xeon, shared host, median of 3 in each of two processes): d = 100 with
+# a = 1e100 (1.9e9) took 0.19-0.28 s and with a = 1e100 i (3.7e9, not a real
+# map) 0.36-0.38 s, d = 120 with a = 1e100 i (7.0e9) 0.73-0.83 s, d = 150 with
+# a = 1e100 (7.6e9) 0.69-0.86 s, and y^200 with a = 3 (1.6e10) 1.5-1.7 s and
+# with a = 1e300 (3.5e10) 2.0-2.2 s.  The mpmath walks the value was set on
+# took 1.1 to 2.8 times as long in the same runs; the value is kept, so the
+# same maps are admitted
 _FIT_CAP = 5 * 10 ** 9
 
 
@@ -343,25 +492,26 @@ def _derive_fit(m: HenonMap) -> LiftPolynomial:
     R = estimate_filtration_radius(m).R
     digits = fit_digits_needed(d, R)
     N = 2 * d + 10  # aliasing error (R/rho)^N
+    # a real map (no coefficient a complex or of nonzero imaginary part)
+    # commutes with conjugation, so phi(0, conj y) = conj phi(0, y); as y_{N-n}
+    # = conj y_n, it walks n = 0..N/2 only and sums Re(y_n phi_n^k), twice for
+    # 0 < n < N/2, which makes its A exactly real
+    real = not any(isinstance(c, complex) or (c.im if isinstance(c, QC) else c.imag)
+                   for c in (m.a, *m.coeffs))
+    walks = N // 2 + 1 if real else N
+    if digits ** 2 * walks * d > _FIT_CAP:
+        raise ValueError(f"the fit Q of this map costs about digits^2 * walks * d = "
+                         f"{digits ** 2 * walks * d}, past the cap {_FIT_CAP}")
     with mp.workdps(digits):
-        # a real map (_mp makes every coefficient an mpf) commutes with
-        # conjugation, so phi(0, conj y) = conj phi(0, y); as y_{N-n} = conj
-        # y_n, it walks n = 0..N/2 only and sums Re(y_n phi_n^k), twice for
-        # 0 < n < N/2, which makes its A exactly real
-        real = all(isinstance(c, mp.mpf) for c in _mp_all((m.a, *m.coeffs), mp.mp.prec))
-        walks = N // 2 + 1 if real else N
-        if digits ** 2 * walks * d > _FIT_CAP:
-            raise ValueError(f"the fit Q of this map costs about digits^2 * walks * d = "
-                             f"{digits ** 2 * walks * d}, past the cap {_FIT_CAP}")
-        rho = 1000 * mp.mpf(R)
+        P, rho = mp.mp.prec, 1000 * mp.mpf(R)
         res = [0] * d  # res[k]: N [y^-1] phi^k by the trapezoidal rule
         for n in range(walks):
             y = rho * mp.expjpi(mp.mpf(2 * n) / N)
-            f, t = phi_mp(m, (mp.mpf(0), y), digits), y
+            f, t = _Gauss.of(phi_mp(m, (mp.mpf(0), y), digits), P), _Gauss.of(y, P)
             w = 2 if real and 0 < n < N // 2 else 1
             for k in range(1, d):
-                t *= f
-                res[k] += w * t.real if real else t
+                t = t * f
+                res[k] = (_Gauss(w * t.re, 0, t.e, P) if real else t) + res[k]
         # A_{d-k} = -[y^-1] phi^k / k
         return LiftPolynomial(d, (0j, *(complex(-res[k] / (N * k)) for k in range(d - 1, 0, -1))))
 
@@ -396,26 +546,27 @@ def digits_needed(m: HenonMap, z, depth: int) -> int:
 
 
 def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
-    """(psi_depth, phi(z)) inside an mp context of dps digits.
+    """(psi_depth, phi(z)) as _Gauss values, inside an mp context of dps digits.
     The orbit H^j z is phi_mp's walk, extended here only if it stopped short."""
     import mpmath as mp
-    d = m.d
-    a, *coeffs = _mp_all((m.a, *m.coeffs), mp.mp.prec)
+    P, d = mp.mp.prec, m.d
+    a, *coeffs = (_Gauss.of(c, P) for c in (m.a, *m.coeffs))
     orbit = []
-    phi0 = phi_mp(m, z, dps, orbit)
+    phi0 = _Gauss.of(phi_mp(m, z, dps, orbit), P)
     while len(orbit) <= depth:
         x, y = orbit[-1]
-        orbit.append((y, _ipow(y, d) + (horner(coeffs, y) - a * x)))
-    A = _mp_all(q.A, mp.mp.prec)
-    doa = mp.mpf(d) / a
-    qsum = mp.mpf(0)
-    scale, phij = mp.mpf(1), phi0  # (d/a)^j and phi(H^j z) = phi0^(d^j)
+        orbit.append((y, y ** d + (horner(coeffs, y) - a * x)))
+    A = [_Gauss.of(c, P) for c in q.A]
+    doa = _Gauss.of(d, P) / a
+    qsum = 0
+    scale, phij = _Gauss.of(1, P), phi0  # (d/a)^j and phi(H^j z) = phi0^(d^j)
     for j in range(depth):
-        scale *= doa
-        phin = _ipow(phij, d)
-        qsum += scale * _q_mp(A, phij, phin)
+        scale = scale * doa
+        phin = phij ** d
+        qsum = scale * _q(A, phij, phin) + qsum
         phij = phin
-    return scale * orbit[depth][0] * orbit[depth][1] - qsum, phi0
+    x, y = orbit[depth]
+    return scale * x * y - qsum, phi0
 
 
 def psi(m: HenonMap, z, q: LiftPolynomial, depth: int,
@@ -461,11 +612,11 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
             raise PrecisionError(
                 f"depth {depth} needs about {need} digits, got {precision_digits}")
         with mp.workdps(precision_digits):
-            aod = _mp_all((m.a, *m.coeffs), mp.mp.prec)[0] / m.d
+            P = mp.mp.prec
+            aod = _Gauss.of(m.a, P) / m.d
             psi_z, phi_z = _psi_partials(m, z, q, depth, precision_digits)
             psi_hz, phi_hz = _psi_partials(m, hz, q, depth, precision_digits)
-            phi_zd = _ipow(phi_z, m.d)
-            r1 = abs(aod * psi_z + _q_mp(_mp_all(q.A, mp.mp.prec), phi_z, phi_zd) - psi_hz)
-            r2 = abs(phi_zd - phi_hz)
-            worst = max(worst, float(r1), float(r2))
+            phi_zd = phi_z ** m.d
+            r1 = abs(aod * psi_z + _q([_Gauss.of(c, P) for c in q.A], phi_z, phi_zd) - psi_hz)
+            worst = max(worst, r1, abs(phi_zd - phi_hz))
     return worst

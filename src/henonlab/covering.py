@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._exact import QC, as_exact
-from .boettcher import LiftPolynomial, _mp
+from .boettcher import LiftPolynomial
 from .dyadic import RingElem
 from .errors import DomainError
 
@@ -168,8 +168,20 @@ def push_iterated(f: FiberAffineMap, direction: str, n: int, q: LiftPolynomial,
 
     if big:
         import mpmath as mp
+
+        def big_float(v):
+            # an exact value rounded once to the working precision; a float,
+            # or an exact value of imaginary part 0, as an mpf
+            if isinstance(v, float):
+                return mp.mpf(v)
+            t = as_exact(v)
+            if t is None:
+                return mp.mpc(complex(v))
+            re = mp.mpf(t.re.numerator) / t.re.denominator
+            return mp.mpc(re, mp.mpf(t.im.numerator) / t.im.denominator) if t.im else re
+
         with mp.workprec(53 + (n - 1).bit_length() + 10):
-            gamma = closed(*map(_mp, (r, c, gamma)))
+            gamma = closed(*map(big_float, (r, c, gamma)))
         gamma = complex(gamma) if isinstance(gamma, mp.mpc) else float(gamma)
         if not cmath.isfinite(gamma):
             raise OverflowError("gamma_n is past the float range")

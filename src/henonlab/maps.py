@@ -94,7 +94,8 @@ class HenonMap:
 
 def horner(coeffs, t):
     """sum_k coeffs[k] t^k, coefficients low to high, by Horner's rule; works
-    for exact scalars, complex floats, mpmath numbers and numpy arrays.  Each
+    for exact scalars, complex floats, mpmath numbers, numpy arrays and the
+    big floats of boettcher (the highest coefficient one of them).  Each
     coefficient is added in place to the fresh product: no product is in place."""
     it = reversed(coeffs)
     acc = next(it)

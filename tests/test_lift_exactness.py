@@ -271,7 +271,8 @@ def test_fit_runs_at_needed_digits_and_matches_formal(monkeypatch):
 
 def _real_maps(seed: int):
     """Seeded real maps of degree 2..7, one per coefficient type: int,
-    Fraction, float and QC with imaginary part 0."""
+    Fraction, float and QC with imaginary part 0, then complex with imaginary
+    part 0."""
     rng = random.Random(seed)
     kinds = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
              lambda: rng.uniform(-3, 3), lambda: QC(Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
@@ -279,25 +280,38 @@ def _real_maps(seed: int):
         for scalar in kinds:
             a = scalar()
             yield HenonMap(d, 3 if is_zero(a) else a, tuple(scalar() for _ in range(d - 1)))
+    for d in range(2, 8):
+        yield HenonMap(d, complex(rng.uniform(0.5, 3)),
+                       tuple(complex(rng.uniform(-3, 3)) for _ in range(d - 1)))
 
 
 def test_phi_mp_commutes_with_conjugation_on_real_maps():
     # the fit's pairing of samples: phi(conj z) = conj phi(z) at every fit
-    # angle on |y| = rho, y = -rho among them, where the winding k is not 0
+    # angle on |y| = rho, y = -rho among them, where the winding k is not 0;
+    # on the degree-2 map of each type also at mpmath points of |y| = 10^400,
+    # past the double range, at 420 digits (J = 1)
     rng = random.Random(93)
     for m in _real_maps(94):
-        assert all(isinstance(c, mp.mpf) for c in boettcher._mp_all((m.a, *m.coeffs), 53))
+        assert all(not boettcher._Gauss.of(c, 53).im for c in (m.a, *m.coeffs))
         R = estimate_filtration_radius(m).R
         dps = boettcher.fit_digits_needed(m.d, R)
         N = 2 * m.d + 10
+        points = []
         with mp.workdps(dps):
             rho = 1000 * mp.mpf(R)
             for n in range(N):
                 y = rho * mp.expjpi(mp.mpf(2 * n) / N)
-                for x in (mp.mpf(0), mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))):
-                    f = boettcher.phi_mp(m, (x, y), dps)
-                    g = boettcher.phi_mp(m, (mp.conj(x), mp.conj(y)), dps)
-                    assert abs(g - mp.conj(f)) <= mp.mpf(10) ** (10 - dps) * abs(f), (m, n, x)
+                points += [(dps, x, y) for x in (mp.mpf(0), mp.mpc(rng.uniform(-1, 1),
+                                                                    rng.uniform(-1, 1)))]
+        if m.d == 2:
+            with mp.workdps(420):
+                points += [(420, mp.mpf(10) ** 399 * mp.expj(t), mp.mpf(10) ** 400 * mp.expj(-t))
+                           for t in (0.4, 1.9, 3.0)]
+        for digits, x, y in points:
+            with mp.workdps(digits):
+                f = boettcher.phi_mp(m, (x, y), digits)
+                g = boettcher.phi_mp(m, (mp.conj(x), mp.conj(y)), digits)
+                assert abs(g - mp.conj(f)) <= mp.mpf(10) ** (10 - digits) * abs(f), (m, x, y)
 
 
 # -- closed forms ------------------------------------------------------------

@@ -4,6 +4,8 @@ semiconjugacy functional."""
 import cmath
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,9 +14,8 @@ import pytest
 from henonlab import (DomainError, HenonMap, PrecisionError, cross_check_lift,
                       derive_lift_polynomial, evaluate, phi, psi,
                       semiconjugacy_residual)
-from henonlab._exact import QC
-from henonlab.boettcher import (_ipow, _mp, _psi_partials, digits_needed, fit_digits_needed,
-                                phi_mp)
+from henonlab._exact import QC, as_exact
+from henonlab.boettcher import _Gauss, _psi_partials, digits_needed, fit_digits_needed, phi_mp
 from henonlab.maps import _u_bound, estimate_filtration_radius, horner, in_v_plus, overflow_limit
 from henonlab.potential import phi_tail_bound
 
@@ -85,12 +86,22 @@ def test_phi_asymptotic_to_y():
     assert pv.value == pytest.approx(1e8, rel=1e-7)
 
 
+def _big(v):
+    """v in mpmath at the working precision: an exact value rounded once (a
+    double would cut 1/3 to 53 bits), a float, complex or mpmath number as it is."""
+    q = as_exact(v)
+    if q is None:
+        return mp.mpmathify(v)
+    return mp.mpc(mp.mpf(q.re.numerator) / q.re.denominator,
+                  mp.mpf(q.im.numerator) / q.im.denominator)
+
+
 def _phi_mp_per_factor(m, z, dps):
     """Reference: y * prod_j (1+u_j)^(1/d^(j+1)), one principal log and exp per
     factor, with phi_mp's cutoff; returns (phi, J, y_J)."""
-    x, y = _mp(z[0]), _mp(z[1])
-    d, a = m.d, _mp(m.a)
-    coeffs = [_mp(c) for c in m.coeffs]
+    x, y = _big(z[0]), _big(z[1])
+    d, a = m.d, _big(m.a)
+    coeffs = [_big(c) for c in m.coeffs]
     val, cutoff = y, mp.mpf(10) ** (-(dps + 10))
     Asum, Babs = sum(abs(c) for c in coeffs), abs(a)
     J = 0
@@ -111,45 +122,96 @@ def _complex_maps():
                                    for _ in range(d - 1)))
 
 
+def _typed_maps():
+    """Seeded cubics, one per coefficient type the kernel converts: int,
+    Fraction, QC, float and complex."""
+    rng = random.Random(2026)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    kinds = (lambda: rng.randint(1, 9), frac, lambda: QC(frac(), rng.randint(1, 5) + frac()),
+             lambda: rng.uniform(0.5, 3), lambda: complex(rng.uniform(0.5, 3), rng.uniform(-3, 3)))
+    for scalar in kinds:
+        yield HenonMap(3, scalar(), (scalar(), scalar()))
+
+
 @pytest.mark.parametrize("dps", [30, 80, 400, 1800])
 def test_phi_mp_matches_per_factor_product(dps):
     """phi_mp = y_J^(1/d^J) with a tracked winding agrees with the per-factor
-    product, including arg y within 1e-3 of +-pi and windings of several turns.
-    At 1800 digits, the precision of the deepest psi, where the root is taken
-    by Newton steps, two of the random maps hold phi_mp's exponent stop rule
-    to the reference's mpf cutoff, and the three lift-exact maps are checked
-    too.  A point with |y| already past the stop has J = 0, so d^J = 1.  At
-    |y| = 10^400, past the double range, the start phase comes from the
-    scaled mantissas (J = 3 at 1800 digits)."""
+    product, including arg y within 1e-3 of +-pi and windings of several turns,
+    on maps of every coefficient type the kernel converts.  At 1800 digits,
+    the precision of the deepest psi, two of the random complex maps hold
+    phi_mp's exponent stop rule to the reference's mpf cutoff, and the three
+    lift-exact maps are checked too.  A point with |y| already past the stop
+    has J = 0, so d^J = 1.  At |y| = 10^400, past the double range, the start
+    phase and the root's start come from the scaled mantissas (J = 3 for
+    y^2 at 1800 digits), with mpmath inputs on every typed map."""
     windings = set()
     maps = list(_complex_maps())
-    for m in maps[:2] + LIFT_EXACT_MAPS if dps > 400 else maps:
+    for m in (maps[:2] + LIFT_EXACT_MAPS if dps > 400 else maps) + list(_typed_maps()):
         r = 3 * estimate_filtration_radius(m).R
         for t in (math.pi - 5e-4, -math.pi + 5e-4, 2.5, -0.7):
             z = (cmath.rect(0.5 * r, 1.0 - t), cmath.rect(r, t))
             with mp.workdps(dps):
                 want, J, yJ = _phi_mp_per_factor(m, z, dps)
                 got = phi_mp(m, z, dps)
-                assert abs(got - want) <= mp.mpf(10) ** (2 - dps) * abs(want)
+                assert abs(got - want) <= mp.mpf(10) ** (2 - dps) * abs(want), (m, t)
                 windings.add(int(mp.nint((m.d ** J * mp.arg(want) - mp.arg(yJ)) / (2 * mp.pi))))
     assert max(map(abs, windings)) >= 3
     with mp.workdps(dps):
         z = (mp.mpf(1), mp.mpc(-3, 4) * mp.mpf(10) ** (dps + 20))  # 3/|y| < 10^-(dps+10)
         want, J, _ = _phi_mp_per_factor(QUAD, z, dps)
         assert J == 0 and abs(phi_mp(QUAD, z, dps) - want) <= mp.mpf(10) ** (2 - dps) * abs(want)
-        for t in (0.3, 1.2, 2.0):
-            z = (mp.mpf(0), mp.mpf(10) ** 400 * mp.expj(t))
-            want = _phi_mp_per_factor(QUAD, z, dps)[0]
-            assert abs(phi_mp(QUAD, z, dps) - want) <= mp.mpf(10) ** (2 - dps) * abs(want)
+        big = mp.mpf(10) ** 400
+        for m in [QUAD, *_typed_maps()]:
+            for t in (0.3, 1.2, 2.0):
+                z = (mp.mpf(0) if m is QUAD else big / 7 * mp.expj(-t), big * mp.expj(t))
+                want = _phi_mp_per_factor(m, z, dps)[0]
+                assert abs(phi_mp(m, z, dps) - want) <= mp.mpf(10) ** (2 - dps) * abs(want), (m, t)
+
+
+def _exact_value(g):
+    """The exact value of a _Gauss as a QC."""
+    scale = Fraction(2) ** g.e
+    return QC(g.re * scale, g.im * scale)
+
+
+def test_dyadic_values_enter_the_kernel_unrounded():
+    """Doubles, dyadic Fractions and QCs and mpmath numbers enter _Gauss
+    exactly (past the double range too); other Fractions are rounded down to
+    p bits.  On a map with dyadic coefficients, phi_mp's walk from a double
+    point is exact while it fits the working precision."""
+    for v in (0.1, -2.5e-300, complex(0.1, -3e300), Fraction(-5, 1024), 7,
+              QC(Fraction(3, 8), Fraction(-5, 2 ** 40)), QC(-3, 1)):
+        want = as_exact(v) or QC(Fraction(complex(v).real), Fraction(complex(v).imag))
+        assert _exact_value(_Gauss.of(v, 2100)) == want, v
+    with mp.workprec(5000):
+        v = mp.mpc(mp.mpf(1) / 3, mp.ldexp(-3, -4000))
+        parts = [Fraction(int(mp.sign(t) * t.man)) * Fraction(2) ** int(t.exp)
+                 for t in (v.real, v.imag)]
+        assert _exact_value(_Gauss.of(v, 5000)) == QC(*parts)
+    for p in (53, 200):
+        got = _exact_value(_Gauss.of(Fraction(-1, 3), p)).re
+        assert got <= Fraction(-1, 3) and Fraction(-1, 3) - got <= Fraction(1, 3) * 2 ** (1 - p)
+    m = HenonMap(2, Fraction(3, 4), (Fraction(-5, 8),))
+    z = (0.5 + 0.25j, 3.75 - 1.5j)
+    with mp.workdps(60):
+        orbit = []
+        phi_mp(m, z, 60, orbit)
+    x, y = QC(Fraction(1, 2), Fraction(1, 4)), QC(Fraction(15, 4), Fraction(-3, 2))
+    for j in range(5):
+        assert (_exact_value(orbit[j][0]), _exact_value(orbit[j][1])) == (x, y), j
+        x, y = y, y * y + Fraction(-5, 8) - Fraction(3, 4) * x
 
 
 def _psi_per_factor(m, q, z, depth, dps):
     """Reference psi_depth = (d/a)^N x_N y_N - sum_{j<N} (d/a)^{j+1} Q(phi(H^j z))
     on an orbit walked here, with the per-factor phi at each of its points;
     returns (psi_N, |(d/a)^N x_N y_N|)."""
-    d, a = m.d, _mp(m.a)
-    coeffs, A = [_mp(c) for c in m.coeffs], [_mp(c) for c in q.A]
-    orbit = [(_mp(z[0]), _mp(z[1]))]
+    d, a = m.d, _big(m.a)
+    coeffs, A = [_big(c) for c in m.coeffs], [_big(c) for c in q.A]
+    orbit = [(_big(z[0]), _big(z[1]))]
     for _ in range(depth):
         x, y = orbit[-1]
         orbit.append((y, y ** d + sum(c * y ** i for i, c in enumerate(coeffs)) - a * x))
@@ -177,42 +239,66 @@ def test_psi_matches_per_factor_oracle_at_its_precision(m, depth):
         dps = digits_needed(m, z, depth)
         with mp.workdps(dps):
             for n in (depth, depth - 1):
-                value = _psi_partials(m, z, q, n, dps)[0]
+                value = _psi_partials(m, z, q, n, dps)[0].to_mp()
                 want, scale = _psi_per_factor(m, q, z, n, dps)
                 assert abs(value - want) <= mp.mpf(10) ** (10 - dps) * scale, (z, n)
 
 
-@pytest.mark.parametrize("prec", [60, 6000])
-def test_ipow_matches_the_straight_product(prec):
-    """Square-and-multiply agrees with n - 1 multiplications within
-    n 2^(1-prec) relative, for an mpf and an mpc."""
-    with mp.workprec(prec):
-        for w in (mp.sqrt(2) / 3, mp.mpc(mp.sqrt(2), -mp.cbrt(3)) / 2):
-            ref = w
-            for n in range(1, 34):
-                got = _ipow(w, n)
-                assert type(got) is type(w)
-                assert abs(got - ref) <= n * mp.mpf(2) ** (1 - prec) * abs(ref), n
-                ref *= w
+def _random_gauss(rng, p):
+    """A _Gauss of p bits, or a short exact one of 1 to 53 bits, real one time
+    in five, at a binary exponent within 3p of 0."""
+    bits = rng.choice((1, 5, 53, p, p, p))
+    re = (rng.getrandbits(bits) | 1) * rng.choice((1, -1))
+    im = 0 if rng.random() < 0.2 else rng.getrandbits(bits) * rng.choice((1, -1))
+    return _Gauss(re, im, rng.randint(-3 * p, 3 * p), p)
 
 
-def test_ipow_takes_no_exp_log_route(monkeypatch):
-    """mpmath's mpc**n, n > 2, is exp(n log w) at 10^5 bits; _ipow squares."""
-    import mpmath.libmp.libmpc as libmpc
+@pytest.mark.parametrize("p,count", [(53, 300), (200, 200), (2000, 40), (20000, 6)])
+def test_gauss_kernel_within_its_normwise_bounds(p, count):
+    """Seeded _Gauss products, squares, sums and differences across exponent
+    gaps of 0 to 10^4 bits (and with a zero of far higher exponent), quotients
+    and powers by squaring, against mpmath at p + 64 bits: a product or
+    square within u = 2^(1.5-p) of its modulus, a sum within u |a + b| +
+    (u/2) max(|a|, |b|), a quotient within 2u and w^n within (n - 1) u, to
+    first order; complex() rounds as mpmath does."""
+    rng = random.Random(f"gauss/{p}")
+    with mp.workprec(p + 64):
+        u = mp.ldexp(mp.mpf(1), -p) * mp.sqrt(8)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("exp-log power")
+        def close(got, want, bound):
+            assert abs(got.to_mp() - want) <= bound * (1 + u), (p, got.to_mp(), want)
 
-    with mp.workprec(10 ** 5):
-        w = mp.mpc(mp.mpf(1) / 3, mp.mpf(-2) / 7)
-        ref = w * w * w * w * w
-        monkeypatch.setattr(libmpc, "mpc_log", refuse)
-        monkeypatch.setattr(libmpc, "mpc_exp", refuse)
-        with pytest.raises(AssertionError, match="exp-log"):
-            w ** 5
-        assert abs(_ipow(w, 5) - ref) <= mp.mpf(2) ** (10 - 10 ** 5) * abs(ref)
-        for n in (2, 3, 33):
-            _ipow(w, n)
+        for _ in range(count):
+            a, b = _random_gauss(rng, p), _random_gauss(rng, p)
+            A, B = a.to_mp(), b.to_mp()
+            assert complex(a) == complex(A)
+            close(a * b, A * B, u * abs(A * B))
+            close(a.square(), A * A, u * abs(A * A))
+            for gap in (0, 1, p // 2, p, p + 1, 2 * p, 10 ** 4, rng.randint(0, 10 ** 4)):
+                c = _Gauss(b.re, b.im, a.e - gap, p)
+                C = c.to_mp()
+                for got, want in ((a + c, A + C), (c + a, A + C), (a - c, A - C)):
+                    close(got, want, u * abs(want) + u / 2 * max(abs(A), abs(C)))
+            zero = _Gauss(0, 0, a.e + rng.randint(p + 1, 3 * p), p)  # exponent far above a's
+            close(zero + a, A, u * abs(A))
+            close(a + zero, A, u * abs(A))
+            close(a / b, A / B, 2 * u * abs(A / B))
+            k = rng.randint(1, 10 ** 6) * rng.choice((1, -1))
+            close(a / k, A / k, 2 * u * abs(A / k))
+            for n in (2, 3, 5, 17, 33):
+                want = A
+                for _ in range(n - 1):
+                    want *= A
+                close(a ** n, want, (n - 1) * u * abs(want))
+
+
+def test_boettcher_and_cli_load_no_mpmath():
+    """mpmath stays at the edges: importing boettcher or the CLI loads none of it."""
+    script = ("import sys\nimport henonlab.boettcher, henonlab.cli\n"
+              "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # V_R+ points where |q/y^d| lies in [1/2, 1): the doubling radius proves
@@ -347,8 +433,10 @@ def test_psi_and_semiconjugacy_frozen_values(m, z, depths, values, residual):
 @pytest.mark.parametrize("m", [HenonMap(2, 3, (1,)), HenonMap(4, 16, (0, 0, 1))],
                          ids=["y2+1", "y4+y2"])
 def test_real_map_matches_its_complex_twin(m):
-    """The same real map with complex coefficients runs mpmath's mpc path
-    where the real one multiplies by mpf; phi, psi_N and the fit Q agree to
+    """The same real map with complex coefficients takes the kernel's
+    complex products where the real one multiplies by reals (two integer
+    products, not three) and its fit walks every sample; phi, psi_N and the
+    fit Q agree to
     within 10 digits of the working precision (psi relative to the
     (d/a)^N x_N y_N it cancels).  Both maps have dyadic A, so the twin's
     double-precision formal Q is the same Q."""
@@ -365,10 +453,11 @@ def test_real_map_matches_its_complex_twin(m):
             assert abs(phi_mp(m, z, dps) - want) <= tol * abs(want)
             while len(orbit) <= depth:
                 x, y = orbit[-1]
-                orbit.append((y, twin.p(y) - twin.a * x))
-            scale = abs((mp.mpf(m.d) / abs(twin.a)) ** depth * orbit[depth][0] * orbit[depth][1])
-            got = _psi_partials(m, z, q, depth, dps)[0]
-            assert abs(got - _psi_partials(twin, z, q_twin, depth, dps)[0]) <= tol * scale
+                orbit.append((y, twin.p(y) - x * twin.a))
+            x, y = (v.to_mp() for v in orbit[depth])
+            scale = abs((mp.mpf(m.d) / abs(twin.a)) ** depth * x * y)
+            got = _psi_partials(m, z, q, depth, dps)[0].to_mp()
+            assert abs(got - _psi_partials(twin, z, q_twin, depth, dps)[0].to_mp()) <= tol * scale
     digits = fit_digits_needed(m.d, R)  # the fit's own precision
     fit, fit_twin = (derive_lift_polynomial(w, "bigfloat-fit") for w in (m, twin))
     for c, c_twin in zip(fit.A, fit_twin.A):
