@@ -7,10 +7,11 @@ u = q/y^d; the guard |u| < 1 is enforced at runtime, never assumed (on
 V_R+ the doubling radius gives |u| <= 1 - 2/|y|^{d-1}, not 1/2).  The
 product to J equals y_J^{1/d^J}: phi_mp stops once the factors left are
 below 10^-(dps+10), tracks the winding theta_{j+1} = d theta_j + Arg(1+u_j)
-in doubles (u_j is a quotient at 64 bits, except where the big-float one
-at the working precision must decide |u_j| < 1), and takes the root by
-Newton steps from a complex-double start, on a ladder of precisions built
-down from the working one.  phi is phi_mp at 30 digits rounded to a
+in doubles (u_j is the quotient of the top bits of q and y_j^d, except
+where the big-float one at the working precision must decide |u_j| < 1),
+and takes the root by Newton steps from a complex-double start, on a ladder
+of precisions built down from the working one, each step's correction at the
+bits it carries.  phi is phi_mp at 30 digits rounded to a
 complex double.  phi_mp is the one phi entry point: G+ needs only |phi_J| =
 |y_J|^{1/d^J}, which the potential module reads from the height of its own
 walk.
@@ -61,7 +62,11 @@ psi_N(z) = (d/a)^N x_N y_N - sum_{j<N} (d/a)^{j+1} Q(phi(H^j z)), the
 telescoping form of the second covering coordinate; the two large terms
 cancel catastrophically, so precision is sized from the depth before
 evaluation and silent precision loss is forbidden.  The orbit H^j z is the
-one phi_mp walks at the same precision.
+one phi_mp walks at the same precision, and the powers phi(H^j z) = phi^(d^j)
+are read off its root's last Newton step.  The head (d/a)^N x_N y_N and the
+sum run at the working precision P; each term (d/a)^(j+1) Q(phi_j) is formed
+at the bits that keep its absolute error below 2^-P |head|, so only the
+deepest terms, whose size is near the head's, take all P bits.
 """
 
 from __future__ import annotations
@@ -127,7 +132,10 @@ class _Gauss:
     __slots__ = ("re", "im", "e", "p")
 
     def __init__(self, re: int, im: int, e: int, p: int):
-        n = max(re.bit_length(), im.bit_length()) - p
+        n, m = re.bit_length(), im.bit_length()
+        if m > n:
+            n = m
+        n -= p
         if n > 0:
             re >>= n
             im >>= n
@@ -150,7 +158,7 @@ class _Gauss:
 
     def at(self, p: int) -> "_Gauss":
         """This value cut to p bits, or relabelled p if it is shorter."""
-        return _Gauss(self.re, self.im, self.e, p)
+        return self if p == self.p else _Gauss(self.re, self.im, self.e, p)
 
     def to_mp(self):
         """The mpmath mpc nearest to this value at mpmath's working precision."""
@@ -183,23 +191,31 @@ class _Gauss:
         return _Gauss(-self.re, -self.im, self.e, self.p)
 
     def __add__(self, other) -> "_Gauss":
-        p, s = self.p, self
-        o = other if other.__class__ is _Gauss else _Gauss.of(other, p)
-        if s.e < o.e:
-            s, o = o, s
-        g = s.e - o.e
-        if g <= p:
-            return _Gauss((s.re << g) + o.re, (s.im << g) + o.im, o.e, p)
-        if not (s.re or s.im):  # a zero's exponent says nothing of its size
-            return o.at(p)
-        g -= p
-        return _Gauss((s.re << p) + (o.re >> g), (s.im << p) + (o.im >> g), s.e - p, p)
+        o = other if other.__class__ is _Gauss else _Gauss.of(other, self.p)
+        return self._add(o.re, o.im, o.e)
 
     def __sub__(self, other) -> "_Gauss":
-        return self + -other
+        if other.__class__ is not _Gauss:
+            return self + -other
+        return self._add(-other.re, -other.im, other.e)
+
+    def _add(self, re: int, im: int, e: int) -> "_Gauss":
+        """self + (re + i im) 2^e at self's p."""
+        p, sr, si, se = self.p, self.re, self.im, self.e
+        if se < e:
+            sr, si, se, re, im, e = re, im, e, sr, si, se
+        g = se - e
+        if g <= p:
+            return _Gauss((sr << g) + re, (si << g) + im, e, p)
+        if not (sr or si):  # a zero's exponent says nothing of its size
+            return _Gauss(re, im, e, p)
+        g -= p
+        return _Gauss((sr << p) + (re >> g), (si << p) + (im >> g), se - p, p)
 
     def __mul__(self, other) -> "_Gauss":
         p = self.p
+        if other.__class__ is int and other.bit_length() <= p:  # exact, as of would enter it
+            return _Gauss(self.re * other, self.im * other, self.e, p)
         o = other if other.__class__ is _Gauss else _Gauss.of(other, p)
         a, b, c, d = self.re, self.im, o.re, o.im
         if not b:
@@ -253,14 +269,22 @@ class BoettcherValue:
 # starts from the double exp(c), c = (Log y_J + 2 pi i k)/n = log phi, with
 # Log y_J read from y_J = t 2^k2, t its top 64 bits: a relative error e0 <=
 # 2^-52 (4 + 4|c| + (64 + 2|k2| + 13|k|)/n), below 2^-40 for any double y.
-# A Newton step w <- w + w (y_J/w^n - 1)/n takes e to (n - 1) e^2/2, so it
-# contracts where (n - 1)|e|/2 < 1.  The steps climb a ladder built down
-# from P (P, ceil(P/2) + 2, ...) to the first rung r0 the start holds, e0 <=
-# 2^-(r0 + bitlen(n) + 5); at each rung r, computed at r + g bits, g =
-# 2 bitlen(n) + 10, they keep e below 2^-(r + bitlen(n) + 5).  phi_mp raises
-# PrecisionError if r0 < 8 (n e0 > 2^-13: n near 2^30 for a double y, far
-# past any walk's reach).  So the computed log phi is within 10^-(dps-10)
-# with room to spare; at 30 digits two steps run, at 54 and 103 bits
+# A Newton step w <- w (1 + eta), eta = (y_J - w^n)/(n w^n), takes e to
+# (n - 1) e^2/2, so it contracts where (n - 1)|e|/2 < 1.  The steps climb a
+# ladder built down from P (P, ceil(P/2) + 2, ...) to the first rung r0 the
+# start holds, e0 <= 2^-(r0 + bitlen(n) + 5).  The step to rung p from the
+# rung r below forms the chain W_j = w^(d^j) and y_J - w^n at p + g bits, g =
+# 2 bitlen(n) + 10; the difference's leading bits cancel, as |eta| is within
+# 2^-r of |e| <= 2^-(r + bitlen(n) + 5), so eta and w eta are formed at the
+# h = p + g - r bits it carries, which adds less than 2^-(p + g) |w|: no
+# quotient is taken at p + g bits, and the steps keep e below 2^-(p +
+# bitlen(n) + 5).  phi_mp raises PrecisionError if r0 < 8 (n e0 > 2^-13: n
+# near 2^30 for a double y, far past any walk's reach).  So the computed log
+# phi is within 10^-(dps-10) with room to spare; at 30 digits two steps run,
+# at 54 and 103 bits.  The last step also hands out the powers phi^(d^j) =
+# (w (1 + eta))^(d^j) as W_j + d^j (W_j eta): as d^j <= n and 2r >= P + 4,
+# the terms of (1 + eta)^(d^j) it drops are below (n |eta|)^2 <= 2^-(P + 14)
+# of |W_j|, within 2^-(P + 7) with the roundings of W_j and of d^j W_j eta
 _PHI_DPS = 30
 _PHI_REL = 2.0 ** -52 + 10.0 ** -(_PHI_DPS - 10)
 _LN2 = math.log(2.0)
@@ -278,11 +302,14 @@ def phi(m: HenonMap, z, filtration: Optional[FiltrationRadius] = None) -> Boettc
     return BoettcherValue(val, abs(val) * _PHI_REL)
 
 
-def phi_mp(m: HenonMap, z, dps: int, orbit: Optional[list] = None):
+def phi_mp(m: HenonMap, z, dps: int, orbit: Optional[list] = None,
+           powers: Optional[list] = None):
     """Arbitrary-precision phi = exp((Log y_J + 2 pi i k)/d^J), J chosen so the
     tail is below the working precision, as an mpmath mpc.  Call inside an
     mp.workdps context; z may hold mpmath numbers.  If orbit is a list, the
-    walk's points H^0 z .. H^J z are appended to it as _Gauss values."""
+    walk's points H^0 z .. H^J z are appended to it as _Gauss values; if
+    powers is, phi(H^j z) = phi^(d^j), j = 0..J, read off the root's last
+    Newton step (one value when no step ran)."""
     import mpmath as mp
     P, d = mp.mp.prec, m.d
     a, *coeffs = (_Gauss.of(c, P) for c in (m.a, *m.coeffs))
@@ -301,11 +328,16 @@ def phi_mp(m: HenonMap, z, dps: int, orbit: Optional[list] = None):
             break
         q = horner(coeffs, y) - a * x
         yd = y ** d
-        # only u's guard and phase are read, so u is a 64-bit quotient (an
-        # infinity past the double range); the working-precision quotient
-        # decides the guard where |u| is within 1e-12 of 1, so the guard
-        # raises where it always did
-        u = complex(q.at(64) / yd.at(64))
+        # only u's guard and phase are read, so u is the quotient of the two
+        # tops in doubles (an infinity past the double range); the working-
+        # precision quotient decides the guard where |u| is within 1e-12 of 1,
+        # so the guard raises where it always did
+        (tq, kq), (ty, ky) = q.top(), yd.top()
+        u = tq / ty
+        try:
+            u = complex(math.ldexp(u.real, kq - ky), math.ldexp(u.imag, kq - ky))
+        except OverflowError:
+            u = complex(math.inf)
         if not abs(abs(u) - 1.0) > 1e-12:
             u = complex(q / yd)
         if abs(u) >= 1.0:
@@ -333,18 +365,26 @@ def phi_mp(m: HenonMap, z, dps: int, orbit: Optional[list] = None):
     while rungs[-1] > low:
         rungs.append(-(-rungs[-1] // 2) + 2)
     g = 2 * n.bit_length() + 10
-    for p in reversed(rungs[:-1]):
-        w = w.at(p + g)
-        wn = w
+    chain = [w]
+    for p, r in zip(rungs[-2::-1], rungs[:0:-1]):  # each rung p above the rung r below it
+        p, h = p + g, p + g - r
+        chain = [w.at(p)]
         for _ in range(J):
-            wn = wn ** d
-        w = w + w * (y.at(p + g) / wn - 1) / n
+            chain.append(chain[-1] ** d)
+        # w <- w (1 + eta), eta = (y_J - w^n)/(n w^n): the difference's leading
+        # bits cancel, so eta and w eta are formed at the h bits it carries
+        eta = (y.at(p) - chain[-1]).at(h) / (chain[-1].at(h) * n)
+        w = chain[0] + chain[0].at(h) * eta
+    if powers is not None:
+        # (w (1 + eta))^(d^j) = W_j + d^j W_j eta to within 2^-(P+7) |W_j|
+        powers.append(w)
+        powers += [c + c.at(h) * (eta * d ** j) for j, c in enumerate(chain[1:], 1)]
     return w.to_mp()
 
 
 def _q(A: list, w: _Gauss, wd: _Gauss) -> _Gauss:
-    """Q(w) = w w^d + sum_{i<d} A_i w^i, given wd = w^d."""
-    return w * wd + horner(A, w)
+    """Q(w) = w w^d + sum_{i<d} A_i w^i, given wd = w^d, at w's precision."""
+    return w * wd + horner([*A[:-1], A[-1].at(w.p)], w)
 
 
 # ---------------------------------------------------------------------------
@@ -545,28 +585,50 @@ def digits_needed(m: HenonMap, z, depth: int) -> int:
     return int(1.1 * (lx + ly)) + 40
 
 
+def _log2(v: _Gauss) -> float:
+    """log2|v| in doubles from v's top bits (-inf for zero)."""
+    t, k = v.top()
+    return math.log2(abs(t)) + k if t else -math.inf
+
+
 def _psi_partials(m: HenonMap, z, q: LiftPolynomial, depth: int, dps: int):
-    """(psi_depth, phi(z)) as _Gauss values, inside an mp context of dps digits.
-    The orbit H^j z is phi_mp's walk, extended here only if it stopped short."""
+    """(psi_depth, [phi(H^j z) for j = 0..depth]) as _Gauss values, inside an
+    mp context of dps digits.  The orbit H^j z is phi_mp's walk and the powers
+    its root's, each extended here only if the walk stopped short.  The head
+    (d/a)^N x_N y_N and the sum are formed at the working P bits; each term
+    (d/a)^(j+1) Q(phi_j) at the bits that keep its absolute error below
+    2^-P |head|, sized from a bound on |Q(phi_j)| read off the binary
+    exponents of phi_j and the A_i."""
     import mpmath as mp
     P, d = mp.mp.prec, m.d
     a, *coeffs = (_Gauss.of(c, P) for c in (m.a, *m.coeffs))
-    orbit = []
-    phi0 = _Gauss.of(phi_mp(m, z, dps, orbit), P)
+    orbit, powers = [], []
+    phi_mp(m, z, dps, orbit, powers)
     while len(orbit) <= depth:
         x, y = orbit[-1]
         orbit.append((y, y ** d + (horner(coeffs, y) - a * x)))
+    while len(powers) <= depth:
+        powers.append(powers[-1] ** d)
     A = [_Gauss.of(c, P) for c in q.A]
     doa = _Gauss.of(d, P) / a
-    qsum = 0
-    scale, phij = _Gauss.of(1, P), phi0  # (d/a)^j and phi(H^j z) = phi0^(d^j)
-    for j in range(depth):
-        scale = scale * doa
-        phin = phij ** d
-        qsum = scale * _q(A, phij, phin) + qsum
-        phij = phin
+    log_doa = _log2(doa)
     x, y = orbit[depth]
-    return scale * x * y - qsum, phi0
+    # a term of p bits is within (2d + depth + 6) 2^(1.5 - p) times its bound
+    # 2^size: the products and sums of Q(phi_j), the j + 1 factors of
+    # (d/a)^(j+1) and the cuts.  p = size - low bits keep that below 2^-P |head|
+    low = depth * log_doa + _log2(x) + _log2(y) - P - (2 * d + depth + 6).bit_length() - 2
+    # |v| < 2^(mag v + 1/2), and |Q(phi_j)| is at most d + 1 monomial bounds
+    mags = [(i, c.mag() + 0.5) for i, c in enumerate(A) if c.re or c.im]
+    qsum, scale = _Gauss(0, 0, 0, P), _Gauss.of(1, P)
+    for j in range(depth):
+        scale = scale * doa  # (d/a)^(j+1)
+        phij, phin = powers[j], powers[j + 1]
+        lj = phij.mag() + 0.5
+        size = (j + 1) * log_doa + math.log2(d + 1) + max(
+            [lj + phin.mag() + 0.5] + [la + i * lj for i, la in mags])
+        p = min(P, max(64, math.ceil(size - low)))
+        qsum = qsum + scale.at(p) * _q(A, phij.at(p), phin.at(p))
+    return scale * x * y - qsum, powers
 
 
 def psi(m: HenonMap, z, q: LiftPolynomial, depth: int,
@@ -614,9 +676,11 @@ def semiconjugacy_residual(m: HenonMap, q: LiftPolynomial, sample_points: Sequen
         with mp.workdps(precision_digits):
             P = mp.mp.prec
             aod = _Gauss.of(m.a, P) / m.d
-            psi_z, phi_z = _psi_partials(m, z, q, depth, precision_digits)
-            psi_hz, phi_hz = _psi_partials(m, hz, q, depth, precision_digits)
-            phi_zd = phi_z ** m.d
+            psi_z, (phi_z, phi_zd, *_) = _psi_partials(m, z, q, depth, precision_digits)
+            psi_hz, (phi_hz, *_) = _psi_partials(m, hz, q, depth, precision_digits)
+            if not all(map(cmath.isfinite, (complex(psi_z), complex(psi_hz)))):
+                raise OverflowError(f"psi at depth {depth} leaves the double range")
+            phi_z = phi_z.at(P)
             r1 = abs(aod * psi_z + _q([_Gauss.of(c, P) for c in q.A], phi_z, phi_zd) - psi_hz)
             worst = max(worst, r1, abs(phi_zd - phi_hz))
     return worst

@@ -124,3 +124,34 @@ def test_refined_green_plus_reaches_the_tail_bound_and_product_spans():
     assert g.method == "boettcher-refined"
     names = {span[0] for span in rec.spans}
     assert {"boettcher.phi_tail_bound", "boettcher.phi_product"} <= names
+
+
+def test_lift_calls_reach_the_phi_mp_span():
+    """psi, the semiconjugacy residual and the bigfloat-fit Q each walk phi
+    through phi_mp by its module-global name, so the traced lift-exact
+    boettcher.phi_mp rows, where their time sits, cannot fall to 0
+    unnoticed: one psi records one phi_mp span, a residual at one point two
+    (at z and H(z)), and the fit of a real quadratic d + 6, one per walked
+    sample."""
+    from henonlab import HenonMap, boettcher, maps
+    m = HenonMap(2, 3, (1,))
+    q = boettcher.derive_lift_polynomial(m, "formal-series")
+    z = (0.4 - 0.3j, -21.779834925209798 + 3.1046401773170786j)
+    hz = maps.evaluate(m, z)
+    dps = max(boettcher.digits_needed(m, z, 3), boettcher.digits_needed(m, hz, 3))
+    rec = _spans().Recorder()
+    rec.install()
+    try:
+        boettcher.psi(m, z, q, 3)
+        boettcher.semiconjugacy_residual(m, q, [z], 3, dps)
+        boettcher.derive_lift_polynomial(m, "bigfloat-fit")
+    finally:
+        rec.uninstall()
+    under = {}
+    for name, _, _, parent, _, failed in rec.spans:
+        assert not failed, name
+        if name == "boettcher.phi_mp":
+            caller = rec.spans[parent][0] if parent >= 0 else None
+            under[caller] = under.get(caller, 0) + 1
+    assert under == {"boettcher.psi": 1, "boettcher.semiconjugacy_residual": 2,
+                     "boettcher.derive_lift_polynomial.fit": m.d + 6}

@@ -244,6 +244,93 @@ def test_psi_matches_per_factor_oracle_at_its_precision(m, depth):
                 assert abs(value - want) <= mp.mpf(10) ** (10 - dps) * scale, (z, n)
 
 
+@pytest.mark.parametrize("P", [53, 200, 2000, 20000])
+def test_root_powers_within_their_bound_of_straight_powers(P):
+    """The powers phi^(d^j) that phi_mp reads off its root's last Newton step
+    as W_j + d^j (W_j eta) agree with the straight powers w^(d^j) of its root
+    w (mpmath at P + 200 bits) within 2^-(P+7), the bound on the terms of
+    (1 + eta)^(d^j) they drop, plus one rounding, 2^(1.5-P), of their
+    modulus; at P bits on seeded maps of d = 2..6, with J >= 1 steps."""
+    rng = random.Random(f"root-powers/{P}")
+    for d in range(2, 7):
+        m = HenonMap(d, complex(rng.uniform(-4, 4), rng.uniform(0.5, 4)),
+                     tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(d - 1)))
+        R = estimate_filtration_radius(m).R
+        z = (cmath.rect(rng.uniform(0, R), rng.uniform(0, 2 * math.pi)),
+             cmath.rect(R * rng.uniform(1.5, 3), rng.uniform(0, 2 * math.pi)))
+        powers = []
+        with mp.workprec(P):
+            phi_mp(m, z, mp.mp.dps, None, powers)
+        assert len(powers) >= 2, (d, P)
+        with mp.workprec(P + 200):
+            want = powers[0].to_mp()
+            bound = mp.ldexp(1, -P - 7) + mp.ldexp(mp.sqrt(8), -P)
+            for j, got in enumerate(powers):
+                assert abs(got.to_mp() - want) <= bound * abs(want), (d, P, j)
+                root = want  # want^d by repeated products
+                for _ in range(d - 1):
+                    want *= root
+
+
+def _psi_all_at_p(m, z, q, depth, dps):
+    """psi_depth as psi formed it with every term at the working P bits and
+    phi(H^j z) by repeated d-th powers of phi_mp's rounded value, inside an
+    mp context of dps digits: (psi_N, |(d/a)^N x_N y_N|) as mpmath values."""
+    P, d = mp.mp.prec, m.d
+    a, *coeffs = (_Gauss.of(c, P) for c in (m.a, *m.coeffs))
+    orbit = []
+    phij = _Gauss.of(phi_mp(m, z, dps, orbit), P)
+    while len(orbit) <= depth:
+        x, y = orbit[-1]
+        orbit.append((y, y ** d + (horner(coeffs, y) - a * x)))
+    A = [_Gauss.of(c, P) for c in q.A]
+    doa = _Gauss.of(d, P) / a
+    qsum, scale = 0, _Gauss.of(1, P)
+    for j in range(depth):
+        scale = scale * doa
+        phin = phij ** d
+        qsum = scale * (phij * phin + horner(A, phij)) + qsum
+        phij = phin
+    x, y = orbit[depth]
+    head = scale * x * y
+    return (head - qsum).to_mp(), abs(head.to_mp())
+
+
+def test_psi_terms_at_their_bits_match_all_at_p_oracle():
+    """psi_N with each term at the bits its size needs equals psi_N with every
+    term at the working precision as a double, and lies within 10^(10-dps) of
+    the head |(d/a)^N x_N y_N| of it, on seeded maps of every coefficient type
+    (int, Fraction, QC, float, complex), d = 2..5, depths 1..6 up to 4000
+    digits, at V_R+ points of radius 1.5R to 3R."""
+    rng = random.Random("psi-all-at-p")
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    kinds = (lambda: rng.randint(-9, 9), frac, lambda: QC(frac(), frac()),
+             lambda: rng.uniform(-3, 3), lambda: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+    checked = 0
+    for d in range(2, 6):
+        for scalar in kinds:
+            a = scalar()
+            m = HenonMap(d, a if complex(a) else 3, tuple(scalar() for _ in range(d - 1)))
+            R = estimate_filtration_radius(m).R
+            z = (cmath.rect(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)),
+                 cmath.rect(R * rng.uniform(1.5, 3), rng.uniform(0, 2 * math.pi)))
+            q = derive_lift_polynomial(m, "formal-series")
+            for depth in range(1, 7):
+                dps = digits_needed(m, z, depth)
+                if dps > 4000:
+                    break
+                with mp.workdps(dps):
+                    got = _psi_partials(m, z, q, depth, dps)[0].to_mp()
+                    want, head = _psi_all_at_p(m, z, q, depth, dps)
+                    assert complex(got) == complex(want), (m, depth)
+                    assert abs(got - want) <= mp.mpf(10) ** (10 - dps) * head, (m, depth)
+                checked += 1
+    assert checked >= 60
+
+
 def _random_gauss(rng, p):
     """A _Gauss of p bits, or a short exact one of 1 to 53 bits, real one time
     in five, at a binary exponent within 3p of 0."""
@@ -337,7 +424,8 @@ def test_phi_accepts_branch_parameter_between_one_half_and_one(m, z):
 def test_psi_complex_a_depth_5_stable_under_30_more_digits():
     """The exact QC twin's psi_3..psi_6 agree with each other and with 30
     more digits; the float map's A_j errors blow psi up with depth until,
-    at depth 6, it leaves the double range and raises."""
+    at depth 6, it leaves the double range and raises, and so does its
+    semiconjugacy residual at depths 5 and 6."""
     m = HenonMap(3, 5 + 4j, (0.5 - 1j, 1 + 0.25j))
     twin = HenonMap(3, QC(5, 4), (QC(Fraction(1, 2), -1), QC(1, Fraction(1, 4))))
     z = (0.3 + 0.2j, cmath.rect(2.2 * estimate_filtration_radius(m).R, 2.0))
@@ -347,8 +435,18 @@ def test_psi_complex_a_depth_5_stable_under_30_more_digits():
         base = psi(twin, z, q, depth)
         values += [base.value, psi(twin, z, q, depth, base.precision_digits + 30).value]
     assert all(abs(v - values[0]) <= 1e-12 * abs(values[0]) for v in values), values
+    q_float = derive_lift_polynomial(m, "formal-series")
     with pytest.raises(OverflowError):
-        psi(m, z, derive_lift_polynomial(m, "formal-series"), 6)
+        psi(m, z, q_float, 6)
+    # psi_5 at z is finite, but the residual's psi_5 and psi_6 at H(z) are
+    # not: the residual raises as psi does, and the twin's stays finite
+    assert cmath.isfinite(psi(m, z, q_float, 5).value)
+    hz = evaluate(m, z)
+    for depth in (5, 6):
+        dps = max(digits_needed(m, z, depth), digits_needed(m, hz, depth))
+        with pytest.raises(OverflowError):
+            semiconjugacy_residual(m, q_float, [z], depth, dps)
+        assert math.isfinite(semiconjugacy_residual(twin, q, [z], depth, dps))
 
 
 def test_phi_mp_raises_where_the_branch_ratio_reaches_one():
